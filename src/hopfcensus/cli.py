@@ -97,9 +97,16 @@ def _parse_subgroup(spec: str, group_name: str, g: groups.FiniteGroup):
     if spec == "center":
         return g.center
     try:
-        return tuple(sorted(int(x) for x in spec.split(",")))
+        subgroup = tuple(sorted(int(x) for x in spec.split(",")))
     except ValueError:
         raise UsageError(f"cannot parse subgroup spec {spec!r}") from None
+    if not all(0 <= x < g.order for x in subgroup):
+        raise UsageError(f"subgroup indices {spec!r} are outside "
+                         f"0..{g.order - 1} for {group_name}")
+    if not g.is_subgroup(subgroup):
+        raise UsageError(f"indices {spec!r} do not form a subgroup of "
+                         f"{group_name}")
+    return subgroup
 
 
 # -- command implementations --------------------------------------------------

@@ -219,7 +219,7 @@ class CycNumber:
 
     @staticmethod
     def from_rational(q) -> "CycNumber":
-        return CycNumber(1, (Fraction(q),), _canonical=True)
+        return _rational(Fraction(q))
 
     @staticmethod
     def zero() -> "CycNumber":
@@ -253,7 +253,7 @@ class CycNumber:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.conductor == 1 and self.coeffs[0] == 0
+        return self.conductor == 1 and not self.coeffs[0].numerator
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -264,7 +264,8 @@ class CycNumber:
         return self.coeffs[0]
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        # Zero is canonically rational, so only conductor 1 can be zero.
+        return self.conductor != 1 or self.coeffs[0].numerator != 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -290,11 +291,12 @@ class CycNumber:
         return n
 
     def __add__(self, other) -> "CycNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CycNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.conductor == 1 and other.conductor == 1:
-            return CycNumber(1, (self.coeffs[0] + other.coeffs[0],), _canonical=True)
+            return _rational(self.coeffs[0] + other.coeffs[0])
         n = self._common(other)
         a, b = self._lifted(n), other._lifted(n)
         return CycNumber(n, [x + y for x, y in zip(a, b)])
@@ -303,6 +305,8 @@ class CycNumber:
         return self.__add__(other)
 
     def __neg__(self) -> "CycNumber":
+        if self.conductor == 1:
+            return _rational(-self.coeffs[0])
         return CycNumber(self.conductor, tuple(-c for c in self.coeffs), _canonical=True)
 
     def __sub__(self, other) -> "CycNumber":
@@ -315,11 +319,16 @@ class CycNumber:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "CycNumber":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other is _ONE:
+            return self
+        if self is _ONE:
+            return _coerce(other)
+        if type(other) is not CycNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if self.conductor == 1 and other.conductor == 1:
-            return CycNumber(1, (self.coeffs[0] * other.coeffs[0],), _canonical=True)
+            return _rational(self.coeffs[0] * other.coeffs[0])
         if self.conductor == 1:
             q = self.coeffs[0]
             if not q:
@@ -346,7 +355,7 @@ class CycNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.conductor == 1:
-            return CycNumber(1, (1 / self.coeffs[0],), _canonical=True)
+            return _rational(1 / self.coeffs[0])
         n = self.conductor
         phi_poly = [Fraction(c) for c in cyclotomic_poly(n)]
         g, s = _poly_xgcd(list(self.coeffs), phi_poly)
@@ -393,9 +402,10 @@ class CycNumber:
     # -- comparison, hashing, display, serialization ------------------------
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not CycNumber:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.conductor == other.conductor and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
@@ -431,6 +441,26 @@ class CycNumber:
     def from_json(data: dict) -> "CycNumber":
         return CycNumber(int(data["conductor"]),
                          [Fraction(s) for s in data["coeffs"]])
+
+
+_new_instance = object.__new__
+_set_conductor = CycNumber.__dict__["conductor"].__set__
+_set_coeffs = CycNumber.__dict__["coeffs"].__set__
+_set_hash = CycNumber.__dict__["_hash"].__set__
+
+
+def _rational(q: Fraction) -> CycNumber:
+    """The conductor-1 value q, which must already be a Fraction.
+
+    Rational values are canonical by definition, so this skips
+    ``__init__`` (coercion, the coefficient copy and ``_canonicalize``);
+    the result equals, and hashes like, ``CycNumber(1, (q,))``.
+    """
+    x = _new_instance(CycNumber)
+    _set_conductor(x, 1)
+    _set_coeffs(x, (q,))
+    _set_hash(x, None)
+    return x
 
 
 def _coerce(x):
@@ -517,5 +547,5 @@ def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
     return r0, s0
 
 
-_ZERO = CycNumber(1, (Fraction(0),), _canonical=True)
-_ONE = CycNumber(1, (Fraction(1),), _canonical=True)
+_ZERO = _rational(Fraction(0))
+_ONE = _rational(Fraction(1))

@@ -1,10 +1,12 @@
 """Structure-constant Hopf algebras over exact cyclotomic scalars.
 
 A HopfData stores the five structure tensors (multiplication, unit,
-comultiplication, counit, antipode) densely over CycNumber, with sparse
-comultiplication dictionaries for speed.  Everything here is exact; the
-axiom verifier reports per-axiom pass/fail with the first violating
-basis triple.
+comultiplication, counit, antipode) over CycNumber.  Multiplication,
+comultiplication and antipode keep only their nonzero structure
+constants, and every kernel walks those alone; unit and counit are dense
+vectors, as are the vectors the public API takes and returns.
+Everything here is exact; the axiom verifier reports per-axiom pass/fail
+with the first violating basis triple.
 
 The module covers: group algebras and duals, the 8-dimensional
 Kac-Paljutkin algebra, multiplicative characters and group-like
@@ -15,13 +17,14 @@ twists by 2-cocycles lifted from abelian subgroups.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from hopfcensus.cyclotomic import MAX_CONDUCTOR, CycNumber, divisors
+from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
+                                   _canonical_conductor, divisors)
 from hopfcensus.fusion import AlgebraTypeSignature
 from hopfcensus.groups import (AltBicharacter, FiniteGroup, GroupError,
                                abelian_decomposition,
@@ -58,10 +61,6 @@ class TwistInvalidError(HopfError):
 
 
 # -- small exact linear algebra ------------------------------------------------
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
 
 class LinearBasis:
     """Row-echelon span tracker over the cyclotomic field."""
@@ -148,22 +147,89 @@ def solve_linear(columns, rhs):
 
 # -- HopfData -------------------------------------------------------------------
 
+def _nonzeros(u) -> list:
+    """The (index, coefficient) pairs of a dense vector's nonzero entries."""
+    return [(i, a) for i, a in enumerate(u) if a]
+
+
+def _entries(row) -> tuple:
+    """A mapping or (index, coefficient) pairs as sorted nonzero pairs."""
+    return tuple(sorted((k, c) for k, c in dict(row).items() if c))
+
+
+def _add_scaled(out: dict, scale, entries) -> None:
+    """out += scale * entries, for sparse (key, coefficient) entries."""
+    for k, c in entries:
+        t = scale * c
+        out[k] = out[k] + t if k in out else t
+
+
+def _combine(terms, rows) -> dict:
+    """sum_p c_p rows[p] over sparse terms (p, c_p), rows as sparse pairs."""
+    out: dict = {}
+    for p, c in terms:
+        _add_scaled(out, c, rows[p])
+    return out
+
+
+def _pruned(out: dict) -> dict:
+    return {k: c for k, c in out.items() if c}
+
+
+def _evaluate(values, terms) -> CycNumber:
+    """A functional given by its basis values, applied to sparse terms."""
+    total = ZERO
+    for k, c in terms:
+        total = total + c * values[k]
+    return total
+
+
 class HopfData:
-    """A finite-dimensional Hopf algebra by structure constants."""
+    """A finite-dimensional Hopf algebra by structure constants.
+
+    ``mult[i][j]`` (the product e_i e_j) and ``antipode[i]`` (S(e_i)) are
+    tuples of their nonzero ``(k, c)`` entries, sorted by k; ``comult[i]``
+    maps (j, k) to the coefficient of e_j (x) e_k in Delta(e_i).  The
+    constructor accepts a mapping or pairs for each of them.  ``unit`` and
+    ``counit`` are dense, as are the vectors the public methods take and
+    return.
+    """
 
     def __init__(self, labels, mult, unit, comult, counit, antipode):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        self.mult = tuple(tuple(tuple(row) for row in plane) for plane in mult)
+        self.mult = tuple(tuple(_entries(row) for row in plane) for plane in mult)
         self.unit = tuple(unit)
         self.comult = tuple(dict(d) for d in comult)
         self.counit = tuple(counit)
-        self.antipode = tuple(tuple(row) for row in antipode)
+        self.antipode = tuple(_entries(row) for row in antipode)
 
-    @cached_property
-    def mult_sparse(self):
-        return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
-                           for row in plane) for plane in self.mult)
+    # -- sparse kernels: operands are nonzero (index, coeff) pairs; results
+    #    are {index: coeff} dicts that may keep entries which cancelled to zero
+
+    def _product(self, u, v) -> dict:
+        out: dict = {}
+        mult = self.mult
+        for i, a in u:
+            row = mult[i]
+            for j, b in v:
+                _add_scaled(out, a * b, row[j])
+        return out
+
+    def _antipode(self, u) -> dict:
+        return _combine(u, self.antipode)
+
+    def _comult(self, u) -> dict:
+        out: dict = {}
+        for i, a in u:
+            _add_scaled(out, a, self.comult[i].items())
+        return out
+
+    def _dense(self, out: dict) -> tuple:
+        vec = [ZERO] * self.dim
+        for k, c in out.items():
+            vec[k] = c
+        return tuple(vec)
 
     # -- vector-level operations
 
@@ -171,17 +237,7 @@ class HopfData:
         return tuple(ONE if t == i else ZERO for t in range(self.dim))
 
     def vec_mul(self, u, v):
-        out = [ZERO] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in self.mult_sparse[i][j]:
-                    out[k] = out[k] + ab * c
-        return tuple(out)
+        return self._dense(self._product(_nonzeros(u), _nonzeros(v)))
 
     def vec_pow(self, u, n: int):
         out = self.unit
@@ -190,71 +246,44 @@ class HopfData:
         return out
 
     def counit_of(self, u) -> CycNumber:
-        total = ZERO
-        for a, e in zip(u, self.counit):
-            if a and e:
-                total = total + a * e
-        return total
+        return _evaluate(self.counit, _nonzeros(u))
 
     def antipode_of(self, u):
-        out = [ZERO] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for k, c in enumerate(self.antipode[i]):
-                if c:
-                    out[k] = out[k] + a * c
-        return tuple(out)
+        return self._dense(self._antipode(_nonzeros(u)))
 
     def comult_of(self, u) -> dict:
-        out: dict = {}
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for key, c in self.comult[i].items():
-                acc = out.get(key, ZERO) + a * c
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        return out
+        return _pruned(self._comult(_nonzeros(u)))
 
     # -- tensor helpers (elements of H (x) H as sparse {(i,j): scalar})
 
     def tensor_mul(self, a: dict, b: dict) -> dict:
         out: dict = {}
-        ms = self.mult_sparse
+        mult = self.mult
         for (i, j), c in a.items():
             for (k, l), d in b.items():
                 cd = c * d
-                for p, x in ms[i][k]:
+                right = mult[j][l]
+                for p, x in mult[i][k]:
                     cx = cd * x
-                    for q, y in ms[j][l]:
-                        key = (p, q)
-                        acc = out.get(key, ZERO) + cx * y
-                        if acc:
-                            out[key] = acc
-                        elif key in out:
-                            del out[key]
-        return out
+                    for q, y in right:
+                        key, t = (p, q), cx * y
+                        out[key] = out[key] + t if key in out else t
+        return _pruned(out)
 
     def tensor3_mul(self, a: dict, b: dict) -> dict:
         out: dict = {}
-        ms = self.mult_sparse
+        mult = self.mult
         for (i1, i2, i3), c in a.items():
             for (j1, j2, j3), d in b.items():
                 cd = c * d
-                for p, x in ms[i1][j1]:
-                    for q, y in ms[i2][j2]:
-                        xy = x * y
-                        for s, z in ms[i3][j3]:
-                            key = (p, q, s)
-                            acc = out.get(key, ZERO) + cd * xy * z
-                            if acc:
-                                out[key] = acc
-                            elif key in out:
-                                del out[key]
-        return out
+                third = mult[i3][j3]
+                for p, x in mult[i1][j1]:
+                    for q, y in mult[i2][j2]:
+                        cxy = cd * x * y
+                        for s, z in third:
+                            key, t = (p, q, s), cxy * z
+                            out[key] = out[key] + t if key in out else t
+        return _pruned(out)
 
     def unit_tensor(self) -> dict:
         out: dict = {}
@@ -274,7 +303,7 @@ class HopfData:
             "labels": list(self.labels),
             "mult": [[i, j, k, c.to_json()]
                      for i in range(self.dim) for j in range(self.dim)
-                     for k, c in enumerate(self.mult[i][j]) if c],
+                     for k, c in self.mult[i][j]],
             "comult": [[i, j, k, c.to_json()]
                        for i in range(self.dim)
                        for (j, k), c in sorted(self.comult[i].items())],
@@ -282,19 +311,19 @@ class HopfData:
             "counit": [c.to_json() for c in self.counit],
             "antipode": [[i, k, c.to_json()]
                          for i in range(self.dim)
-                         for k, c in enumerate(self.antipode[i]) if c],
+                         for k, c in self.antipode[i]],
         }
 
     @staticmethod
     def from_json(data: dict) -> "HopfData":
         dim = int(data["dim"])
-        mult = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        mult = [[{} for _ in range(dim)] for _ in range(dim)]
         for i, j, k, c in data["mult"]:
             mult[i][j][k] = CycNumber.from_json(c)
         comult = [dict() for _ in range(dim)]
         for i, j, k, c in data["comult"]:
             comult[i][(j, k)] = CycNumber.from_json(c)
-        antipode = [[ZERO] * dim for _ in range(dim)]
+        antipode = [{} for _ in range(dim)]
         for i, k, c in data["antipode"]:
             antipode[i][k] = CycNumber.from_json(c)
         return HopfData(data["labels"], mult,
@@ -331,34 +360,35 @@ class HopfReport:
 
 
 def verify_hopf_axioms(h: HopfData) -> HopfReport:
+    """Check every Hopf axiom exactly, reporting each axiom's first failure.
+
+    Basis triples and pairs are scanned in lexicographic order.  Products
+    of basis elements are read straight from the sparse structure
+    constants, so associativity costs O(dim^3 * nonzeros per product).
+    """
     checks: list[HopfAxiomCheck] = []
     m = h.dim
+    mult = h.mult
+    columns = [[mult[p][k] for p in range(m)] for k in range(m)]  # e_p e_k
+    unit = _nonzeros(h.unit)
 
     def add(axiom, bad, detail=""):
         checks.append(HopfAxiomCheck(axiom, bad is None,
                                      detail if bad is None else f"{detail}{bad}"))
 
-    bad = None
-    for i in range(m):
-        ei = h.basis_vector(i)
-        for j in range(m):
-            prod = h.mult[i][j]
-            for k in range(m):
-                lhs = h.vec_mul(prod, h.basis_vector(k))
-                rhs = h.vec_mul(ei, h.mult[j][k])
-                if lhs != rhs:
-                    bad = (i, j, k)
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    def combination(terms, rows) -> dict:
+        return _pruned(_combine(terms, rows))
+
+    # (e_i e_j) e_k against e_i (e_j e_k)
+    bad = next(((i, j, k) for i in range(m) for j in range(m)
+                for k in range(m)
+                if combination(mult[i][j], columns[k]) !=
+                combination(mult[j][k], mult[i])), None)
     add("associativity", bad, "first failure at ")
 
     bad = next((i for i in range(m)
-                if h.vec_mul(h.unit, h.basis_vector(i)) != h.basis_vector(i)
-                or h.vec_mul(h.basis_vector(i), h.unit) != h.basis_vector(i)),
-               None)
+                if combination(unit, columns[i]) != {i: ONE}
+                or combination(unit, mult[i]) != {i: ONE}), None)
     add("unit", bad, "unit law fails at basis element ")
 
     bad = None
@@ -374,7 +404,7 @@ def verify_hopf_axioms(h: HopfData) -> HopfReport:
                 key = (j, p, q)
                 acc = right.get(key, ZERO) + c * d
                 right[key] = acc
-        if {k: v for k, v in left.items() if v} != {k: v for k, v in right.items() if v}:
+        if _pruned(left) != _pruned(right):
             bad = i
             break
     add("coassociativity", bad, "fails on basis element ")
@@ -392,56 +422,37 @@ def verify_hopf_axioms(h: HopfData) -> HopfReport:
     add("counit", bad, "counit law fails at basis element ")
 
     bad = None
-    if h.comult_of(h.unit) != {k: v for k, v in h.unit_tensor().items() if v}:
+    if h.comult_of(h.unit) != h.unit_tensor():
         bad = "unit"
     if bad is None and h.counit_of(h.unit) != ONE:
         bad = "counit(1)"
     if bad is None:
-        for i in range(m):
-            for j in range(m):
-                if h.counit_of(h.mult[i][j]) != h.counit[i] * h.counit[j]:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
+        bad = next(((i, j) for i in range(m) for j in range(m)
+                    if _evaluate(h.counit, mult[i][j]) !=
+                    h.counit[i] * h.counit[j]), None)
     if bad is None:
-        di = [h.comult[i] for i in range(m)]
-        for i in range(m):
-            for j in range(m):
-                lhs = h.comult_of(h.mult[i][j])
-                rhs = h.tensor_mul(di[i], di[j])
-                if lhs != {k: v for k, v in rhs.items() if v}:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
+        bad = next(((i, j) for i in range(m) for j in range(m)
+                    if _pruned(h._comult(mult[i][j])) !=
+                    h.tensor_mul(h.comult[i], h.comult[j])), None)
     add("bialgebra-compatibility", bad, "fails at ")
 
     bad = None
     for i in range(m):
-        left = [ZERO] * m
-        right = [ZERO] * m
+        left = {}
+        right = {}
         for (j, k), c in h.comult[i].items():
-            sj = h.antipode[j]
-            for t, x in enumerate(sj):
-                if x:
-                    cx = c * x
-                    for p, y in h.mult_sparse[t][k]:
-                        left[p] = left[p] + cx * y
-            sk = h.antipode[k]
-            for t, x in enumerate(sk):
-                if x:
-                    cx = c * x
-                    for p, y in h.mult_sparse[j][t]:
-                        right[p] = right[p] + cx * y
-        expected = vec_scale(h.counit[i], h.unit)
-        if tuple(left) != expected or tuple(right) != expected:
+            for t, x in h.antipode[j]:
+                _add_scaled(left, c * x, mult[t][k])
+            for t, x in h.antipode[k]:
+                _add_scaled(right, c * x, mult[j][t])
+        expected = _pruned({k: h.counit[i] * u for k, u in unit})
+        if _pruned(left) != expected or _pruned(right) != expected:
             bad = i
             break
     add("antipode", bad, "antipode axiom fails at basis element ")
 
     bad = next((i for i in range(m)
-                if h.antipode_of(h.antipode[i]) != h.basis_vector(i)), None)
+                if combination(h.antipode[i], h.antipode) != {i: ONE}), None)
     add("antipode-squared-identity", bad, "S^2 differs from id at ")
 
     return HopfReport(tuple(checks))
@@ -451,13 +462,11 @@ def verify_hopf_axioms(h: HopfData) -> HopfReport:
 
 def from_group(g: FiniteGroup) -> HopfData:
     m = g.order
-    mult = [[[ONE if k == g.table[i][j] else ZERO for k in range(m)]
-             for j in range(m)] for i in range(m)]
+    mult = [[{g.table[i][j]: ONE} for j in range(m)] for i in range(m)]
     unit = [ONE if i == g.identity else ZERO for i in range(m)]
     comult = [{(i, i): ONE} for i in range(m)]
     counit = [ONE] * m
-    antipode = [[ONE if k == g.inv(i) else ZERO for k in range(m)]
-                for i in range(m)]
+    antipode = [{g.inv(i): ONE} for i in range(m)]
     labels = [f"g{i}" for i in range(m)]
     return HopfData(labels, mult, unit, comult, counit, antipode)
 
@@ -465,7 +474,7 @@ def from_group(g: FiniteGroup) -> HopfData:
 def dual(h: HopfData) -> HopfData:
     """The dual Hopf algebra: all five tensors transposed."""
     m = h.dim
-    mult = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+    mult = [[{} for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for (j, k), c in h.comult[i].items():
             mult[j][k][i] = c
@@ -473,10 +482,13 @@ def dual(h: HopfData) -> HopfData:
     comult: list[dict] = [dict() for _ in range(m)]
     for i in range(m):
         for j in range(m):
-            for k, c in h.mult_sparse[i][j]:
-                comult[k][(i, j)] = comult[k].get((i, j), ZERO) + c
+            for k, c in h.mult[i][j]:
+                comult[k][(i, j)] = c
     counit = list(h.unit)
-    antipode = [[h.antipode[k][i] for k in range(m)] for i in range(m)]
+    antipode = [{} for _ in range(m)]
+    for k in range(m):
+        for i, c in h.antipode[k]:
+            antipode[i][k] = c
     labels = [f"{name}*" for name in h.labels]
     return HopfData(labels, mult, unit, comult, counit, antipode)
 
@@ -492,7 +504,7 @@ def build_h8() -> HopfData:
     labels = ("1", "x", "y", "xy", "z", "xz", "yz", "xyz")
     half = CycNumber.from_rational(Fraction(1, 2))
 
-    # Klein part: w = (a, b) encodes x^a y^b, index a + 2b ... use explicit map
+    # Klein part: w = (a, b) encodes x^a y^b
     klein = [(0, 0), (1, 0), (0, 1), (1, 1)]
     kidx = {w: i for i, w in enumerate(klein)}
 
@@ -503,7 +515,7 @@ def build_h8() -> HopfData:
         return (w[1], w[0])
 
     m = 8
-    mult = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+    mult = [[{} for _ in range(m)] for _ in range(m)]
     zsq = {(0, 0): half, (1, 0): half, (0, 1): half, (1, 1): -half}
 
     def index(w, d):
@@ -522,7 +534,7 @@ def build_h8() -> HopfData:
                         base = kmul(w1, sigma(w2))
                         for w, c in zsq.items():
                             k = index(kmul(base, w), 0)
-                            mult[i][j][k] = mult[i][j][k] + c
+                            mult[i][j][k] = mult[i][j].get(k, ZERO) + c
     unit = [ONE] + [ZERO] * 7
     counit = [ONE] * 8
 
@@ -542,7 +554,7 @@ def build_h8() -> HopfData:
     # The antipode of a bialgebra is unique; with this multiplication and
     # comultiplication the antipode axiom forces S(z) = z, hence
     # S(w z) = S(z) S(w) = z w, which permutes the basis by w z -> sigma(w) z.
-    antipode = [[ZERO] * m for _ in range(m)]
+    antipode = [{} for _ in range(m)]
     for w in klein:
         antipode[index(w, 0)][index(w, 0)] = ONE  # involutions are self-inverse
         antipode[index(w, 1)][index(sigma(w), 1)] = ONE
@@ -560,11 +572,7 @@ class CharacterFunctional:
     def __call__(self, u) -> CycNumber:
         if isinstance(u, int):
             return self.values[u]
-        total = ZERO
-        for a, v in zip(u, self.values):
-            if a and v:
-                total = total + a * v
-        return total
+        return _evaluate(self.values, _nonzeros(u))
 
     def __eq__(self, other):
         return isinstance(other, CharacterFunctional) and self.values == other.values
@@ -579,22 +587,16 @@ class CharacterFunctional:
         return f"CharacterFunctional({list(self.values)})"
 
 
-_ROOT_CANDIDATES: list[CycNumber] | None = None
-
-
-def _root_candidates() -> list[CycNumber]:
+@functools.cache
+def _root_candidates() -> tuple[CycNumber, ...]:
     """0 together with every root of unity the scalar field supports."""
-    global _ROOT_CANDIDATES
-    if _ROOT_CANDIDATES is None:
-        out = {ZERO}
-        for d in range(1, 2 * MAX_CONDUCTOR + 1):
-            canonical = d // 2 if d % 4 == 2 else d
-            if canonical > MAX_CONDUCTOR:
-                continue
-            for j in range(d):
-                out.add(CycNumber.root_of_unity(d, j))
-        _ROOT_CANDIDATES = sorted(out, key=CycNumber.sort_key)
-    return _ROOT_CANDIDATES
+    out = {ZERO}
+    for d in range(1, 2 * MAX_CONDUCTOR + 1):
+        if _canonical_conductor(d) > MAX_CONDUCTOR:
+            continue
+        for j in range(d):
+            out.add(CycNumber.root_of_unity(d, j))
+    return tuple(sorted(out, key=CycNumber.sort_key))
 
 
 def minimal_polynomial(h: HopfData, vec) -> list[CycNumber]:
@@ -823,12 +825,13 @@ def algebra_characters(h: HopfData, generators=None) -> list[CharacterFunctional
 
 
 def _is_multiplicative(h: HopfData, func: CharacterFunctional) -> bool:
+    values = func.values
     if func(h.unit) != ONE:
         return False
     for i in range(h.dim):
-        vi = func.values[i]
+        vi = values[i]
         for j in range(h.dim):
-            if func(h.mult[i][j]) != vi * func.values[j]:
+            if _evaluate(values, h.mult[i][j]) != vi * values[j]:
                 return False
     return True
 
@@ -1076,7 +1079,7 @@ def verify_twist(h: HopfData, twist: TwistElement) -> HopfReport:
 
     prod = h.tensor_mul(phi, phi_inv)
     prod2 = h.tensor_mul(phi_inv, phi)
-    unit_t = {k: v for k, v in h.unit_tensor().items() if v}
+    unit_t = h.unit_tensor()
     ok = prod == unit_t and prod2 == unit_t
     checks.append(HopfAxiomCheck("invertibility", ok,
                                  "" if ok else "phi * phi^{-1} differs from 1 (x) 1"))
@@ -1097,9 +1100,9 @@ def verify_twist(h: HopfData, twist: TwistElement) -> HopfReport:
             if u:
                 phi1[(i, j, k)] = c * u
                 phi3[(k, i, j)] = c * u
-    lhs = h.tensor3_mul(phi1, {k: v for k, v in left.items() if v})
-    rhs = h.tensor3_mul(phi3, {k: v for k, v in right.items() if v})
-    ok = {k: v for k, v in lhs.items() if v} == {k: v for k, v in rhs.items() if v}
+    lhs = h.tensor3_mul(phi1, _pruned(left))
+    rhs = h.tensor3_mul(phi3, _pruned(right))
+    ok = lhs == rhs
     checks.append(HopfAxiomCheck("cocycle-identity", ok,
                                  "" if ok else "the two cocycle sides differ"))
     return HopfReport(tuple(checks))
@@ -1121,25 +1124,18 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
             "; ".join(c.axiom for c in report.failures()))
     phi = twist.value_dict()
     phi_inv = twist.inverse_dict()
-    comult = []
-    for i in range(h.dim):
-        middle = h.comult[i]
-        new = h.tensor_mul(h.tensor_mul(phi, middle), phi_inv)
-        comult.append({k: v for k, v in new.items() if v})
+    comult = [h.tensor_mul(h.tensor_mul(phi, middle), phi_inv)
+              for middle in h.comult]
 
-    uvec = [ZERO] * h.dim
+    # U = sum phi^(1) S(phi^(2))
+    uvec: dict = {}
     for (i, j), c in phi.items():
-        s = h.antipode[j]
-        for t, x in enumerate(s):
-            if x:
-                cx = c * x
-                for p, y in h.mult_sparse[i][t]:
-                    uvec[p] = uvec[p] + cx * y
-    uvec = tuple(uvec)
-    uinv = _algebra_inverse(h, uvec)
-    antipode = []
-    for i in range(h.dim):
-        antipode.append(list(h.vec_mul(h.vec_mul(uvec, h.antipode[i]), uinv)))
+        for t, x in h.antipode[j]:
+            _add_scaled(uvec, c * x, h.mult[i][t])
+    u = _pruned(uvec).items()
+    uinv = _nonzeros(_algebra_inverse(h, u))
+    antipode = [h._product(h._product(u, h.antipode[i]).items(), uinv)
+                for i in range(h.dim)]
 
     twisted = HopfData(h.labels, h.mult, h.unit, comult, h.counit, antipode)
     if verify:
@@ -1152,9 +1148,10 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
 
 
 def _algebra_inverse(h: HopfData, u):
-    # columns[j] = u * e_j, so a solution of sum_j x_j (u e_j) = 1 is a right
-    # inverse; finite dimension makes it two-sided.
-    columns = [h.vec_mul(u, h.basis_vector(j)) for j in range(h.dim)]
+    # u is sparse; columns[j] = u * e_j, so a solution of
+    # sum_j x_j (u e_j) = 1 is a right inverse; finite dimension makes it
+    # two-sided.
+    columns = [h._dense(h._product(u, [(j, ONE)])) for j in range(h.dim)]
     sol = solve_linear(columns, h.unit)
     if sol is None:
         raise TwistInvalidError("twist antipode corrector is not invertible")

@@ -125,6 +125,18 @@ def test_bad_inputs_exit_2():
     assert invoke(["fusion-verify"])[0] == 2
 
 
+@pytest.mark.parametrize("subgroup,reason", [
+    ("0,99", "outside 0..7"),       # index past the order of D4
+    ("-1", "outside 0..7"),         # negative index
+    ("0,1", "do not form a subgroup"),  # {1, r} is not closed
+])
+def test_twist_bad_subgroup_is_a_usage_error(subgroup, reason):
+    code, text = invoke(["twist", "--group", "D4", "--subgroup", subgroup,
+                         "--bicharacter", "trivial"])
+    assert code == 2
+    assert text.startswith("error: ") and reason in text
+
+
 @pytest.mark.parametrize("argv", [
     ["census", "--dim", "36", "--rules", "all", "--oracle", "1,2;3,2;4,1"],
     ["fusion-search", "--type", "1,2;2,1;4,1"],
