@@ -2,7 +2,9 @@
 
 ``enumerate_types`` lists every solution of the Wedderburn dimension
 identity n + sum n_i d_i^2 = N, then filters it through a pipeline of
-divisibility rules.  Each rule is data: an applicability predicate, a
+divisibility rules.  The solutions for all n come from one table of
+partitions into squares, memoized on (remainder, smallest degree) for the
+length of the call.  Each rule is data: an applicability predicate, a
 verdict, and a citation naming the classical fact it encodes, so every
 elimination in a report can say why the type was removed.  Rules never
 fire outside their stated hypotheses; anything they cannot see is left
@@ -14,10 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from hopfcensus.fusion import (AlgebraTypeSignature, FusionError, SearchOutcome,
-                               search_fusion)
+                               _prime_factors, search_fusion)
 
 
 class CensusError(ValueError):
@@ -48,39 +50,35 @@ class CensusRule:
         return self.violation(n_total, sig)
 
 
-def _nat_span_contains(target: int, degrees: Iterable[int]) -> bool:
-    degrees = sorted(set(degrees))
-    reachable = 1  # bitmask over 0..target
-    for d in degrees:
-        for s in range(d, target + 1):
-            if reachable >> (s - d) & 1:
-                reachable |= 1 << s
-    return bool(reachable >> target & 1)
+def _nat_span(limit: int, degrees: Iterable[int]) -> int:
+    """Bitmask over 0..limit of the sums of nonnegative multiples of degrees."""
+    mask = (1 << (limit + 1)) - 1
+    reachable = 1
+    for d in set(degrees):
+        step = d  # doubling steps reach every multiple count up to limit // d
+        while step <= limit:
+            reachable |= (reachable << step) & mask
+            step *= 2
+    return reachable
 
 
 def _r10_violation(n_total: int, sig: AlgebraTypeSignature) -> str | None:
     degrees = sig.degrees_present
+    span = _nat_span(max(degrees) ** 2, degrees)
     for d in degrees:
         good = False
         for s in range(1, math.gcd(sig.n, d * d) + 1):
             if math.gcd(sig.n, d * d) % s != 0:
                 continue
-            if any(s % p == 0 and d % p != 0 for p in range(2, s + 1)
-                   if _is_prime(p)):
+            if any(d % p for p in _prime_factors(s)):
                 continue
-            if _nat_span_contains(d * d - s, degrees):
+            if span >> (d * d - s) & 1:
                 good = True
                 break
         if not good:
             return (f"no admissible stabilizer order s for degree {d}: "
                     f"d^2 - s never decomposes into degrees {list(degrees)}")
     return None
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, int(math.isqrt(p)) + 1))
 
 
 RULES: tuple[CensusRule, ...] = (
@@ -201,49 +199,57 @@ class CensusResult:
         }
 
 
-def _partitions_into_squares(total: int) -> list[tuple[tuple[int, int], ...]]:
-    """All ways to write total as sum n_d * d^2 over distinct degrees d >= 2."""
-    results: list[tuple[tuple[int, int], ...]] = []
+def _partitions_into_squares(remaining: int, degrees: Sequence[int], i: int,
+                             memo: dict) -> list[tuple[tuple[int, int], ...]]:
+    """All ways to write remaining as sum m * d^2 over distinct d in degrees[i:].
 
-    def extend(prefix: list, d: int, remaining: int):
+    ``degrees`` ascends.  Each way is its (d, m) entries by ascending d; the
+    list skips degrees[i] before it uses it once, twice and so on.  ``memo``
+    holds the list of every (remaining, i) already solved, for one degree
+    sequence, so all the degree-1 counts of a census share the work.
+    """
+    key = (remaining, i)
+    if key not in memo:
         if remaining == 0:
-            results.append(tuple(prefix))
-            return
-        if d * d > remaining:
-            return
-        extend(prefix, d + 1, remaining)
-        top = remaining // (d * d)
-        for m in range(1, top + 1):
-            prefix.append((d, m))
-            extend(prefix, d + 1, remaining - m * d * d)
-            prefix.pop()
-
-    extend([], 2, total)
-    return results
+            memo[key] = [()]
+        elif i == len(degrees) or degrees[i] ** 2 > remaining:
+            memo[key] = []
+        else:
+            d = degrees[i]
+            out = list(_partitions_into_squares(remaining, degrees, i + 1, memo))
+            for m in range(1, remaining // (d * d) + 1):
+                head = ((d, m),)
+                out += [head + rest for rest in _partitions_into_squares(
+                    remaining - m * d * d, degrees, i + 1, memo)]
+            memo[key] = out
+    return memo[key]
 
 
 def enumerate_types(dimension: int,
                     rules: Iterable[CensusRule] | str = "all",
                     proper_only: bool = True,
                     n_filter: int | None = None,
-                    oracle_types: Iterable[AlgebraTypeSignature | str] = (),
+                    oracle_types: Iterable[AlgebraTypeSignature | str] | str = (),
                     oracle_profile: str = "hopf",
                     oracle_budget: int = 10 ** 7) -> CensusResult:
     """All type signatures at the given dimension, filtered by the rules.
 
     ``proper_only`` drops the purely cocommutative signature (n = N, no
     nonlinear degrees).  ``oracle_types`` requests fusion searches on the
-    named survivors; a request for a non-survivor is ignored.
+    named survivors, or on every survivor when it is ``"all"``; a request
+    for a non-survivor is ignored.
     """
     if dimension < 1:
         raise CensusError("dimension must be positive")
     rule_list = parse_rules(rules) if isinstance(rules, str) else tuple(rules)
     candidates: list[AlgebraTypeSignature] = []
+    degrees = tuple(range(2, math.isqrt(dimension) + 1))
+    memo: dict = {}
     for n in range(1, dimension + 1):
         if n_filter is not None and n != n_filter:
             continue
-        for entries in _partitions_into_squares(dimension - n):
-            sig = AlgebraTypeSignature(n, tuple(sorted(entries)))
+        for entries in _partitions_into_squares(dimension - n, degrees, 0, memo):
+            sig = AlgebraTypeSignature(n, entries)
             if proper_only and not sig.entries:
                 continue
             candidates.append(sig)
@@ -260,10 +266,11 @@ def enumerate_types(dimension: int,
         else:
             survivors.append(sig)
 
-    requested = []
-    for t in oracle_types:
-        sig = AlgebraTypeSignature.parse(t) if isinstance(t, str) else t
-        requested.append(sig)
+    if oracle_types == "all":
+        requested = survivors
+    else:
+        requested = [AlgebraTypeSignature.parse(t) if isinstance(t, str) else t
+                     for t in oracle_types]
     oracle_results = []
     survivor_keys = {str(s) for s in survivors}
     for sig in requested:
@@ -295,24 +302,9 @@ def complete_type(dimension: int, n: int,
     """Complete a signature from its degree-1 count and an allowed degree set."""
     if n < 1 or dimension % n != 0:
         raise CensusError(f"n = {n} must be a positive divisor of {dimension}")
-    remaining = dimension - n
     allowed = sorted({d for d in allowed_degrees if d >= 2})
-    solutions: list[AlgebraTypeSignature] = []
-
-    def extend(prefix: list, idx: int, left: int):
-        if left == 0:
-            solutions.append(AlgebraTypeSignature(n, tuple(prefix)))
-            return
-        if idx >= len(allowed):
-            return
-        d = allowed[idx]
-        extend(prefix, idx + 1, left)
-        for m in range(1, left // (d * d) + 1):
-            prefix.append((d, m))
-            extend(prefix, idx + 1, left - m * d * d)
-            prefix.pop()
-
-    extend([], 0, remaining)
+    solutions = [AlgebraTypeSignature(n, entries) for entries in
+                 _partitions_into_squares(dimension - n, allowed, 0, {})]
     if not solutions:
         raise NoSolutionError(
             f"no signature with n = {n} and degrees in {allowed} at dimension {dimension}")

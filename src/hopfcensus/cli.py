@@ -116,13 +116,8 @@ def _cmd_census(args) -> tuple[dict, list[str], int]:
     oracle_types = list(args.oracle or [])
     result = census_mod.enumerate_types(
         args.dim, rules, proper_only=not args.improper, n_filter=args.n,
-        oracle_types=[] if oracle_types == ["all"] else oracle_types,
+        oracle_types="all" if oracle_types == ["all"] else oracle_types,
         oracle_budget=args.budget)
-    if oracle_types == ["all"]:
-        result = census_mod.enumerate_types(
-            args.dim, rules, proper_only=not args.improper, n_filter=args.n,
-            oracle_types=[str(s) for s in result.survivors],
-            oracle_budget=args.budget)
     citations = [f"{r.id}: {r.citation}" for r in rules]
     return result.to_json(), citations, 0
 

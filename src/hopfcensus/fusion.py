@@ -89,9 +89,11 @@ class AlgebraTypeSignature:
         pairs = []
         for p in parts:
             bits = p.split(",")
-            if len(bits) != 2:
-                raise FusionError(f"cannot parse type component {p!r}")
-            pairs.append((int(bits[0]), int(bits[1])))
+            try:
+                d, m = (int(b) for b in bits)
+            except ValueError:
+                raise FusionError(f"cannot parse type component {p!r}") from None
+            pairs.append((d, m))
         if not pairs or pairs[0][0] != 1:
             raise FusionError("type string must start with the 1,n component")
         n = pairs[0][1]
@@ -131,6 +133,12 @@ class FusionDatum:
     def n(self, i: int, j: int, k: int) -> int:
         return self.constants[i][j][k]
 
+    @cached_property
+    def sparse(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """``sparse[i][j]`` lists the nonzero (k, N[i][j][k]) by ascending k."""
+        return tuple(tuple(tuple((k, v) for k, v in enumerate(row) if v)
+                           for row in plane) for plane in self.constants)
+
     def multiply(self, i: int, j: int) -> tuple[int, ...]:
         return self.constants[i][j]
 
@@ -147,12 +155,10 @@ class FusionDatum:
         table = {}
         for g in self.one_indices:
             for h in self.one_indices:
-                row = self.constants[g][h]
-                support = [k for k, v in enumerate(row) if v]
-                if (len(support) != 1 or row[support[0]] != 1
-                        or self.degrees[support[0]] != 1):
+                row = self.sparse[g][h]
+                if len(row) != 1 or row[0][1] != 1 or self.degrees[row[0][0]] != 1:
                     raise FusionError("degree-1 elements do not close as a group")
-                table[(g, h)] = support[0]
+                table[(g, h)] = row[0][0]
         return table
 
     def group_element_order(self, g: int) -> int:
@@ -188,16 +194,16 @@ class FusionDatum:
         closed = {self.unit, *seed}
         closed |= {self.dual[i] for i in closed}
         frontier = list(closed)
+        sparse = self.sparse
         while frontier:
             nxt = []
             for a in frontier:
                 for b in list(closed):
-                    for pair in ((a, b), (b, a)):
-                        for k, v in enumerate(self.constants[pair[0]][pair[1]]):
-                            if v and k not in closed:
-                                closed.add(k)
-                                closed.add(self.dual[k])
-                                nxt.append(k)
+                    for k, _ in sparse[a][b] + sparse[b][a]:
+                        if k not in closed:
+                            closed.add(k)
+                            closed.add(self.dual[k])
+                            nxt.append(k)
             frontier = nxt
         return frozenset(closed)
 
@@ -232,11 +238,10 @@ class FusionDatum:
     def _one_perm(self, g: int, side: str) -> list[int]:
         perm = [-1] * self.size
         for i in range(self.size):
-            row = self.constants[g][i] if side == "left" else self.constants[i][g]
-            support = [k for k, v in enumerate(row) if v]
-            if len(support) != 1 or row[support[0]] != 1:
+            row = self.sparse[g][i] if side == "left" else self.sparse[i][g]
+            if len(row) != 1 or row[0][1] != 1:
                 raise FusionError("degree-1 translation is not a permutation")
-            perm[i] = support[0]
+            perm[i] = row[0][0]
         return perm
 
     def biaction_orbits(self, d: int) -> "BiactionReport":
@@ -287,20 +292,41 @@ class FusionDatum:
     # -- serialization
 
     def to_json(self) -> dict:
-        sparse = [[i, j, k, v]
-                  for i in range(self.size) for j in range(self.size)
-                  for k, v in enumerate(self.constants[i][j]) if v]
+        sparse = [[i, j, k, v] for i, plane in enumerate(self.sparse)
+                  for j, row in enumerate(plane) for k, v in row]
         return {"degrees": list(self.degrees), "dual": list(self.dual),
                 "constants": sparse}
 
     @staticmethod
-    def from_json(data: dict) -> "FusionDatum":
-        degrees = [int(d) for d in data["degrees"]]
+    def from_json(data) -> "FusionDatum":
+        """The datum of ``to_json`` output; malformed input raises FusionError."""
+        if not isinstance(data, dict):
+            raise FusionError("a fusion datum must be a JSON object")
+        missing = [key for key in ("degrees", "dual", "constants")
+                   if key not in data]
+        if missing:
+            raise FusionError(f"fusion datum lacks {', '.join(missing)}")
+        degrees, dual, entries = data["degrees"], data["dual"], data["constants"]
+        if not (_int_list(degrees) and _int_list(dual)
+                and isinstance(entries, list)
+                and all(_int_list(e) and len(e) == 4 for e in entries)):
+            raise FusionError("degrees and dual must be integer lists, and "
+                              "constants a list of [i, j, k, multiplicity]")
         r = len(degrees)
         constants = [[[0] * r for _ in range(r)] for _ in range(r)]
-        for i, j, k, v in data["constants"]:
+        for i, j, k, v in entries:
+            if not all(0 <= x < r for x in (i, j, k)):
+                raise FusionError(f"constant {[i, j, k, v]} has an index "
+                                  f"outside 0..{r - 1}")
+            if v < 0:
+                raise FusionError(f"constant {[i, j, k, v]} has a negative "
+                                  f"multiplicity")
             constants[i][j][k] = v
-        return FusionDatum(degrees, data["dual"], constants)
+        return FusionDatum(degrees, dual, constants)
+
+
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, int) for x in value)
 
 
 @dataclass(frozen=True)
@@ -360,6 +386,12 @@ PROFILES = ("basic", "hopf")
 
 
 def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> FusionReport:
+    """Check the based-ring axioms, and under "hopf" the divisibility facts.
+
+    Each failed axiom reports its first failure in a fixed scan order.
+    Associativity applies the search's sparse triple kernel to every
+    (i, j, k) in lexicographic order: r^3 calls over the nonzero constants.
+    """
     if profile not in PROFILES:
         raise FusionError(f"unknown profile {profile!r}")
     checks: list[AxiomCheck] = []
@@ -379,7 +411,7 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> FusionReport:
         return FusionReport(tuple(checks))
 
     bad = next(((i, j) for i in range(r) for j in range(r)
-                if sum(f.n(i, j, k) * deg[k] for k in range(r)) != deg[i] * deg[j]),
+                if sum(v * deg[k] for k, v in f.sparse[i][j]) != deg[i] * deg[j]),
                None)
     add("degree-homomorphism", bad is None,
         "" if bad is None else f"row {bad} violates the degree sum")
@@ -417,20 +449,10 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> FusionReport:
         group_ok = False
 
     bad = None
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for l in range(r):
-                    lhs = sum(f.n(i, j, t) * f.n(t, k, l) for t in range(r))
-                    rhs = sum(f.n(j, k, t) * f.n(i, t, l) for t in range(r))
-                    if lhs != rhs:
-                        bad = (i, j, k, l)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
+    for i, j, k in itertools.product(range(r), repeat=3):
+        l = _associativity_defect(f.sparse, i, j, k)
+        if l is not None:
+            bad = (i, j, k, l)
             break
     add("associativity", bad is None,
         "" if bad is None else f"associativity fails at {bad}")
@@ -473,6 +495,23 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> FusionReport:
     return FusionReport(tuple(checks))
 
 
+def _associativity_defect(rows, x, y, z) -> int | None:
+    """The least l at which (x*y)*z and x*(y*z) differ, or None.
+
+    ``rows[i][j]`` lists the nonzero (k, N[i][j][k]) of i*j: a datum's
+    ``sparse`` view or a search's completed rows.  It reads rows x*y, y*z,
+    t*z for t in x*y and x*s for s in y*z.
+    """
+    diff: dict[int, int] = {}
+    for t, a in rows[x][y]:
+        for l, b in rows[t][z]:
+            diff[l] = diff.get(l, 0) + a * b
+    for s, a in rows[y][z]:
+        for l, b in rows[x][s]:
+            diff[l] = diff.get(l, 0) - a * b
+    return min((l for l, v in diff.items() if v), default=None)
+
+
 def _check_nr_dichotomy(f: FusionDatum) -> AxiomCheck:
     """Degree-2 elements: nontrivial stabilizer, or chi chi* = 1 + (degree-3).
 
@@ -484,8 +523,7 @@ def _check_nr_dichotomy(f: FusionDatum) -> AxiomCheck:
     for i in f.indices_of_degree(2):
         if len(f.left_stabilizer(i)) > 1:
             continue
-        row = f.constants[i][f.dual[i]]
-        support = [(k, v) for k, v in enumerate(row) if v and k != f.unit]
+        support = [(k, v) for k, v in f.sparse[i][f.dual[i]] if k != f.unit]
         if len(support) != 1 or support[0][1] != 1 or deg[support[0][0]] != 3:
             return AxiomCheck(
                 "nr-dichotomy", False,
@@ -693,6 +731,8 @@ class _Search:
         self.row_sum = [[0] * r for _ in range(r)]
         self.row_left = [[r] * r for _ in range(r)]  # unassigned entries in row
         self.row_complete = [[False] * r for _ in range(r)]
+        # rows[i][j]: nonzero (k, v) of row (i, j), current while it is complete
+        self.rows: list[list[tuple]] = [[()] * r for _ in range(r)]
         self.trail: list[tuple[int, int, int]] = []
         self._orbits: dict[tuple[int, int, int], tuple] = {}
         self._static_ub: dict[tuple[int, int, int], int] = {}
@@ -734,6 +774,8 @@ class _Search:
         self.row_left[i][j] -= 1
         if self.row_left[i][j] == 0:
             self.row_complete[i][j] = True
+            self.rows[i][j] = tuple((t, x) for t, x in enumerate(self.value[i][j])
+                                    if x)
         self.trail.append((i, j, k))
 
     def _variable_order(self):
@@ -824,13 +866,12 @@ class _Search:
 
     def _row_completed_checks(self, a, b) -> bool:
         deg, r = self.deg, self.r
-        row = self.value[a][b]
         # translations by degree-1 elements are injections onto one basis element
         if deg[a] == 1 or deg[b] == 1:
-            support = [k for k in range(r) if row[k]]
-            if len(support) != 1 or row[support[0]] != 1:
+            row = self.rows[a][b]
+            if len(row) != 1 or row[0][1] != 1:
                 return self._fail(f"degree-1 translate row ({a},{b}) not one-hot")
-            target = support[0]
+            target = row[0][0]
             if deg[a] == 1:
                 for x in range(r):
                     if x != b and self.row_complete[a][x] and self.value[a][x][target] == 1 \
@@ -872,7 +913,7 @@ class _Search:
                         f"stabilizer element {g} of chi_{i} has order "
                         f"not dividing {deg[i]}")
         if deg[i] == 2 and len(stab) == 1:
-            support = [(k, row[k]) for k in range(self.r) if row[k] and k != 0]
+            support = [(k, v) for k, v in self.rows[i][self.dual[i]] if k != 0]
             if len(support) != 1 or support[0][1] != 1 or deg[support[0][0]] != 3:
                 return self._fail(
                     f"degree-2 chi_{i} with trivial stabilizer lacks the "
@@ -884,8 +925,7 @@ class _Search:
     def _one_order(self, g) -> int:
         x, n = g, 1
         while x != 0:
-            row = self.value[x][g]
-            x = next(k for k in range(self.r) if row[k])
+            x = self.rows[x][g][0][0]
             n += 1
         return n
 
@@ -897,12 +937,11 @@ class _Search:
             nxt = []
             for a in frontier:
                 for b in list(closed):
-                    for pair in ((a, b), (b, a)):
-                        if not self.row_complete[pair[0]][pair[1]]:
+                    for p, q in ((a, b), (b, a)):
+                        if not self.row_complete[p][q]:
                             return True  # cannot conclude anything yet
-                        row = self.value[pair[0]][pair[1]]
-                        for k in range(self.r):
-                            if row[k] and k not in closed:
+                        for k, _ in self.rows[p][q]:
+                            if k not in closed:
                                 closed.add(k)
                                 closed.add(self.dual[k])
                                 nxt.append(k)
@@ -940,40 +979,14 @@ class _Search:
         return True
 
     def _check_triple(self, x, y, z) -> bool:
-        r, rc = self.r, self.row_complete
-        if not (rc[x][y] and rc[y][z]):
+        """Associativity of (x, y, z) once every row it reads is complete."""
+        rc, rows = self.row_complete, self.rows
+        if not (rc[x][y] and rc[y][z]
+                and all(rc[t][z] for t, _ in rows[x][y])
+                and all(rc[x][s] for s, _ in rows[y][z])):
             return True
-        value = self.value
-        vxy = value[x][y]
-        vyz = value[y][z]
-        supp_xy = []
-        for t in range(r):
-            if vxy[t]:
-                if not rc[t][z]:
-                    return True
-                supp_xy.append(t)
-        supp_yz = []
-        for s in range(r):
-            if vyz[s]:
-                if not rc[x][s]:
-                    return True
-                supp_yz.append(s)
-        targets = set()
-        for t in supp_xy:
-            row = value[t][z]
-            targets.update(l for l in range(r) if row[l])
-        for s in supp_yz:
-            row = value[x][s]
-            targets.update(l for l in range(r) if row[l])
-        for l in targets:
-            lhs = 0
-            for t in supp_xy:
-                lhs += vxy[t] * value[t][z][l]
-            rhs = 0
-            for s in supp_yz:
-                rhs += vyz[s] * value[x][s][l]
-            if lhs != rhs:
-                return self._fail(f"associativity fails on triple ({x},{y},{z})")
+        if _associativity_defect(rows, x, y, z) is not None:
+            return self._fail(f"associativity fails on triple ({x},{y},{z})")
         return True
 
     # -- main loop

@@ -1,6 +1,10 @@
 """Type enumeration and rule pipeline: golden lists live in the acceptance
 suite; here we check the machinery itself."""
 
+import itertools
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +43,42 @@ def test_partition_is_exact():
         assert e.signature.total == 24
     # survivors and eliminated partition the candidate set
     assert len(seen) == len(result.survivors) + len(result.eliminated)
+
+
+def _square_partition_counts(limit):
+    """Coefficients of x^0..x^limit in prod_{d >= 2} 1 / (1 - x^(d^2))."""
+    counts = [1] + [0] * limit
+    for d in range(2, math.isqrt(limit) + 1):
+        for s in range(d * d, limit + 1):
+            counts[s] += counts[s - d * d]
+    return counts
+
+
+def test_candidates_are_complete():
+    """Per-n candidate counts against the generating function.  Every
+    dimension up to 240 would build 2.8M candidates; dimension 240 alone
+    already meets every remainder below 240, with one shared table."""
+    counts = _square_partition_counts(240)
+    for dim in list(range(1, 121)) + [192, 216, 240]:
+        result = enumerate_types(dim, (), proper_only=False)
+        by_n = Counter(s.n for s in result.survivors)
+        assert not result.eliminated
+        assert all(by_n[n] == counts[dim - n] for n in range(1, dim + 1)), dim
+
+
+def test_candidates_match_brute_force_in_order():
+    for dim in range(1, 61):
+        degrees = range(2, math.isqrt(dim) + 1)
+        expected = []
+        for n in range(1, dim + 1):
+            for mults in itertools.product(
+                    *(range((dim - n) // (d * d) + 1) for d in degrees)):
+                if n + sum(m * d * d for d, m in zip(degrees, mults)) == dim:
+                    entries = tuple((d, m) for d, m in zip(degrees, mults) if m)
+                    expected.append((n, entries))
+        expected.sort()
+        result = enumerate_types(dim, (), proper_only=False)
+        assert [(s.n, s.entries) for s in result.survivors] == expected, dim
 
 
 def test_every_elimination_names_an_applicable_rule():
@@ -92,6 +132,16 @@ def test_oracle_hook_runs_only_on_requested_survivors():
     assert "1,2;2,1;4,3" in ran
     assert "1,18;6,1" in ran          # a survivor: searched (feasibility unknown
     assert "1,9;9,9" not in ran       # not even a candidate: ignored
+
+
+def test_oracle_all_requests_every_survivor():
+    explicit = enumerate_types(36, "all")
+    everything = enumerate_types(36, "all", oracle_types="all",
+                                 oracle_budget=2000)
+    listed = enumerate_types(36, "all", oracle_budget=2000,
+                             oracle_types=[str(s) for s in explicit.survivors])
+    assert [sig for sig, _ in everything.oracle] == list(explicit.survivors)
+    assert everything.to_json() == listed.to_json()
 
 
 def test_oracle_results_shrink_final_set():

@@ -119,6 +119,8 @@ def test_twist_with_matrix_json():
 def test_bad_inputs_exit_2():
     assert invoke(["census"])[0] == 2                      # missing --dim
     assert invoke(["fusion-search", "--type", "junk"])[0] == 2
+    assert invoke(["fusion-search", "--type", "1,2;2,x"]) == \
+        (2, "error: cannot parse type component '2,x'\n")
     assert invoke(["double", "--group", "nope"])[0] == 2
     assert invoke(["twist", "--group", "S3", "--subgroup", "auto",
                    "--bicharacter", "trivial"])[0] == 2    # no canonical subgroup
@@ -152,3 +154,29 @@ def test_outputs_are_thread_flag_independent(argv):
     # and the same command twice is byte-identical
     _, third = invoke(["--threads", "8"] + argv)
     assert second == third
+
+
+def _d4_datum(drop=None, extra=None):
+    datum = from_group_characters(build_dihedral(4)).to_json()
+    datum.pop(drop, None)
+    if extra:
+        datum["constants"].append(extra)
+    return datum
+
+
+@pytest.mark.parametrize("data,reason", [
+    (_d4_datum(drop="constants"), "lacks constants"),
+    (_d4_datum(drop="degrees"), "lacks degrees"),
+    (_d4_datum(drop="dual"), "lacks dual"),
+    ([_d4_datum()], "must be a JSON object"),
+    (_d4_datum(extra=[5, 0, 0, 1]), "outside 0..4"),
+    (_d4_datum(extra=[-1, 0, 0, 1]), "outside 0..4"),  # would alias index 4
+    (_d4_datum(extra=[4, 4, 4, -1]), "negative multiplicity"),
+], ids=["no-constants", "no-degrees", "no-dual", "list", "index-too-large",
+        "negative-index", "negative-multiplicity"])
+def test_fusion_verify_rejects_malformed_files(tmp_path, data, reason):
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(data))
+    code, text = invoke(["fusion-verify", "--file", str(path)])
+    assert code == 2
+    assert text.startswith("error: ") and reason in text

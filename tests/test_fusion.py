@@ -1,7 +1,9 @@
 """Fusion data: axioms, character rings, stabilizers, orbits, and the search."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hopfcensus.fusion import (AlgebraTypeSignature, FusionDatum, FusionError,
@@ -236,3 +238,69 @@ def test_fusion_datum_json_roundtrip():
     assert again.constants == datum.constants
     assert again.degrees == datum.degrees
     assert again.dual == datum.dual
+
+
+# -- the sparse associativity kernel against a dense reference -------------------
+
+def _first_associativity_failure(constants):
+    """Dense reference: the lexicographically first (i, j, k, l) at which
+    sum_t N(i,j,t) N(t,k,l) and sum_t N(j,k,t) N(i,t,l) differ."""
+    n = np.array(constants, dtype=np.int64)
+    lhs = np.einsum("ijt,tkl->ijkl", n, n)
+    rhs = np.einsum("jkt,itl->ijkl", n, n)
+    bad = np.argwhere(lhs != rhs)
+    return tuple(int(x) for x in bad[0]) if len(bad) else None
+
+
+def _relabeled(datum, rng):
+    r = datum.size
+    rest = list(range(1, r))
+    rng.shuffle(rest)
+    perm = [0] + rest
+    degrees, dual = [0] * r, [0] * r
+    constants = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        degrees[perm[i]] = datum.degrees[i]
+        dual[perm[i]] = perm[datum.dual[i]]
+        for j in range(r):
+            for k in range(r):
+                constants[perm[i]][perm[j]][perm[k]] = datum.constants[i][j][k]
+    return degrees, dual, constants
+
+
+@pytest.mark.parametrize("group", [
+    build_symmetric(3), build_dihedral(4), build_cyclic(4),
+    build_product(build_product(build_cyclic(2), build_cyclic(2)),
+                  build_product(build_cyclic(2), build_cyclic(2))),
+], ids=["S3", "D4", "Z4", "Z2^4"])
+def test_associativity_detail_matches_dense_reference(group):
+    rng = random.Random(group.order)
+    base = from_group_characters(group)
+    r = base.size
+    for trial in range(8):
+        degrees, dual, constants = _relabeled(base, rng)
+        # corrupt one or two constants of non-unit products; trial 0 stays valid
+        for _ in range(trial and trial % 2 + 1):
+            i, j, k = rng.randrange(1, r), rng.randrange(1, r), rng.randrange(r)
+            step = rng.choice((-1, 1)) if constants[i][j][k] else 1
+            constants[i][j][k] += step
+        datum = FusionDatum(degrees, dual, constants)
+        for profile in ("basic", "hopf"):
+            check = next(c for c in verify_fusion_datum(datum, profile).checks
+                         if c.axiom == "associativity")
+            expected = _first_associativity_failure(constants)
+            assert check.passed == (expected is None)
+            assert check.detail == ("" if expected is None
+                                    else f"associativity fails at {expected}")
+
+
+@pytest.mark.parametrize("typestr,status,nodes,trace", [
+    ("1,2;2,1;4,1", "infeasible", 13, "row (1,2) can no longer meet its degree sum"),
+    ("1,2;2,1;4,2", "infeasible", 183, "row (1,2) can no longer meet its degree sum"),
+    ("1,2;2,1;4,3", "infeasible", 12576,
+     "row (1,2) can no longer meet its degree sum"),
+    ("1,6;3,2", "feasible", 472, None),
+])
+def test_search_nodes_and_trace_are_pinned(typestr, status, nodes, trace):
+    out = search_fusion(P(typestr), "hopf", 10 ** 6)
+    assert (out.status, out.nodes, out.trace) == (status, nodes, trace)
