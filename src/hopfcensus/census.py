@@ -18,8 +18,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+from hopfcensus.cyclotomic import prime_factors
 from hopfcensus.fusion import (AlgebraTypeSignature, FusionError, SearchOutcome,
-                               _prime_factors, search_fusion)
+                               search_fusion)
 
 
 class CensusError(ValueError):
@@ -70,7 +71,7 @@ def _r10_violation(n_total: int, sig: AlgebraTypeSignature) -> str | None:
         for s in range(1, math.gcd(sig.n, d * d) + 1):
             if math.gcd(sig.n, d * d) % s != 0:
                 continue
-            if any(d % p for p in _prime_factors(s)):
+            if any(d % p for p in prime_factors(s)):
                 continue
             if span >> (d * d - s) & 1:
                 good = True

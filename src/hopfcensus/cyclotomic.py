@@ -43,6 +43,20 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def prime_factors(n: int) -> list[int]:
+    """The prime factors of n with multiplicity, ascending."""
+    out = []
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def divisors(n: int) -> list[int]:
     small, large = [], []
     d = 1

@@ -13,6 +13,12 @@ fusion datum satisfying a profile, by deterministic backtracking over the
 structure constants with constraint propagation.  It is the oracle the
 census module delegates to for type eliminations that the divisibility
 rules alone cannot see.
+
+Both share one kernel per axiom over ``rows``: ``rows[i][j]`` lists the
+nonzero (k, N[i][j][k]) of i*j, or is None while that row is not yet
+complete.  A kernel that meets such a row concludes nothing, so the
+verifier runs the kernels on a datum's ``sparse`` view and the search runs
+them on each row as it completes.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+from hopfcensus.cyclotomic import prime_factors
 from hopfcensus.groups import FiniteGroup, abelian_decomposition
 
 
@@ -161,18 +168,9 @@ class FusionDatum:
                 table[(g, h)] = row[0][0]
         return table
 
-    def group_element_order(self, g: int) -> int:
-        prod = self.group_product
-        x, n = g, 1
-        while x != self.unit:
-            x = prod[(x, g)]
-            n += 1
-        return n
-
     def left_stabilizer(self, i: int) -> tuple[int, ...]:
         """The subgroup {g of degree 1 : g * chi_i = chi_i}."""
-        row = self.constants[i][self.dual[i]]
-        return tuple(g for g in self.one_indices if row[g] == 1)
+        return _stabilizer(self.sparse, self.degrees, self.dual, i)
 
     def quotient_end_dim(self, subgroup, i: int) -> int:
         """Endomorphism dimension of chi_i in the quotient modulo the subgroup."""
@@ -190,23 +188,6 @@ class FusionDatum:
 
     # -- standard subalgebras
 
-    def support_closure(self, seed) -> frozenset[int]:
-        closed = {self.unit, *seed}
-        closed |= {self.dual[i] for i in closed}
-        frontier = list(closed)
-        sparse = self.sparse
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(closed):
-                    for k, _ in sparse[a][b] + sparse[b][a]:
-                        if k not in closed:
-                            closed.add(k)
-                            closed.add(self.dual[k])
-                            nxt.append(k)
-            frontier = nxt
-        return frozenset(closed)
-
     def standard_subalgebras(self) -> list[tuple[tuple[int, ...], int]]:
         """All closed subsets containing the unit, with dimensions sum deg^2.
 
@@ -214,9 +195,12 @@ class FusionDatum:
         members, so saturating the atom closures under join enumerates the
         whole lattice without touching all 2^r subsets.
         """
-        found: set[frozenset[int]] = {self.support_closure(())}
+        def closure(seed):
+            return _closure(self.sparse, self.dual, self.unit, seed)
+
+        found: set[frozenset[int]] = {closure(())}
         for i in range(self.size):
-            found.add(self.support_closure((i,)))
+            found.add(closure((i,)))
         changed = True
         while changed:
             changed = False
@@ -224,7 +208,7 @@ class FusionDatum:
                 for i in range(self.size):
                     if i in s:
                         continue
-                    joined = self.support_closure(s | {i})
+                    joined = closure(s | {i})
                     if joined not in found:
                         found.add(joined)
                         changed = True
@@ -280,7 +264,7 @@ class FusionDatum:
         prod = self.group_product
         n = len(ones)
         abelian = all(prod[(a, b)] == prod[(b, a)] for a in ones for b in ones)
-        factors = _prime_factors(n)
+        factors = prime_factors(n)
         if (abelian or len(factors) != 2 or factors[0] == factors[1]
                 or d != factors[0] or not xs):
             return "vacuous"
@@ -343,19 +327,6 @@ class BiactionReport:
     prop_pq: str
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out.append(p)
-            n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # -- verification ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -366,7 +337,7 @@ class AxiomCheck:
 
 
 @dataclass(frozen=True)
-class FusionReport:
+class AxiomReport:
     checks: tuple[AxiomCheck, ...]
 
     @property
@@ -385,7 +356,7 @@ class FusionReport:
 PROFILES = ("basic", "hopf")
 
 
-def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> FusionReport:
+def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> AxiomReport:
     """Check the based-ring axioms, and under "hopf" the divisibility facts.
 
     Each failed axiom reports its first failure in a fixed scan order.
@@ -408,7 +379,7 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> FusionReport:
           and all(deg[f.dual[i]] == deg[i] for i in range(r)))
     add("well-formed", ok, "" if ok else "unit/duality data malformed")
     if not ok:
-        return FusionReport(tuple(checks))
+        return AxiomReport(tuple(checks))
 
     bad = next(((i, j) for i in range(r) for j in range(r)
                 if sum(v * deg[k] for k, v in f.sparse[i][j]) != deg[i] * deg[j]),
@@ -459,27 +430,15 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> FusionReport:
 
     if profile == "hopf":
         total = sum(d * d for d in deg)
-        for i in range(r):
-            if deg[i] == 1:
-                continue
-            stab = f.left_stabilizer(i)
-            if (deg[i] ** 2) % len(stab) != 0:
-                add("stabilizer-size", False,
-                    f"|G[chi_{i}]| = {len(stab)} does not divide {deg[i] ** 2}")
-                break
-        else:
-            add("stabilizer-size", True)
+        stabs = [(i, f.left_stabilizer(i)) for i in range(r) if deg[i] != 1]
+        bad = next(((i, len(stab)) for i, stab in stabs
+                    if _stabilizer_size_defect(stab, deg[i]) is not None), None)
+        add("stabilizer-size", bad is None, "" if bad is None else
+            f"|G[chi_{bad[0]}]| = {bad[1]} does not divide {deg[bad[0]] ** 2}")
         if group_ok:
-            bad = None
-            for i in range(r):
-                if deg[i] == 1:
-                    continue
-                for g in f.left_stabilizer(i):
-                    if deg[i] % f.group_element_order(g) != 0:
-                        bad = (i, g)
-                        break
-                if bad:
-                    break
+            bad = next(((i, g) for i, stab in stabs if (
+                g := _stabilizer_exponent_defect(f.sparse, f.unit, stab, deg[i]))
+                is not None), None)
             add("stabilizer-exponent", bad is None,
                 "" if bad is None else
                 f"element {bad[1]} of G[chi_{bad[0]}] has order not dividing the degree")
@@ -492,24 +451,105 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> FusionReport:
         add_nr = _check_nr_dichotomy(f)
         checks.append(add_nr)
 
-    return FusionReport(tuple(checks))
+    return AxiomReport(tuple(checks))
+
+
+# -- axiom kernels over rows (see the module docstring) ---------------------------
+
+def _stabilizer(rows, deg, dual, i) -> tuple[int, ...]:
+    """G[chi_i]: the degree-1 g with N(i, i*, g) = 1."""
+    return tuple(k for k, v in rows[i][dual[i]] if v == 1 and deg[k] == 1)
+
+
+def _stabilizer_size_defect(stab, d) -> int | None:
+    """|G[chi]| when it is 0 or does not divide d^2 (Nichols-Zoeller)."""
+    return None if stab and d * d % len(stab) == 0 else len(stab)
+
+
+def _element_order(rows, unit, g) -> int | None:
+    """The least n with g^n = unit, read from the one-hot rows x*g.
+
+    None when a row on the way is unknown, or when the powers of g miss the
+    unit, as in a degree-1 block that is not a group.
+    """
+    x, n = g, 1
+    while x != unit:
+        row = rows[x][g]
+        if row is None or n > len(rows):
+            return None
+        x = row[0][0]
+        n += 1
+    return n
+
+
+def _stabilizer_exponent_defect(rows, unit, stab, d) -> int | None:
+    """The first g in G[chi] whose order is known and does not divide d."""
+    for g in stab:
+        order = _element_order(rows, unit, g)
+        if order is not None and d % order:
+            return g
+    return None
+
+
+def _closure(rows, dual, unit, seed) -> frozenset[int] | None:
+    """The least set holding the unit and the seed and closed under products
+    and duals, or None on meeting an unknown row.
+
+    Each member enters the queue with its dual and, when taken, is multiplied
+    on both sides by every member taken before it.  So every product of two
+    members is read, and the result does not depend on the queue order.
+    """
+    closed = {unit, *seed}
+    closed |= {dual[i] for i in closed}
+    queue, taken = list(closed), []
+    while queue:
+        a = queue.pop()
+        taken.append(a)
+        for b in taken:
+            for row in (rows[a][b], rows[b][a]):
+                if row is None:
+                    return None
+                for k, _ in row:
+                    if k not in closed:
+                        new = {k, dual[k]}
+                        closed |= new
+                        queue.extend(new)
+    return frozenset(closed)
 
 
 def _associativity_defect(rows, x, y, z) -> int | None:
     """The least l at which (x*y)*z and x*(y*z) differ, or None.
 
-    ``rows[i][j]`` lists the nonzero (k, N[i][j][k]) of i*j: a datum's
-    ``sparse`` view or a search's completed rows.  It reads rows x*y, y*z,
-    t*z for t in x*y and x*s for s in y*z.
+    It reads rows x*y, y*z, t*z for t in x*y and x*s for s in y*z, and
+    returns None when any of them is unknown.
     """
+    xy, yz = rows[x][y], rows[y][z]
+    if xy is None or yz is None:
+        return None
     diff: dict[int, int] = {}
-    for t, a in rows[x][y]:
+    for t, a in xy:
+        if rows[t][z] is None:
+            return None
         for l, b in rows[t][z]:
             diff[l] = diff.get(l, 0) + a * b
-    for s, a in rows[y][z]:
+    for s, a in yz:
+        if rows[x][s] is None:
+            return None
         for l, b in rows[x][s]:
             diff[l] = diff.get(l, 0) - a * b
     return min((l for l, v in diff.items() if v), default=None)
+
+
+def _nr_companion(rows, deg, dual, unit, i) -> int | None:
+    """The psi with chi_i chi_i* = 1 + psi and deg psi = 3, or None.
+
+    Nichols-Richmond: a degree-2 chi_i with trivial stabilizer has such a
+    psi, and psi is self-dual.
+    """
+    support = [(k, v) for k, v in rows[i][dual[i]] if k != unit]
+    if len(support) != 1 or support[0][1] != 1 or deg[support[0][0]] != 3:
+        return None
+    return support[0][0]
 
 
 def _check_nr_dichotomy(f: FusionDatum) -> AxiomCheck:
@@ -523,12 +563,11 @@ def _check_nr_dichotomy(f: FusionDatum) -> AxiomCheck:
     for i in f.indices_of_degree(2):
         if len(f.left_stabilizer(i)) > 1:
             continue
-        support = [(k, v) for k, v in f.sparse[i][f.dual[i]] if k != f.unit]
-        if len(support) != 1 or support[0][1] != 1 or deg[support[0][0]] != 3:
+        psi = _nr_companion(f.sparse, deg, f.dual, f.unit, i)
+        if psi is None:
             return AxiomCheck(
                 "nr-dichotomy", False,
                 f"chi_{i} has trivial stabilizer but chi chi* is not 1 + psi(3)")
-        psi = support[0][0]
         if f.dual[psi] != psi:
             return AxiomCheck("nr-dichotomy", False,
                               f"companion psi_{psi} is not self-dual")
@@ -713,7 +752,12 @@ def _dual_patterns(degrees):
 
 
 class _Search:
-    """One backtracking run for a fixed duality pattern."""
+    """One backtracking run for a fixed duality pattern.
+
+    ``value[i][j][k]`` is an assigned constant or None.  ``rows[i][j]`` is
+    the kernels' view of row (i, j): its nonzero (k, v) once the row is
+    complete, None until then.  The kernels run on each row as it completes.
+    """
 
     def __init__(self, degrees, dual, profile, budget):
         self.deg = degrees
@@ -730,9 +774,7 @@ class _Search:
             [[[None] * r for _ in range(r)] for _ in range(r)]
         self.row_sum = [[0] * r for _ in range(r)]
         self.row_left = [[r] * r for _ in range(r)]  # unassigned entries in row
-        self.row_complete = [[False] * r for _ in range(r)]
-        # rows[i][j]: nonzero (k, v) of row (i, j), current while it is complete
-        self.rows: list[list[tuple]] = [[()] * r for _ in range(r)]
+        self.rows: list[list[tuple | None]] = [[None] * r for _ in range(r)]
         self.trail: list[tuple[int, int, int]] = []
         self._orbits: dict[tuple[int, int, int], tuple] = {}
         self._static_ub: dict[tuple[int, int, int], int] = {}
@@ -773,7 +815,6 @@ class _Search:
         self.row_sum[i][j] += v * self.deg[k]
         self.row_left[i][j] -= 1
         if self.row_left[i][j] == 0:
-            self.row_complete[i][j] = True
             self.rows[i][j] = tuple((t, x) for t, x in enumerate(self.value[i][j])
                                     if x)
         self.trail.append((i, j, k))
@@ -832,7 +873,7 @@ class _Search:
                 return self._fail(
                     f"degree-1 multiplicity above 1 in row ({a},{b})")
             self._raw_set(a, b, c, v)
-            if self.row_complete[a][b]:
+            if self.row_left[a][b] == 0:
                 if self.row_sum[a][b] != deg[a] * deg[b]:
                     return self._fail(f"row ({a},{b}) sums wrong")
                 if not self._row_completed_checks(a, b):
@@ -874,14 +915,14 @@ class _Search:
             target = row[0][0]
             if deg[a] == 1:
                 for x in range(r):
-                    if x != b and self.row_complete[a][x] and self.value[a][x][target] == 1 \
-                            and deg[x] == deg[b]:
+                    if x != b and self.rows[a][x] is not None \
+                            and self.value[a][x][target] == 1 and deg[x] == deg[b]:
                         return self._fail(
                             f"left translation by {a} not injective at {target}")
             if deg[b] == 1:
                 for x in range(r):
-                    if x != a and self.row_complete[x][b] and self.value[x][b][target] == 1 \
-                            and deg[x] == deg[a]:
+                    if x != a and self.rows[x][b] is not None \
+                            and self.value[x][b][target] == 1 and deg[x] == deg[a]:
                         return self._fail(
                             f"right translation by {b} not injective at {target}")
         if self.profile == "hopf":
@@ -895,59 +936,30 @@ class _Search:
         return True
 
     def _stabilizer_checks(self, i) -> bool:
-        deg = self.deg
-        row = self.value[i][self.dual[i]]
-        stab = [g for g in self.ones if row[g] == 1]
-        if (deg[i] ** 2) % len(stab) != 0:
+        d = self.deg[i]
+        stab = _stabilizer(self.rows, self.deg, self.dual, i)
+        if _stabilizer_size_defect(stab, d) is not None:
             return self._fail(
-                f"stabilizer of chi_{i} has size {len(stab)}, "
-                f"not dividing {deg[i] ** 2}")
-        group_done = all(self.row_complete[g][h] for g in self.ones
-                         for h in self.ones)
-        if group_done:
-            for g in stab:
-                if g == 0:
-                    continue
-                if deg[i] % self._one_order(g) != 0:
-                    return self._fail(
-                        f"stabilizer element {g} of chi_{i} has order "
-                        f"not dividing {deg[i]}")
-        if deg[i] == 2 and len(stab) == 1:
-            support = [(k, v) for k, v in self.rows[i][self.dual[i]] if k != 0]
-            if len(support) != 1 or support[0][1] != 1 or deg[support[0][0]] != 3:
+                f"stabilizer of chi_{i} has size {len(stab)}, not dividing {d ** 2}")
+        g = _stabilizer_exponent_defect(self.rows, 0, stab, d)
+        if g is not None:
+            return self._fail(
+                f"stabilizer element {g} of chi_{i} has order not dividing {d}")
+        if d == 2 and len(stab) == 1:
+            psi = _nr_companion(self.rows, self.deg, self.dual, 0, i)
+            if psi is None:
                 return self._fail(
                     f"degree-2 chi_{i} with trivial stabilizer lacks the "
                     f"1 + psi(3) decomposition")
-            if self.dual[support[0][0]] != support[0][0]:
+            if self.dual[psi] != psi:
                 return self._fail("degree-3 companion not self-dual")
         return True
 
-    def _one_order(self, g) -> int:
-        x, n = g, 1
-        while x != 0:
-            x = self.rows[x][g][0][0]
-            n += 1
-        return n
-
     def _closure_check(self, seed) -> bool:
         """Dimension of a completed closed subset must divide the total."""
-        closed = {0, seed, self.dual[seed]}
-        frontier = list(closed)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(closed):
-                    for p, q in ((a, b), (b, a)):
-                        if not self.row_complete[p][q]:
-                            return True  # cannot conclude anything yet
-                        for k, _ in self.rows[p][q]:
-                            if k not in closed:
-                                closed.add(k)
-                                closed.add(self.dual[k])
-                                nxt.append(k)
-                                if self.dual[k] != k:
-                                    nxt.append(self.dual[k])
-            frontier = nxt
+        closed = _closure(self.rows, self.dual, 0, (seed,))
+        if closed is None:
+            return True  # cannot conclude anything yet
         dim = sum(self.deg[i] ** 2 for i in closed)
         if self.total % dim != 0:
             return self._fail(
@@ -967,26 +979,15 @@ class _Search:
         candidates |= {(x, a, b) for x in range(r)}
         for x in range(r):
             for y in range(r):
-                if self.row_complete[x][y] and self.value[x][y][a]:
+                if self.rows[x][y] is not None and self.value[x][y][a]:
                     candidates.add((x, y, b))
         for y in range(r):
             for z in range(r):
-                if self.row_complete[y][z] and self.value[y][z][b]:
+                if self.rows[y][z] is not None and self.value[y][z][b]:
                     candidates.add((a, y, z))
         for x, y, z in candidates:
-            if not self._check_triple(x, y, z):
-                return False
-        return True
-
-    def _check_triple(self, x, y, z) -> bool:
-        """Associativity of (x, y, z) once every row it reads is complete."""
-        rc, rows = self.row_complete, self.rows
-        if not (rc[x][y] and rc[y][z]
-                and all(rc[t][z] for t, _ in rows[x][y])
-                and all(rc[x][s] for s, _ in rows[y][z])):
-            return True
-        if _associativity_defect(rows, x, y, z) is not None:
-            return self._fail(f"associativity fails on triple ({x},{y},{z})")
+            if _associativity_defect(self.rows, x, y, z) is not None:
+                return self._fail(f"associativity fails on triple ({x},{y},{z})")
         return True
 
     # -- main loop
@@ -1023,7 +1024,7 @@ class _Search:
             self.value[i][j][k] = None
             self.row_sum[i][j] -= v * self.deg[k]
             self.row_left[i][j] += 1
-            self.row_complete[i][j] = False
+            self.rows[i][j] = None
 
     def _leaf(self) -> FusionDatum | None:
         constants = [[[self.value[i][j][k] for k in range(self.r)]

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
                                    _canonical_conductor, divisors)
-from hopfcensus.fusion import AlgebraTypeSignature
+from hopfcensus.fusion import AlgebraTypeSignature, AxiomCheck, AxiomReport
 from hopfcensus.groups import (AltBicharacter, FiniteGroup, GroupError,
                                abelian_decomposition,
                                precompose_character_exponents)
@@ -335,46 +335,22 @@ class HopfData:
 
 # -- axiom verification -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class HopfAxiomCheck:
-    axiom: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class HopfReport:
-    checks: tuple[HopfAxiomCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed,
-                "checks": [{"axiom": c.axiom, "passed": c.passed,
-                            "detail": c.detail} for c in self.checks]}
-
-
-def verify_hopf_axioms(h: HopfData) -> HopfReport:
+def verify_hopf_axioms(h: HopfData) -> AxiomReport:
     """Check every Hopf axiom exactly, reporting each axiom's first failure.
 
     Basis triples and pairs are scanned in lexicographic order.  Products
     of basis elements are read straight from the sparse structure
     constants, so associativity costs O(dim^3 * nonzeros per product).
     """
-    checks: list[HopfAxiomCheck] = []
+    checks: list[AxiomCheck] = []
     m = h.dim
     mult = h.mult
     columns = [[mult[p][k] for p in range(m)] for k in range(m)]  # e_p e_k
     unit = _nonzeros(h.unit)
 
     def add(axiom, bad, detail=""):
-        checks.append(HopfAxiomCheck(axiom, bad is None,
-                                     detail if bad is None else f"{detail}{bad}"))
+        checks.append(AxiomCheck(axiom, bad is None,
+                                 detail if bad is None else f"{detail}{bad}"))
 
     def combination(terms, rows) -> dict:
         return _pruned(_combine(terms, rows))
@@ -455,7 +431,7 @@ def verify_hopf_axioms(h: HopfData) -> HopfReport:
                 if combination(h.antipode[i], h.antipode) != {i: ONE}), None)
     add("antipode-squared-identity", bad, "S^2 differs from id at ")
 
-    return HopfReport(tuple(checks))
+    return AxiomReport(tuple(checks))
 
 
 # -- constructions -----------------------------------------------------------------
@@ -1062,7 +1038,7 @@ def build_lifted_twist(g: FiniteGroup, subgroup,
                                                                 key=lambda t: t[0])))
 
 
-def verify_twist(h: HopfData, twist: TwistElement) -> HopfReport:
+def verify_twist(h: HopfData, twist: TwistElement) -> AxiomReport:
     """Counit normalization, invertibility and the 2-cocycle identity."""
     checks = []
     phi = twist.value_dict()
@@ -1074,15 +1050,15 @@ def verify_twist(h: HopfData, twist: TwistElement) -> HopfReport:
         lvec[j] = lvec[j] + c * h.counit[i]
         rvec[i] = rvec[i] + c * h.counit[j]
     ok = tuple(lvec) == h.unit and tuple(rvec) == h.unit
-    checks.append(HopfAxiomCheck("counit-normalization", ok,
-                                 "" if ok else "(eps (x) id) phi is not 1"))
+    checks.append(AxiomCheck("counit-normalization", ok,
+                             "" if ok else "(eps (x) id) phi is not 1"))
 
     prod = h.tensor_mul(phi, phi_inv)
     prod2 = h.tensor_mul(phi_inv, phi)
     unit_t = h.unit_tensor()
     ok = prod == unit_t and prod2 == unit_t
-    checks.append(HopfAxiomCheck("invertibility", ok,
-                                 "" if ok else "phi * phi^{-1} differs from 1 (x) 1"))
+    checks.append(AxiomCheck("invertibility", ok,
+                             "" if ok else "phi * phi^{-1} differs from 1 (x) 1"))
 
     left: dict = {}
     right: dict = {}
@@ -1103,9 +1079,9 @@ def verify_twist(h: HopfData, twist: TwistElement) -> HopfReport:
     lhs = h.tensor3_mul(phi1, _pruned(left))
     rhs = h.tensor3_mul(phi3, _pruned(right))
     ok = lhs == rhs
-    checks.append(HopfAxiomCheck("cocycle-identity", ok,
-                                 "" if ok else "the two cocycle sides differ"))
-    return HopfReport(tuple(checks))
+    checks.append(AxiomCheck("cocycle-identity", ok,
+                             "" if ok else "the two cocycle sides differ"))
+    return AxiomReport(tuple(checks))
 
 
 def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfData:

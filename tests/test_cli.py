@@ -180,3 +180,18 @@ def test_fusion_verify_rejects_malformed_files(tmp_path, data, reason):
     code, text = invoke(["fusion-verify", "--file", str(path)])
     assert code == 2
     assert text.startswith("error: ") and reason in text
+
+
+def test_fusion_verify_reports_an_empty_stabilizer(tmp_path):
+    # rho * rho = 2 rho: no degree-1 element stabilizes rho, so G[rho] is empty
+    datum = _d4_datum()
+    datum["constants"] = [c for c in datum["constants"] if c[:2] != [4, 4]]
+    datum["constants"].append([4, 4, 4, 2])
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum))
+    code, report = invoke_json(["fusion-verify", "--file", str(path)])
+    assert code == 1
+    checks = {c["axiom"]: c for c in report["results"]["checks"]}
+    assert checks["stabilizer-size"] == {
+        "axiom": "stabilizer-size", "passed": False,
+        "detail": "|G[chi_4]| = 0 does not divide 4"}

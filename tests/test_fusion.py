@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopfcensus.fusion import (AlgebraTypeSignature, FusionDatum, FusionError,
+from hopfcensus.fusion import (PROFILES, AlgebraTypeSignature, AxiomReport,
+                               FusionDatum, FusionError,
                                InconsistentOrbitDataError,
                                UnsupportedGroupError, from_group_characters,
                                quotient_coalgebra_type, search_fusion,
@@ -300,7 +303,75 @@ def test_associativity_detail_matches_dense_reference(group):
     ("1,2;2,1;4,3", "infeasible", 12576,
      "row (1,2) can no longer meet its degree sum"),
     ("1,6;3,2", "feasible", 472, None),
+    # refuted by the stabilizer, element-order and closure kernels
+    ("1,3;2,1", "infeasible", 10, "closed subset of dimension 2 does not divide 7"),
+    ("1,4;3,2", "infeasible", 185, "row (1,2) can no longer meet its degree sum"),
+    ("1,4;2,1;3,2", "infeasible", 665,
+     "row (1,2) can no longer meet its degree sum"),
+    ("1,5;3,1;4,1", "infeasible", 187,
+     "row (2,1) can no longer meet its degree sum"),
 ])
 def test_search_nodes_and_trace_are_pinned(typestr, status, nodes, trace):
     out = search_fusion(P(typestr), "hopf", 10 ** 6)
     assert (out.status, out.nodes, out.trace) == (status, nodes, trace)
+
+
+# -- the verifier on arbitrary well-shaped data ------------------------------------
+
+@st.composite
+def datum_json(draw):
+    """Datums of rank <= 5 with small degrees, an optional swapped dual pair
+    and constants 0..2; half of them get correct unit rows, so that the
+    checks after "unit" see data close to a based ring."""
+    r = draw(st.integers(1, 5))
+    degrees = draw(st.lists(st.sampled_from((-1, 0, 1, 2, 3)),
+                            min_size=r, max_size=r))
+    dual = list(range(r))
+    if r > 2 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(1, r - 1), min_size=2, max_size=2,
+                             unique=True))
+        dual[a], dual[b] = b, a
+    values = iter(draw(st.lists(st.integers(0, 2), min_size=r ** 3,
+                                max_size=r ** 3)))
+    constants = {(i, j, k): next(values)
+                 for i in range(r) for j in range(r) for k in range(r)}
+    if draw(st.booleans()):
+        degrees[0] = 1
+        for j in range(r):
+            for k in range(r):
+                constants[(0, j, k)] = constants[(j, 0, k)] = int(j == k)
+    return {"degrees": degrees, "dual": dual,
+            "constants": [[i, j, k, v] for (i, j, k), v in constants.items() if v]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(datum_json())
+def test_verifier_reports_on_any_well_shaped_datum(data):
+    try:
+        datum = FusionDatum.from_json(data)
+    except FusionError:
+        return
+    for profile in PROFILES:
+        assert isinstance(verify_fusion_datum(datum, profile), AxiomReport)
+
+
+def test_verifier_returns_when_powers_miss_the_unit():
+    # degree-1 block {0, 1, 2} with 1*1 = 1 and 2*1 = 1: the powers of 1,
+    # which stabilizes the degree-2 element 3, never reach the unit
+    block = {(1, 1): 1, (1, 2): 2, (2, 1): 1, (2, 2): 2}
+    constants = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if i == 0 or j == 0:
+                constants[i][j][i + j] = 1
+            elif (i, j) in block:
+                constants[i][j][block[(i, j)]] = 1
+            elif i == j == 3:
+                constants[3][3][0] = constants[3][3][1] = constants[3][3][3] = 1
+            else:
+                constants[i][j][3] = 1
+    datum = FusionDatum([1, 1, 1, 2], [0, 1, 2, 3], constants)
+    report = verify_fusion_datum(datum, "hopf")
+    assert not report.passed
+    assert {c.axiom for c in report.failures()} == {
+        "frobenius-symmetry", "duality", "associativity", "closure-divisibility"}
