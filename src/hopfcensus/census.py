@@ -153,8 +153,11 @@ def parse_rules(spec: str | Iterable[str]) -> tuple[CensusRule, ...]:
         ids: list[str] = []
         for part in text.replace(" ", "").split(","):
             if "-" in part[1:]:
-                lo, hi = part.split("-")
-                ids.extend(f"R{k}" for k in range(int(lo[1:]), int(hi[1:]) + 1))
+                ends = part.split("-")
+                if len(ends) != 2 or not all(e in RULES_BY_ID for e in ends):
+                    raise CensusError(f"cannot parse rule range {part!r}")
+                lo, hi = (int(e[1:]) for e in ends)
+                ids.extend(f"R{k}" for k in range(lo, hi + 1))
             elif part:
                 ids.append(part)
     else:
@@ -250,10 +253,9 @@ def enumerate_types(dimension: int,
         if n_filter is not None and n != n_filter:
             continue
         for entries in _partitions_into_squares(dimension - n, degrees, 0, memo):
-            sig = AlgebraTypeSignature(n, entries)
-            if proper_only and not sig.entries:
+            if proper_only and not entries:
                 continue
-            candidates.append(sig)
+            candidates.append(AlgebraTypeSignature(n, entries))
     candidates.sort(key=AlgebraTypeSignature.sort_key)
 
     survivors: list[AlgebraTypeSignature] = []

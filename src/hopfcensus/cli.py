@@ -15,7 +15,7 @@ import sys
 
 from hopfcensus import census as census_mod
 from hopfcensus import fusion, groups, hopfcore
-from hopfcensus.cyclotomic import CycNumber
+from hopfcensus.cyclotomic import MAX_CONDUCTOR, CycNumber
 
 FUSION_AXIOM_CITATIONS = {
     "degree-homomorphism": "degrees are multiplicative on products of characters",
@@ -72,20 +72,29 @@ def _parse_bicharacter(spec: str, orders) -> groups.AltBicharacter:
         matrix = json.loads(spec)
     except json.JSONDecodeError as exc:
         raise UsageError(f"cannot parse bicharacter JSON: {exc}") from None
-    values = []
-    for row in matrix:
-        out_row = []
-        for entry in row:
-            if isinstance(entry, int):
-                out_row.append(CycNumber.from_rational(entry))
-            elif isinstance(entry, list) and len(entry) == 2:
-                out_row.append(CycNumber.root_of_unity(entry[0], entry[1]))
-            elif isinstance(entry, dict):
-                out_row.append(CycNumber.from_json(entry))
-            else:
-                raise UsageError(f"bad bicharacter entry {entry!r}")
-        values.append(tuple(out_row))
-    return groups.AltBicharacter(tuple(orders), tuple(values))
+    if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)):
+        raise UsageError("a bicharacter matrix must be a JSON list of rows")
+    values = tuple(tuple(_bicharacter_entry(entry) for entry in row)
+                   for row in matrix)
+    return groups.AltBicharacter(tuple(orders), values)
+
+
+def _bicharacter_entry(entry) -> CycNumber:
+    """An integer, [n, k] for zeta_n^k, or a CycNumber's JSON object."""
+    try:
+        if isinstance(entry, int):
+            return CycNumber.from_rational(entry)
+        if isinstance(entry, list) and len(entry) == 2 \
+                and all(isinstance(x, int) for x in entry):
+            return CycNumber.root_of_unity(entry[0], entry[1])
+        if isinstance(entry, dict) and isinstance(entry.get("conductor"), int) \
+                and 1 <= entry["conductor"] <= MAX_CONDUCTOR \
+                and isinstance(entry.get("coeffs"), list) \
+                and all(isinstance(c, (int, str)) for c in entry["coeffs"]):
+            return CycNumber.from_json(entry)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad bicharacter entry {entry!r}: {exc}") from None
+    raise UsageError(f"bad bicharacter entry {entry!r}")
 
 
 def _parse_subgroup(spec: str, group_name: str, g: groups.FiniteGroup):
@@ -324,7 +333,7 @@ def run(argv, out=None) -> int:
         payload, citations, code = args.func(args)
     except (UsageError, fusion.FusionError, census_mod.CensusError,
             groups.GroupError, hopfcore.HopfError, OSError,
-            json.JSONDecodeError) as exc:
+            UnicodeDecodeError, json.JSONDecodeError) as exc:
         out.write(f"error: {exc}\n")
         return 2
     report = {"command": args.command, "flags": flags,

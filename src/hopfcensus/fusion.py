@@ -24,7 +24,7 @@ them on each row as it completes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from hopfcensus.cyclotomic import prime_factors
@@ -49,29 +49,30 @@ class BudgetExhausted(Exception):
 
 # -- algebra type signatures ---------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgebraTypeSignature:
     """A type (1, n; d_1, n_1; ...; d_r, n_r) with its dimension identity."""
 
     n: int
     entries: tuple[tuple[int, int], ...]
+    total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise FusionError("the count of degree-1 components must be positive")
-        seen = set()
+        if not isinstance(self.entries, tuple):
+            raise FusionError("entries must be a tuple of (degree, count) pairs")
+        total, prev = self.n, 1
         for d, m in self.entries:
             if d < 2 or m < 1:
                 raise FusionError(f"bad entry ({d},{m})")
-            if d in seen:
+            if d == prev:
                 raise FusionError(f"degree {d} repeated")
-            seen.add(d)
-        if tuple(sorted(self.entries)) != self.entries:
-            raise FusionError("entries must be sorted by degree")
-
-    @property
-    def total(self) -> int:
-        return self.n + sum(m * d * d for d, m in self.entries)
+            if d < prev:
+                raise FusionError("entries must be sorted by degree")
+            total += m * d * d
+            prev = d
+        object.__setattr__(self, "total", total)
 
     @property
     def n2(self) -> int:
@@ -226,6 +227,8 @@ class FusionDatum:
             if len(row) != 1 or row[0][1] != 1:
                 raise FusionError("degree-1 translation is not a permutation")
             perm[i] = row[0][0]
+        if len(set(perm)) != self.size:
+            raise FusionError("degree-1 translation is not a permutation")
         return perm
 
     def biaction_orbits(self, d: int) -> "BiactionReport":
@@ -298,6 +301,7 @@ class FusionDatum:
                               "constants a list of [i, j, k, multiplicity]")
         r = len(degrees)
         constants = [[[0] * r for _ in range(r)] for _ in range(r)]
+        seen = set()
         for i, j, k, v in entries:
             if not all(0 <= x < r for x in (i, j, k)):
                 raise FusionError(f"constant {[i, j, k, v]} has an index "
@@ -305,6 +309,10 @@ class FusionDatum:
             if v < 0:
                 raise FusionError(f"constant {[i, j, k, v]} has a negative "
                                   f"multiplicity")
+            if (i, j, k) in seen:
+                raise FusionError(f"constant {[i, j, k, v]} repeats an earlier "
+                                  f"entry for ({i}, {j}, {k})")
+            seen.add((i, j, k))
             constants[i][j][k] = v
         return FusionDatum(degrees, dual, constants)
 
@@ -698,10 +706,11 @@ def search_fusion(signature: AlgebraTypeSignature, profile: str = "hopf",
     """
     if profile not in PROFILES:
         raise FusionError(f"unknown profile {profile!r}")
-    degrees = signature.basis_degrees()
-    if len(degrees) > MAX_SEARCH_BASIS:
+    size = signature.n + sum(m for _, m in signature.entries)
+    if size > MAX_SEARCH_BASIS:
         raise FusionError(
-            f"basis size {len(degrees)} exceeds search bound {MAX_SEARCH_BASIS}")
+            f"basis size {size} exceeds search bound {MAX_SEARCH_BASIS}")
+    degrees = signature.basis_degrees()
     nodes = 0
     first_trace: str | None = None
     for dual in _dual_patterns(degrees):
@@ -757,6 +766,17 @@ class _Search:
     ``value[i][j][k]`` is an assigned constant or None.  ``rows[i][j]`` is
     the kernels' view of row (i, j): its nonzero (k, v) once the row is
     complete, None until then.  The kernels run on each row as it completes.
+
+    The rest of the state is kept incrementally, so that no node rescans a
+    row or the table.  ``row_mask[i][j]`` has bit k set while entry k of row
+    (i, j) is unassigned; the row is complete when it is 0.  Whether a row
+    can still meet its degree sum depends only on its remaining budget and
+    its mask, so ``_feasible`` memoizes that answer on the pair for the
+    whole run.  ``holders[t]`` lists the complete rows whose support holds
+    t, in the order they completed; it is what the associativity trigger
+    reads.  Every change goes through ``_raw_set`` and onto ``trail``, and
+    ``_undo`` reverts it in reverse order, so each row leaves ``holders``
+    by a pop.
     """
 
     def __init__(self, degrees, dual, profile, budget):
@@ -773,8 +793,10 @@ class _Search:
         self.value: list[list[list[int | None]]] = \
             [[[None] * r for _ in range(r)] for _ in range(r)]
         self.row_sum = [[0] * r for _ in range(r)]
-        self.row_left = [[r] * r for _ in range(r)]  # unassigned entries in row
+        self.row_mask = [[(1 << r) - 1] * r for _ in range(r)]
         self.rows: list[list[tuple | None]] = [[None] * r for _ in range(r)]
+        self.holders: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+        self._feasible: dict[tuple[int, int], bool] = {}
         self.trail: list[tuple[int, int, int]] = []
         self._orbits: dict[tuple[int, int, int], tuple] = {}
         self._static_ub: dict[tuple[int, int, int], int] = {}
@@ -813,10 +835,12 @@ class _Search:
             return
         self.value[i][j][k] = v
         self.row_sum[i][j] += v * self.deg[k]
-        self.row_left[i][j] -= 1
-        if self.row_left[i][j] == 0:
-            self.rows[i][j] = tuple((t, x) for t, x in enumerate(self.value[i][j])
-                                    if x)
+        self.row_mask[i][j] ^= 1 << k
+        if not self.row_mask[i][j]:
+            row = self.rows[i][j] = tuple((t, x) for t, x in
+                                          enumerate(self.value[i][j]) if x)
+            for t, _ in row:
+                self.holders[t].append((i, j))
         self.trail.append((i, j, k))
 
     def _variable_order(self):
@@ -873,7 +897,7 @@ class _Search:
                 return self._fail(
                     f"degree-1 multiplicity above 1 in row ({a},{b})")
             self._raw_set(a, b, c, v)
-            if self.row_left[a][b] == 0:
+            if not self.row_mask[a][b]:
                 if self.row_sum[a][b] != deg[a] * deg[b]:
                     return self._fail(f"row ({a},{b}) sums wrong")
                 if not self._row_completed_checks(a, b):
@@ -883,27 +907,32 @@ class _Search:
         return True
 
     def _row_feasible(self, a, b) -> bool:
-        """Subset-sum feasibility of the remaining budget of row (a, b)."""
-        deg = self.deg
-        budget = deg[a] * deg[b] - self.row_sum[a][b]
+        """Whether the unassigned entries of row (a, b) can fill its budget.
+
+        The answer depends only on the remaining budget and the row's mask,
+        so it is memoized on that pair.
+        """
+        key = (self.deg[a] * self.deg[b] - self.row_sum[a][b],
+               self.row_mask[a][b])
+        feasible = self._feasible.get(key)
+        if feasible is None:
+            feasible = self._feasible[key] = self._subset_sum(*key)
+        return feasible
+
+    def _subset_sum(self, budget, mask) -> bool:
+        """Whether budget is a sum of deg[k] over the k in mask, each k used
+        at most budget // deg[k] times, or at most once when deg[k] = 1."""
         if budget < 0:
             return False
-        entries = []
+        reachable = 1  # bitmask of achievable sums
         for k in range(self.r):
-            if self.value[a][b][k] is None:
-                ub = min((deg[a] * deg[b]) // deg[k], budget // deg[k])
-                if deg[k] == 1:
-                    ub = min(ub, 1)
-                entries.append((deg[k], ub))
-        feasible = 1  # bitmask of achievable sums
-        for d, ub in entries:
-            acc = feasible
-            for _ in range(ub):
-                acc |= acc << d
-            feasible = acc
-            if feasible >> budget & 1:
-                return True
-        return bool(feasible >> budget & 1)
+            if mask >> k & 1:
+                d = self.deg[k]
+                for _ in range(min(budget, 1) if d == 1 else budget // d):
+                    reachable |= reachable << d
+                if reachable >> budget & 1:
+                    return True
+        return bool(reachable >> budget & 1)
 
     def _row_completed_checks(self, a, b) -> bool:
         deg, r = self.deg, self.r
@@ -977,14 +1006,12 @@ class _Search:
         r = self.r
         candidates = {(a, b, z) for z in range(r)}
         candidates |= {(x, a, b) for x in range(r)}
-        for x in range(r):
-            for y in range(r):
-                if self.rows[x][y] is not None and self.value[x][y][a]:
-                    candidates.add((x, y, b))
-        for y in range(r):
-            for z in range(r):
-                if self.rows[y][z] is not None and self.value[y][z][b]:
-                    candidates.add((a, y, z))
+        # row-major, as a scan of the table would add them: the set's
+        # iteration order, and so the first failing triple, depends on it
+        for x, y in sorted(self.holders[a]):
+            candidates.add((x, y, b))
+        for y, z in sorted(self.holders[b]):
+            candidates.add((a, y, z))
         for x, y, z in candidates:
             if _associativity_defect(self.rows, x, y, z) is not None:
                 return self._fail(f"associativity fails on triple ({x},{y},{z})")
@@ -1020,11 +1047,15 @@ class _Search:
     def _undo(self, mark: int):
         while len(self.trail) > mark:
             i, j, k = self.trail.pop()
-            v = self.value[i][j][k]
+            row = self.rows[i][j]
+            if row is not None:
+                # rows complete in trail order, so each is last in its holders
+                for t, _ in row:
+                    self.holders[t].pop()
+                self.rows[i][j] = None
+            self.row_sum[i][j] -= self.value[i][j][k] * self.deg[k]
             self.value[i][j][k] = None
-            self.row_sum[i][j] -= v * self.deg[k]
-            self.row_left[i][j] += 1
-            self.rows[i][j] = None
+            self.row_mask[i][j] |= 1 << k
 
     def _leaf(self) -> FusionDatum | None:
         constants = [[[self.value[i][j][k] for k in range(self.r)]

@@ -1,9 +1,12 @@
 """CLI dispatch: payload shapes, exit codes, byte-level determinism."""
 
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcensus.cli import run
 from hopfcensus.fusion import from_group_characters
@@ -156,11 +159,12 @@ def test_outputs_are_thread_flag_independent(argv):
     assert second == third
 
 
-def _d4_datum(drop=None, extra=None):
+def _d4_datum(drop=None, extra=None, more=None):
     datum = from_group_characters(build_dihedral(4)).to_json()
     datum.pop(drop, None)
-    if extra:
-        datum["constants"].append(extra)
+    for entry in (extra, more):
+        if entry:
+            datum["constants"].append(entry)
     return datum
 
 
@@ -172,14 +176,50 @@ def _d4_datum(drop=None, extra=None):
     (_d4_datum(extra=[5, 0, 0, 1]), "outside 0..4"),
     (_d4_datum(extra=[-1, 0, 0, 1]), "outside 0..4"),  # would alias index 4
     (_d4_datum(extra=[4, 4, 4, -1]), "negative multiplicity"),
+    (_d4_datum(extra=[4, 4, 4, 5], more=[4, 4, 4, 0]), "repeats an earlier entry"),
 ], ids=["no-constants", "no-degrees", "no-dual", "list", "index-too-large",
-        "negative-index", "negative-multiplicity"])
+        "negative-index", "negative-multiplicity", "duplicate-constant"])
 def test_fusion_verify_rejects_malformed_files(tmp_path, data, reason):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(data))
     code, text = invoke(["fusion-verify", "--file", str(path)])
     assert code == 2
     assert text.startswith("error: ") and reason in text
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["census", "--dim", "12", "--rules", "R1-"], "cannot parse rule range"),
+    (["census", "--dim", "12", "--rules", "R1-R3-R5"], "cannot parse rule range"),
+    (["census", "--dim", "12", "--rules", "R1-R99"], "cannot parse rule range"),
+    (["twist", "--group", "D4", "--subgroup", "auto", "--bicharacter", "5"],
+     "list of rows"),
+    (["twist", "--group", "D4", "--subgroup", "auto", "--bicharacter", "null"],
+     "list of rows"),
+    (["twist", "--group", "D4", "--subgroup", "auto",
+      "--bicharacter", "[[[0, 1], 1], [1, 1]]"], "order must be positive"),
+    (["twist", "--group", "D4", "--subgroup", "auto",
+      "--bicharacter", "[[[25, 1], 1], [1, 1]]"], "bad bicharacter entry"),
+    (["twist", "--group", "D4", "--subgroup", "auto",
+      "--bicharacter", '[[["a", 1], 1], [1, 1]]'], "bad bicharacter entry"),
+    (["twist", "--group", "D4", "--subgroup", "auto",
+      "--bicharacter", "[[{}, 1], [1, 1]]"], "bad bicharacter entry"),
+    (["twist", "--group", "D4", "--subgroup", "auto",
+      "--bicharacter", '[[{"conductor": 1, "coeffs": ["x"]}, 1], [1, 1]]'],
+     "bad bicharacter entry"),
+], ids=["open-range", "three-ends", "unknown-end", "number", "null",
+        "zero-order-root", "conductor-too-large", "string-root", "empty-object",
+        "bad-coefficient"])
+def test_malformed_option_values_are_usage_errors(argv, reason):
+    code, text = invoke(argv)
+    assert code == 2
+    assert text.startswith("error: ") and reason in text
+
+
+def test_undecodable_datum_file_is_a_usage_error(tmp_path):
+    path = tmp_path / "datum.json"
+    path.write_bytes(b"\xff\xfe\x00{")
+    code, text = invoke(["fusion-verify", "--file", str(path)])
+    assert code == 2 and text.startswith("error: ")
 
 
 def test_fusion_verify_reports_an_empty_stabilizer(tmp_path):
@@ -195,3 +235,117 @@ def test_fusion_verify_reports_an_empty_stabilizer(tmp_path):
     assert checks["stabilizer-size"] == {
         "axiom": "stabilizer-size", "passed": False,
         "detail": "|G[chi_4]| = 0 does not divide 4"}
+
+
+# -- argv fuzzing ------------------------------------------------------------------
+
+# Values for each option, valid and invalid mixed.  Dimensions stay at most 60
+# and budgets at most 2000, so that every drawn command is quick.
+BUDGETS = ("-1", "0", "50", "2000", "x")
+OPTION_VALUES = {
+    "census": {
+        "--dim": ("-3", "0", "1", "6", "24", "36", "54", "60", "x", ""),
+        "--rules": ("all", "R1-R5", "R1,R4,R5", "R1..R8", "R2", "R1-", "Rx-Ry",
+                    "R1-R3-R5", "R0-R2", "R1-R99", "R", ""),
+        "--oracle": ("all", "1,2;2,1;4,3", "1,2;3,2;4,1", "1,0", "junk",
+                     "1,2;2,x", ""),
+        "--n": ("-1", "0", "1", "2", "x"),
+        "--improper": None,
+    },
+    "fusion-search": {
+        "--type": ("1,2;2,1", "1,2;2,1;4,1", "1,6;3,2", "1,2;2,7;3,2",
+                   "1,2;2,4;3,2", "1,16;2,4;4,1", "1,2;2,-1", "1,2;2,1;2,1",
+                   "1,0", "2,1;1,2", "1,1;1,1", "1,2;2,x", "junk", ";", ""),
+        "--profile": ("basic", "hopf", "nope"),
+    },
+    "fusion-verify": {
+        "--file": ("valid", "duplicate", "not-utf8", "truncated", "list",
+                   "directory", "missing"),
+        "--group": ("D4", "Q8", "S3", "Z4", "Z2xZ2", "G18", "nope"),
+        "--profile": ("basic", "hopf", "nope"),
+    },
+    "double": {"--group": ("D4", "Q8", "S3", "Z2", "G18", "D3xD3", "nope", "")},
+    "h8-report": {},
+    "twist": {
+        "--group": ("D4", "Q8", "S3", "Z2xZ2", "Z4", "G12", "nope"),
+        "--subgroup": ("auto", "Gamma", "center", "0", "0,1", "0,2,4,6", "0,99",
+                       "-1", "x", ""),
+        "--bicharacter": (
+            "trivial", "nondegenerate", "[[1, [2, 1]], [[2, 1], 1]]",
+            "[[1, 1], [1]]", "5", "[5]", "null", '"ab"', "{", "[[1.5, 1], [1, 1]]",
+            "[[[0, 1], 1], [1, 1]]", "[[[25, 1], 1], [1, 1]]",
+            '[[["a", 1], 1], [1, 1]]', "[[{}, 1], [1, 1]]",
+            '[[{"conductor": 1, "coeffs": ["x"]}, 1], [1, 1]]',
+            '[[{"conductor": 0, "coeffs": [1]}, 1], [1, 1]]'),
+        "--check-cocommutative": None,
+        "--group-likes": None,
+    },
+}
+COMMON_VALUES = {"--format": ("json", "table", "xml"),
+                 "--threads": ("1", "4", "-2", "x"), "--budget": BUDGETS}
+STRAY_TOKENS = ("--nope", "extra", "--dim", "-x", "")
+
+
+REQUIRED = {"census": ("--dim",), "fusion-search": ("--type",),
+            "double": ("--group",),
+            "twist": ("--group", "--subgroup", "--bicharacter")}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A subcommand with its required options (each dropped one time in ten),
+    up to three more options and maybe a stray token; option values come from
+    the pools and are missing one time in ten."""
+    command = draw(st.sampled_from(sorted(OPTION_VALUES) + ["nope"]))
+    options = {**OPTION_VALUES.get(command, {}), **COMMON_VALUES}
+    argv = [command]
+    # the default budget is 10^7 nodes: always start from a small one
+    if command in ("census", "fusion-search"):
+        argv += ["--budget", draw(st.sampled_from(BUDGETS[:4]))]
+    flags = [f for f in REQUIRED.get(command, ()) if draw(st.integers(0, 9)) < 9]
+    flags += draw(st.lists(st.sampled_from(sorted(options)), max_size=3))
+    for flag in flags:
+        argv.append(flag)
+        if options[flag] is not None and draw(st.integers(0, 9)) < 9:
+            argv.append(draw(st.sampled_from(options[flag])))
+    argv += draw(st.lists(st.sampled_from(STRAY_TOKENS), max_size=1))
+    if draw(st.booleans()):
+        argv = [draw(st.sampled_from(("--format", "--threads"))),
+                draw(st.sampled_from(("json", "table", "2")))] + argv
+    return argv
+
+
+@pytest.fixture(scope="module")
+def datum_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("datums")
+    valid = _d4_datum()
+    contents = {
+        "valid": json.dumps(valid).encode(),
+        "duplicate": json.dumps(_d4_datum(extra=[4, 4, 4, 5],
+                                          more=[4, 4, 4, 0])).encode(),
+        "not-utf8": b"\xff\xfe\x00{",
+        "truncated": json.dumps(valid).encode()[:40],
+        "list": json.dumps([valid]).encode(),
+    }
+    paths = {name: root / f"{name}.json" for name in contents}
+    for name, data in contents.items():
+        paths[name].write_bytes(data)
+    paths["directory"] = root
+    paths["missing"] = root / "missing.json"
+    return {name: str(path) for name, path in paths.items()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=fuzzed_argv())
+def test_any_argv_gives_a_report_or_a_usage_error(datum_files, argv):
+    argv = [datum_files.get(a, a) if b == "--file" else a
+            for b, a in zip([None] + argv, argv)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv, out)   # an exception here is a traceback in the CLI
+    assert code in (0, 1, 2, 3)
+    text = out.getvalue()
+    if code == 2:
+        assert text.startswith("error: ") or "error: " in err.getvalue()
+    else:
+        assert text and not text.startswith("error: ")

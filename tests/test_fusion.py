@@ -1,5 +1,7 @@
 """Fusion data: axioms, character rings, stabilizers, orbits, and the search."""
 
+import copy
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcensus import fusion
 from hopfcensus.fusion import (PROFILES, AlgebraTypeSignature, AxiomReport,
                                FusionDatum, FusionError,
                                InconsistentOrbitDataError,
@@ -297,7 +300,7 @@ def test_associativity_detail_matches_dense_reference(group):
                                     else f"associativity fails at {expected}")
 
 
-@pytest.mark.parametrize("typestr,status,nodes,trace", [
+PINNED_SEARCHES = [
     ("1,2;2,1;4,1", "infeasible", 13, "row (1,2) can no longer meet its degree sum"),
     ("1,2;2,1;4,2", "infeasible", 183, "row (1,2) can no longer meet its degree sum"),
     ("1,2;2,1;4,3", "infeasible", 12576,
@@ -310,8 +313,79 @@ def test_associativity_detail_matches_dense_reference(group):
      "row (1,2) can no longer meet its degree sum"),
     ("1,5;3,1;4,1", "infeasible", 187,
      "row (2,1) can no longer meet its degree sum"),
-])
+    # most of its nodes end in a row feasibility test
+    ("1,4;3,4;4,1", "infeasible", 5472,
+     "row (1,2) can no longer meet its degree sum"),
+]
+
+
+@pytest.mark.parametrize("typestr,status,nodes,trace", PINNED_SEARCHES)
 def test_search_nodes_and_trace_are_pinned(typestr, status, nodes, trace):
+    out = search_fusion(P(typestr), "hopf", 10 ** 6)
+    assert (out.status, out.nodes, out.trace) == (status, nodes, trace)
+
+
+# -- the search's incremental state against fresh computations ---------------------
+
+def _fills(budget, degrees):
+    """Whether budget is a sum of the degrees, each d used at most
+    budget // d times and a degree 1 at most once: a set-based subset sum."""
+    sums = {0}
+    for d in degrees:
+        cap = 1 if d == 1 else budget // d
+        sums = {s + c * d for s in sums for c in range(cap + 1)
+                if s + c * d <= budget}
+    return budget in sums
+
+
+class _CheckedSearch(fusion._Search):
+    """A search that compares its incremental state with a fresh scan of the
+    table at every node, and checks that unwinding the whole trail restores
+    the state it had right after ``_preassign``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.initial = self._state()
+
+    def _state(self):
+        return (copy.deepcopy(self.value), copy.deepcopy(self.row_sum),
+                copy.deepcopy(self.row_mask), copy.deepcopy(self.rows),
+                copy.deepcopy(self.holders), list(self.trail))
+
+    def _check_state(self):
+        r, value = self.r, self.value
+        fresh_holders = [[] for _ in range(r)]
+        for x, y in itertools.product(range(r), repeat=2):
+            row = value[x][y]
+            unassigned = [k for k in range(r) if row[k] is None]
+            assert self.row_mask[x][y] == sum(1 << k for k in unassigned)
+            if unassigned:
+                assert self.rows[x][y] is None
+                budget = self.deg[x] * self.deg[y] - self.row_sum[x][y]
+                expected = budget >= 0 and _fills(
+                    budget, [self.deg[k] for k in unassigned])
+                assert super()._row_feasible(x, y) == expected
+            else:
+                assert self.rows[x][y] == tuple((k, v) for k, v in enumerate(row) if v)
+                for k, v in self.rows[x][y]:
+                    fresh_holders[k].append((x, y))
+        assert [sorted(h) for h in self.holders] == fresh_holders
+
+    def _descend(self, pos):
+        self._check_state()
+        return super()._descend(pos)
+
+    def run(self):
+        found = super().run()
+        self._undo(0)   # a witness leaves its assignment on the trail
+        assert self._state() == self.initial
+        return found
+
+
+@pytest.mark.parametrize("typestr,status,nodes,trace", PINNED_SEARCHES)
+def test_incremental_search_state_matches_a_fresh_scan(monkeypatch, typestr,
+                                                       status, nodes, trace):
+    monkeypatch.setattr(fusion, "_Search", _CheckedSearch)
     out = search_fusion(P(typestr), "hopf", 10 ** 6)
     assert (out.status, out.nodes, out.trace) == (status, nodes, trace)
 
@@ -371,7 +445,12 @@ def test_verifier_returns_when_powers_miss_the_unit():
             else:
                 constants[i][j][3] = 1
     datum = FusionDatum([1, 1, 1, 2], [0, 1, 2, 3], constants)
+    assert fusion._element_order(datum.sparse, 0, 1) is None
     report = verify_fusion_datum(datum, "hopf")
     assert not report.passed
+    # right translation by 1 sends 0, 1 and 2 all to 1
     assert {c.axiom for c in report.failures()} == {
-        "frobenius-symmetry", "duality", "associativity", "closure-divisibility"}
+        "frobenius-symmetry", "duality", "degree-one-group", "associativity",
+        "stabilizer-exponent", "closure-divisibility"}
+    checks = {c.axiom: c.detail for c in report.checks}
+    assert checks["degree-one-group"] == "degree-1 translation is not a permutation"
