@@ -245,6 +245,9 @@ def enumerate_types(dimension: int,
     """
     if dimension < 1:
         raise CensusError("dimension must be positive")
+    if n_filter is not None and not 1 <= n_filter <= dimension:
+        raise CensusError(f"the degree-1 count {n_filter} is outside "
+                          f"1..{dimension}")
     rule_list = parse_rules(rules) if isinstance(rules, str) else tuple(rules)
     candidates: list[AlgebraTypeSignature] = []
     degrees = tuple(range(2, math.isqrt(dimension) + 1))

@@ -60,6 +60,31 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a UsageError, so that ``run``
+    reports it on stdout like every other usage error."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _int_from(low: int):
+    """An argparse type: an integer of at least ``low``.
+
+    The check runs while the option is parsed, so it holds wherever the
+    option stands on the command line.
+    """
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def _parse_bicharacter(spec: str, orders) -> groups.AltBicharacter:
     if spec == "trivial":
         return groups.AltBicharacter.trivial(orders)
@@ -241,11 +266,11 @@ def _cmd_twist(args) -> tuple[dict, list[str], int]:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--threads", type=int, default=0,
+    common.add_argument("--threads", type=_int_from(0), default=0,
                         help="worker hint; never affects output")
-    common.add_argument("--budget", type=int, default=10 ** 7,
+    common.add_argument("--budget", type=_int_from(1), default=10 ** 7,
                         help="node limit for fusion searches")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfcensus", parents=[common],
         description="exact census and verification tools for low-dimensional "
                     "semisimple Hopf algebra types")
@@ -321,21 +346,19 @@ def _render_table(payload: dict, out) -> None:
 
 def run(argv, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    flags = {k: v for k, v in sorted(vars(args).items())
-             if k not in ("func", "threads", "format", "command")
-             and v is not None}
-    try:
+        args = build_parser().parse_args(argv)
         payload, citations, code = args.func(args)
+    except SystemExit as exc:   # --help
+        return 2 if exc.code else 0
     except (UsageError, fusion.FusionError, census_mod.CensusError,
             groups.GroupError, hopfcore.HopfError, OSError,
             UnicodeDecodeError, json.JSONDecodeError) as exc:
         out.write(f"error: {exc}\n")
         return 2
+    flags = {k: v for k, v in sorted(vars(args).items())
+             if k not in ("func", "threads", "format", "command")
+             and v is not None}
     report = {"command": args.command, "flags": flags,
               "results": payload, "citations": citations}
     if args.format == "json":

@@ -1,14 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A value is stored as a polynomial in zeta_n reduced modulo the n-th
-cyclotomic polynomial, with Fraction coefficients.  Reduction modulo the
-cyclotomic polynomial (rather than x^n - 1) keeps the ring a field, so
-every nonzero element is invertible.
+A value is stored as integer numerators over one positive common
+denominator: ``num`` holds the phi(n) coefficients of a polynomial in
+zeta_n reduced modulo the n-th cyclotomic polynomial Phi_n, and the value is
+that polynomial divided by ``den``, with gcd(den, *num) = 1.  This is the
+representation GAP uses for cyclotomics.  Reduction modulo Phi_n (rather
+than x^n - 1) keeps the ring a field, so every nonzero element is
+invertible; Phi_n is monic with integer coefficients, so the power basis
+tables, lifting and reduction need no fractions.
 
 The representative is canonical: the conductor is always the smallest m
 with the value in Q(zeta_m) (and never congruent to 2 mod 4, since
-Q(zeta_2u) = Q(zeta_u) for odd u).  Equality of values is therefore
-equality of representations, and values are hashable.
+Q(zeta_2u) = Q(zeta_u) for odd u).  Together with the gcd invariant this
+makes equality of values equality of representations, and values are
+hashable.  ``coeffs`` gives the same value as a tuple of Fractions.
 
 Every operation is pure and exact; there is no floating point anywhere.
 """
@@ -22,6 +27,8 @@ from functools import lru_cache
 #: Largest conductor the package will compute with.  Exceeding it raises
 #: ConductorLimitError rather than degrading silently.
 MAX_CONDUCTOR = 24
+
+_gcd = math.gcd
 
 
 class ConductorLimitError(ValueError):
@@ -104,127 +111,153 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+# -- integer power-basis tables, filled lazily per conductor ------------------------
+
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """zeta_n^j for j in [phi(n), 2*phi(n)-1], as vectors in the power basis."""
+def _powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """zeta_n^j for j in [0, n), each as the sparse (index, integer
+    coefficient) terms of its reduced vector in the power basis."""
     phi = euler_phi(n)
     poly = cyclotomic_poly(n)
     # x^phi = -(poly[0] + ... + poly[phi-1] x^{phi-1})  (poly is monic)
-    rows: list[tuple[Fraction, ...]] = []
-    top = [Fraction(-poly[j]) for j in range(phi)]
-    rows.append(tuple(top))
-    for _ in range(phi - 1):
-        prev = rows[-1]
-        shifted = [Fraction(0)] + list(prev[:-1])
-        lead = prev[-1]
-        if lead:
-            for j in range(phi):
-                shifted[j] += lead * rows[0][j]
-        rows.append(tuple(shifted))
-    return tuple(rows)
+    vec = [0] * phi
+    out = []
+    for j in range(n):
+        if j < phi:
+            vec = [0] * phi
+            vec[j] = 1
+        else:
+            lead = vec[-1]
+            vec = [0] + vec[:-1]
+            if lead:
+                for t in range(phi):
+                    vec[t] -= lead * poly[t]
+        out.append(tuple((t, c) for t, c in enumerate(vec) if c))
+    return tuple(out)
 
 
-def _reduce_poly(coeffs: list[Fraction], n: int) -> list[Fraction]:
-    """Reduce an arbitrary-degree polynomial in zeta_n modulo Phi_n."""
+def _dense(terms, phi: int) -> list[int]:
+    out = [0] * phi
+    for t, c in terms:
+        out[t] = c
+    return out
+
+
+def _reduce_poly(coeffs: list[int], n: int) -> list[int]:
+    """Reduce an integer polynomial in zeta_n of any degree modulo Phi_n."""
     phi = euler_phi(n)
-    rows = _reduction_rows(n)
     out = list(coeffs[:phi])
-    out += [Fraction(0)] * (phi - len(out))
-    for j in range(len(coeffs) - 1, phi - 1, -1):
-        c = coeffs[j]
-        if not c:
-            continue
-        vec = rows[j - phi] if j - phi < phi else _power_vec(n, j)
-        for t in range(phi):
-            out[t] += c * vec[t]
-    return out[:phi]
+    out += [0] * (phi - len(out))
+    if len(coeffs) > phi:
+        powers = _powers(n)
+        for j in range(phi, len(coeffs)):
+            c = coeffs[j]
+            if c:
+                for t, v in powers[j % n]:
+                    out[t] += c * v
+    return out
 
 
 @lru_cache(maxsize=None)
-def _power_vec(n: int, j: int) -> tuple[Fraction, ...]:
-    """zeta_n^j as a reduced coefficient vector of length phi(n)."""
-    phi = euler_phi(n)
-    j %= n
-    if j < phi:
-        vec = [Fraction(0)] * phi
-        vec[j] = Fraction(1)
-        return tuple(vec)
-    prev = _power_vec(n, j - 1)
-    shifted = [Fraction(0)] + list(prev[:-1])
-    lead = prev[-1]
-    if lead:
-        rows = _reduction_rows(n)
-        for t in range(phi):
-            shifted[t] += lead * rows[0][t]
-    return tuple(shifted)
+def _lift_rows(k: int, n: int):
+    """zeta_k^j for j < phi(k) in the power basis of Q(zeta_n), k | n."""
+    powers, step = _powers(n), n // k
+    return tuple(powers[j * step] for j in range(euler_phi(k)))
+
+
+def _lifted(x: "CycNumber", n: int):
+    """The numerators of x in the power basis of Q(zeta_n); same ``den``."""
+    if x.conductor == n:
+        return x.num
+    out = [0] * euler_phi(n)
+    for c, row in zip(x.num, _lift_rows(x.conductor, n)):
+        if c:
+            for t, v in row:
+                out[t] += c * v
+    return out
 
 
 @lru_cache(maxsize=None)
 def _subfield_solver(n: int, m: int):
-    """Row-reduced data for deciding membership of Q(zeta_n) values in Q(zeta_m).
+    """Integer data for deciding membership of Q(zeta_n) values in Q(zeta_m).
 
-    Returns (pivot columns, echelon matrix) for the phi(n) x phi(m) matrix
-    whose columns are zeta_m^j written in the basis of Q(zeta_n).
+    Row-reduces the phi(n) x phi(m) matrix whose columns are zeta_m^j in the
+    basis of Q(zeta_n).  Returns ``(checks, solve, scale)``: v lies in
+    Q(zeta_m) exactly when every sparse integer row of ``checks`` has a zero
+    dot product with v, and then its coordinate j there is
+    ``dot(solve[j], v) / scale``.
     """
     phi_n, phi_m = euler_phi(n), euler_phi(m)
-    step = n // m
-    cols = [_power_vec(n, j * step) for j in range(phi_m)]
+    cols = [_dense(row, phi_n) for row in _lift_rows(m, n)]
     # Gaussian elimination with the identity trick: reduce [cols | I].
-    rows = [[cols[c][r] for c in range(phi_m)] + [Fraction(1 if t == r else 0) for t in range(phi_n)]
+    # zeta_m^0..zeta_m^{phi(m)-1} are independent, so column c has its
+    # pivot in row c, and the rows below phi(m) are the consistency checks.
+    rows = [[Fraction(cols[c][r]) for c in range(phi_m)]
+            + [Fraction(1 if t == r else 0) for t in range(phi_n)]
             for r in range(phi_n)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
     for c in range(phi_m):
-        pr = next((i for i in range(r, phi_n) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        pr = next(i for i in range(c, phi_n) if rows[i][c])
+        rows[c], rows[pr] = rows[pr], rows[c]
+        pv = rows[c][c]
+        rows[c] = [x / pv for x in rows[c]]
         for i in range(phi_n):
-            if i != r and rows[i][c]:
+            if i != c and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-    return pivots, tuple(tuple(row) for row in rows), phi_m, phi_n
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    transforms = [row[phi_m:] for row in rows]
+
+    def integer_row(row, scale):
+        return tuple((t, int(x * scale)) for t, x in enumerate(row) if x)
+
+    checks = tuple(integer_row(row, math.lcm(*(x.denominator for x in row)))
+                   for row in transforms[phi_m:])
+    scale = math.lcm(*(x.denominator for row in transforms[:phi_m]
+                       for x in row))
+    solve = tuple(integer_row(row, scale) for row in transforms[:phi_m])
+    return checks, solve, scale
 
 
-def _try_descend(v: list[Fraction], n: int, m: int) -> list[Fraction] | None:
-    """Coefficients of v in Q(zeta_m) if v lies in that subfield, else None."""
-    pivots, rows, phi_m, phi_n = _subfield_solver(n, m)
-    # Apply the recorded row operations to v, read off solution/consistency.
-    transformed = []
-    for row in rows:
-        acc = Fraction(0)
-        for t in range(phi_n):
-            if row[phi_m + t] and v[t]:
-                acc += row[phi_m + t] * v[t]
-        transformed.append(acc)
-    sol = [Fraction(0)] * phi_m
-    pivot_rows = set()
-    for r, c in pivots:
-        sol[c] = transformed[r]
-        pivot_rows.add(r)
-    for r in range(phi_n):
-        if r not in pivot_rows and transformed[r]:
+@lru_cache(maxsize=None)
+def _descent_targets(n: int) -> tuple[int, ...]:
+    """The proper subfield conductors of Q(zeta_n) to try, smallest first.
+
+    The minimal cyclotomic field containing a value of Q(zeta_n) has
+    conductor dividing n, so the first success is the global minimum.
+    Conductors congruent to 2 mod 4 are never stored (Q(zeta_2u) =
+    Q(zeta_u) for odd u, so the odd divisor u wins).
+    """
+    return tuple(m for m in divisors(n) if m != n and m > 2 and m % 4 != 2)
+
+
+def _try_descend(v, n: int, m: int):
+    """(numerators, scale) of v in Q(zeta_m) if v lies in that subfield.
+
+    The coordinates of v there are the numerators divided by scale; None
+    if v is not in the subfield.
+    """
+    checks, solve, scale = _subfield_solver(n, m)
+    for row in checks:
+        if sum(c * v[t] for t, c in row):
             return None
-    return sol
+    return [sum(x * v[t] for t, x in row) for row in solve], scale
 
+
+# -- the number type -----------------------------------------------------------
 
 class CycNumber:
     """An exact element of a cyclotomic field, canonical and immutable."""
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+    __slots__ = ("conductor", "num", "den", "_hash")
 
-    def __init__(self, conductor: int, coeffs, _canonical: bool = False):
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c)
-                       for c in coeffs)
-        if not _canonical:
-            conductor, coeffs = _canonicalize(conductor, list(coeffs))
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
+    def __init__(self, conductor: int, coeffs):
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        x = _from_numerators(
+            conductor, [c.numerator * (den // c.denominator) for c in coeffs],
+            den)
+        _set_conductor(self, x.conductor)
+        _set_num(self, x.num)
+        _set_den(self, x.den)
 
     def __setattr__(self, *_):
         raise AttributeError("CycNumber is immutable")
@@ -233,7 +266,8 @@ class CycNumber:
 
     @staticmethod
     def from_rational(q) -> "CycNumber":
-        return _rational(Fraction(q))
+        q = Fraction(q)
+        return _make(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zero() -> "CycNumber":
@@ -259,15 +293,17 @@ class CycNumber:
             raise ConductorLimitError(
                 f"a primitive {d}-th root of unity needs conductor "
                 f"{_canonical_conductor(d)} > {MAX_CONDUCTOR}")
-        phi = euler_phi(d)
-        vec = list(_power_vec(d, j % d))
-        assert len(vec) == phi
-        return CycNumber(d, vec)
+        return _from_numerators(d, _dense(_powers(d)[j], euler_phi(d)), 1)
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in the power basis of Q(zeta_conductor)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def is_zero(self) -> bool:
-        return self.conductor == 1 and not self.coeffs[0].numerator
+        return self.conductor == 1 and not self.num[0]
 
     def is_rational(self) -> bool:
         return self.conductor == 1
@@ -275,27 +311,13 @@ class CycNumber:
     def rational_value(self) -> Fraction:
         if self.conductor != 1:
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __bool__(self) -> bool:
         # Zero is canonically rational, so only conductor 1 can be zero.
-        return self.conductor != 1 or self.coeffs[0].numerator != 0
+        return self.conductor != 1 or self.num[0] != 0
 
     # -- arithmetic --------------------------------------------------------
-
-    def _lifted(self, n: int) -> list[Fraction]:
-        if self.conductor == n:
-            return list(self.coeffs)
-        phi = euler_phi(n)
-        step = n // self.conductor
-        out = [Fraction(0)] * phi
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            vec = _power_vec(n, j * step)
-            for t in range(phi):
-                out[t] += c * vec[t]
-        return out
 
     def _common(self, other: "CycNumber") -> int:
         n = self.conductor * other.conductor // math.gcd(self.conductor, other.conductor)
@@ -309,19 +331,28 @@ class CycNumber:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
+        da, db = self.den, other.den
         if self.conductor == 1 and other.conductor == 1:
-            return _rational(self.coeffs[0] + other.coeffs[0])
+            if da == db:
+                p, q = self.num[0] + other.num[0], da
+            else:
+                p, q = self.num[0] * db + other.num[0] * da, da * db
+            if q != 1:
+                g = _gcd(p, q)
+                if g != 1:
+                    p //= g
+                    q //= g
+            return _make(1, (p,), q)
         n = self._common(other)
-        a, b = self._lifted(n), other._lifted(n)
-        return CycNumber(n, [x + y for x, y in zip(a, b)])
+        a, b = _lifted(self, n), _lifted(other, n)
+        return _from_numerators(n, [x * db + y * da for x, y in zip(a, b)],
+                                da * db)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self) -> "CycNumber":
-        if self.conductor == 1:
-            return _rational(-self.coeffs[0])
-        return CycNumber(self.conductor, tuple(-c for c in self.coeffs), _canonical=True)
+        return _make(self.conductor, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other) -> "CycNumber":
         other = _coerce(other)
@@ -341,25 +372,36 @@ class CycNumber:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return _rational(self.coeffs[0] * other.coeffs[0])
         if self.conductor == 1:
-            q = self.coeffs[0]
-            if not q:
+            p = self.num[0]
+            if not p:
                 return _ZERO
-            return CycNumber(other.conductor, tuple(q * c for c in other.coeffs))
+            if other.conductor != 1:
+                # A nonzero rational scales the numerators and cannot change
+                # the minimal field, so the product skips the descent.
+                return _normalized(other.conductor, [p * c for c in other.num],
+                                   self.den * other.den)
+            p *= other.num[0]
+            if not p:
+                return _ZERO
+            q = self.den * other.den
+            if q != 1:
+                g = _gcd(p, q)
+                if g != 1:
+                    p //= g
+                    q //= g
+            return _make(1, (p,), q)
         if other.conductor == 1:
             return other.__mul__(self)
         n = self._common(other)
-        a, b = self._lifted(n), other._lifted(n)
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        a, b = _lifted(self, n), _lifted(other, n)
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-        return CycNumber(n, _reduce_poly(prod, n))
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return _from_numerators(n, _reduce_poly(prod, n), self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -369,13 +411,14 @@ class CycNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.conductor == 1:
-            return _rational(1 / self.coeffs[0])
+            p, q = self.num[0], self.den
+            return _make(1, (q,), p) if p > 0 else _make(1, (-q,), -p)
         n = self.conductor
         phi_poly = [Fraction(c) for c in cyclotomic_poly(n)]
         g, s = _poly_xgcd(list(self.coeffs), phi_poly)
         # g is a nonzero constant since Phi_n is irreducible over Q.
         c = g[0]
-        return CycNumber(n, _reduce_poly([x / c for x in s], n))
+        return CycNumber(n, [x / c for x in s])
 
     def __truediv__(self, other) -> "CycNumber":
         other = _coerce(other)
@@ -403,15 +446,13 @@ class CycNumber:
         n = self.conductor
         if n == 1:
             return self
-        phi = euler_phi(n)
-        out = [Fraction(0)] * phi
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            vec = _power_vec(n, (n - j) % n)
-            for t in range(phi):
-                out[t] += c * vec[t]
-        return CycNumber(n, out)
+        powers = _powers(n)
+        out = [0] * euler_phi(n)
+        for j, c in enumerate(self.num):
+            if c:
+                for t, v in powers[(n - j) % n]:
+                    out[t] += c * v
+        return _from_numerators(n, out, self.den)
 
     # -- comparison, hashing, display, serialization ------------------------
 
@@ -420,14 +461,16 @@ class CycNumber:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        return self.conductor == other.conductor and self.den == other.den \
+            and self.num == other.num
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.conductor, self.coeffs))
-            object.__setattr__(self, "_hash", h)
-        return h
+            _set_hash(self, h)
+            return h
 
     def sort_key(self):
         return (self.conductor,
@@ -459,22 +502,39 @@ class CycNumber:
 
 _new_instance = object.__new__
 _set_conductor = CycNumber.__dict__["conductor"].__set__
-_set_coeffs = CycNumber.__dict__["coeffs"].__set__
+_set_num = CycNumber.__dict__["num"].__set__
+_set_den = CycNumber.__dict__["den"].__set__
 _set_hash = CycNumber.__dict__["_hash"].__set__
 
 
-def _rational(q: Fraction) -> CycNumber:
-    """The conductor-1 value q, which must already be a Fraction.
+def _make(conductor: int, num: tuple[int, ...], den: int) -> CycNumber:
+    """The value num / den, already canonical: minimal conductor and
+    gcd(den, *num) = 1 with den > 0.
 
-    Rational values are canonical by definition, so this skips
-    ``__init__`` (coercion, the coefficient copy and ``_canonicalize``);
-    the result equals, and hashes like, ``CycNumber(1, (q,))``.
+    Skips ``__init__`` (coercion and ``_canonicalize``); ``_hash`` stays
+    unset until ``__hash__`` first runs.
     """
     x = _new_instance(CycNumber)
-    _set_conductor(x, 1)
-    _set_coeffs(x, (q,))
-    _set_hash(x, None)
+    _set_conductor(x, conductor)
+    _set_num(x, num)
+    _set_den(x, den)
     return x
+
+
+def _normalized(n: int, num: list[int], den: int) -> CycNumber:
+    """num / den at the minimal conductor n, divided through by
+    gcd(den, *num) so that the invariant holds (den > 0 on entry)."""
+    if den != 1:
+        g = _gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _make(n, tuple(num), den)
+
+
+def _from_numerators(n: int, num: list[int], den: int) -> CycNumber:
+    """The value num / den of Q(zeta_n), num reduced, in canonical form."""
+    return _normalized(*_canonicalize(n, num, den))
 
 
 def _coerce(x):
@@ -485,32 +545,28 @@ def _coerce(x):
     return NotImplemented
 
 
-def _canonicalize(n: int, coeffs: list[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
-    """Minimal-conductor representative.
+def _canonicalize(n: int, num: list[int], den: int):
+    """(conductor, numerators, den) of the minimal-conductor representative.
 
-    Searching divisors of n in ascending order finds the global minimum,
-    because the minimal cyclotomic field containing a value of Q(zeta_n)
-    has conductor dividing n.  Conductors congruent to 2 mod 4 are never
-    stored (Q(zeta_2u) = Q(zeta_u) for odd u, so the odd divisor u wins).
+    The numerators may be of any length; the result is reduced but not
+    yet divided through by its gcd with den.
     """
-    phi = euler_phi(n)
-    if len(coeffs) != phi:
-        coeffs = _reduce_poly(coeffs, n)
+    if len(num) != euler_phi(n):
+        num = _reduce_poly(num, n)
     if n == 1:
-        return 1, tuple(coeffs)
-    if all(c == 0 for c in coeffs[1:]):
-        return 1, (coeffs[0],)
-    for m in divisors(n):
-        if m == n or m <= 2 or m % 4 == 2:
-            continue
-        sol = _try_descend(coeffs, n, m)
-        if sol is not None:
-            return m, tuple(sol)
+        return 1, num, den
+    if not any(num[1:]):
+        return 1, num[:1], den
+    for m in _descent_targets(n):
+        found = _try_descend(num, n, m)
+        if found is not None:
+            sol, scale = found
+            return m, sol, den * scale
     if n % 4 == 2:
         # Same field as Q(zeta_{n/2}); the odd divisor was skipped only if
         # descent failed, which cannot happen here.
         raise AssertionError(f"descent from conductor {n} must succeed")
-    return n, tuple(coeffs)
+    return n, num, den
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
@@ -561,5 +617,5 @@ def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
     return r0, s0
 
 
-_ZERO = _rational(Fraction(0))
-_ONE = _rational(Fraction(1))
+_ZERO = _make(1, (0,), 1)
+_ONE = _make(1, (1,), 1)

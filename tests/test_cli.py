@@ -215,6 +215,56 @@ def test_malformed_option_values_are_usage_errors(argv, reason):
     assert text.startswith("error: ") and reason in text
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["fusion-search", "--type", "1,2;2,1", "--budget", "-5"],
+     "--budget: must be at least 1"),
+    (["fusion-search", "--type", "1,2;2,1", "--budget", "0"],
+     "--budget: must be at least 1"),
+    (["--budget", "0", "fusion-search", "--type", "1,2;2,1"],
+     "--budget: must be at least 1"),
+    (["census", "--dim", "12", "--budget", "-1", "--oracle", "all"],
+     "--budget: must be at least 1"),
+    (["double", "--group", "D4", "--threads", "-1"],
+     "--threads: must be at least 0"),
+    (["--threads", "-3", "double", "--group", "D4"],
+     "--threads: must be at least 0"),
+    (["census", "--dim", "12", "--n", "0"], "outside 1..12"),
+    (["census", "--dim", "12", "--n", "-3"], "outside 1..12"),
+    (["census", "--dim", "12", "--n", "13"], "outside 1..12"),
+], ids=["budget-negative", "budget-zero", "budget-before-command",
+        "census-budget", "threads-negative", "threads-before-command",
+        "n-zero", "n-negative", "n-above-dim"])
+def test_out_of_range_numeric_flags_are_usage_errors(argv, reason):
+    code, text = invoke(argv)
+    assert code == 2
+    assert text.startswith("error: ") and reason in text
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["census"], "the following arguments are required: --dim"),
+    (["census", "--dim", "12", "--nope"], "unrecognized arguments: --nope"),
+    (["census", "--dim", "x"], "argument --dim: invalid int value: 'x'"),
+    (["--threads", "x", "h8-report"], "invalid int value: 'x'"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    ([], "the following arguments are required: command"),
+], ids=["missing-option", "unknown-flag", "wrong-type", "wrong-type-common",
+        "unknown-command", "no-command"])
+def test_argparse_errors_share_the_stdout_error_channel(argv, reason):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = invoke(argv)
+    assert code == 2
+    assert text.startswith("error: ") and reason in text
+    assert err.getvalue() == ""
+
+
+def test_help_still_exits_0():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["census", "--help"], io.StringIO()) == 0
+    assert out.getvalue().startswith("usage: hopfcensus census")
+
+
 def test_undecodable_datum_file_is_a_usage_error(tmp_path):
     path = tmp_path / "datum.json"
     path.write_bytes(b"\xff\xfe\x00{")
@@ -344,8 +394,9 @@ def test_any_argv_gives_a_report_or_a_usage_error(datum_files, argv):
     with contextlib.redirect_stderr(err):
         code = run(argv, out)   # an exception here is a traceback in the CLI
     assert code in (0, 1, 2, 3)
+    assert err.getvalue() == ""
     text = out.getvalue()
     if code == 2:
-        assert text.startswith("error: ") or "error: " in err.getvalue()
+        assert text.startswith("error: ")
     else:
         assert text and not text.startswith("error: ")

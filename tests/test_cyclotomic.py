@@ -1,6 +1,10 @@
 """Exact cyclotomic arithmetic: examples, field axioms, canonical form."""
 
+import importlib
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -142,3 +146,86 @@ def test_field_axioms(a, b, c):
 def test_conjugation_is_a_field_map(a, b):
     assert (a + b).conjugate() == a.conjugate() + b.conjugate()
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+
+
+# -- the integer-numerator representation ---------------------------------------
+
+# Orders |A| whose 1/|A| factors the twist of kA multiplies together, raised
+# up to the 6th power, so that denominators reach 72^6.
+ORDERS = (8, 12, 18, 36, 72)
+SUBFIELDS = (1, 3, 4, 8, 12, 24)
+PHI_24 = cyclotomic_poly(24)
+
+
+@st.composite
+def big_denominator_values(draw):
+    """A sum of terms p * (1/|A|)^e * zeta_n^j in a subfield of Q(zeta_24)."""
+    n = draw(st.sampled_from(SUBFIELDS))
+    value = ZERO
+    for j, p, order, e in draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.integers(-50, 50),
+            st.sampled_from(ORDERS), st.integers(0, 6)), max_size=4)):
+        value = value + zeta(n, j) * (rat(Fraction(1, order)) ** e * p)
+    return value
+
+
+def _in_q24(x):
+    """x as Fraction coefficients of the power basis of Q(zeta_24)."""
+    poly = [Fraction(0)] * 24
+    for j, c in enumerate(x.coeffs):
+        poly[j * (24 // x.conductor)] += c
+    return _rem_phi24(poly)
+
+
+def _rem_phi24(poly):
+    poly = list(poly)
+    for i in range(len(poly) - 1, 7, -1):   # Phi_24 is monic of degree 8
+        c = poly[i]
+        if c:
+            for k, a in enumerate(PHI_24):
+                poly[i - 8 + k] -= c * a
+    return poly[:8]
+
+
+def _check_representation(x):
+    assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+    assert len(x.num) == euler_phi(x.conductor)
+    assert x.coeffs == tuple(Fraction(c, x.den) for c in x.num)
+    assert hash(x) == hash((x.conductor, x.coeffs))
+    data = x.to_json()
+    again = CycNumber.from_json(json.loads(json.dumps(data)))
+    assert again == x and json.dumps(again.to_json()) == json.dumps(data)
+    slow = CycNumber(x.conductor, x.coeffs)
+    assert (slow.conductor, slow.num, slow.den) == (x.conductor, x.num, x.den)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(big_denominator_values(), big_denominator_values())
+def test_integer_numerators_keep_their_invariant(a, b):
+    pa, pb = _in_q24(a), _in_q24(b)
+    product = [Fraction(0)] * 15
+    for i, x in enumerate(pa):
+        for j, y in enumerate(pb):
+            product[i + j] += x * y
+    results = {a + b: [x + y for x, y in zip(pa, pb)],
+               a - b: [x - y for x, y in zip(pa, pb)],
+               a * b: _rem_phi24(product), -a: [-x for x in pa]}
+    for value, expected in results.items():
+        assert _in_q24(value) == expected
+    for value in [a, b, a.conjugate(), *results]:
+        _check_representation(value)
+    if b:
+        _check_representation(a / b)
+        assert (a / b) * b == a
+
+
+def test_every_traced_operation_is_defined_on_the_class(monkeypatch):
+    # perfbench/tracer.py wraps these names by CycNumber.__dict__ lookups, so
+    # a missing one makes ``perfbench/run.py --trace 1`` raise KeyError.
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    names = list(tracer.CYC_KINDS) + list(tracer.CYC_OTHER)
+    assert [name for name in names if name not in CycNumber.__dict__] == []
+    for name in ("from_rational", "root_of_unity", "from_json"):
+        assert isinstance(CycNumber.__dict__[name], staticmethod)

@@ -6,10 +6,10 @@ import pytest
 
 from hopfcensus.cyclotomic import CycNumber
 from hopfcensus.fusion import AlgebraTypeSignature
-from hopfcensus.groups import (AltBicharacter, action_from_generator_images,
-                               build_cyclic, build_dihedral, build_product,
-                               build_quaternion, build_semidirect,
-                               build_symmetric, builtin_group)
+from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter,
+                               action_from_generator_images, build_cyclic,
+                               build_dihedral, build_product, build_quaternion,
+                               build_semidirect, build_symmetric, builtin_group)
 from hopfcensus.hopfcore import (CharacterFunctional, HopfData,
                                  NotNormalError, TwistElement,
                                  TwistInvalidError, ZERO, ONE,
@@ -424,3 +424,38 @@ def test_yd_pair_count_formula():
         count = len(yd_one_dim_pairs(h).pairs)
         ab = math.prod(build.abelianization.invariant_factors or (1,))
         assert count == len(build.center) * ab
+
+
+# -- group-like elements against the structure constants ---------------------
+
+def _is_group_like(h, v):
+    """Delta v = v (x) v and counit(v) = 1, read off h.comult and h.counit."""
+    delta = {}
+    for i, a in enumerate(v):
+        if a:
+            for key, c in h.comult[i].items():
+                delta[key] = delta.get(key, ZERO) + a * c
+    for j, k in itertools.product(range(h.dim), repeat=2):
+        if delta.get((j, k), ZERO) != v[j] * v[k]:
+            return False
+    return sum((a * c for a, c in zip(v, h.counit)), ZERO) == ONE
+
+
+def _group_like_cases():
+    for name in sorted(BUILTIN_GROUPS):
+        g = builtin_group(name)
+        # |G| group-likes in kG; in (kG)* they are the linear characters,
+        # one for each element of G/[G,G]
+        yield pytest.param(lambda g=g: from_group(g), g.order, id=f"k{name}")
+        yield pytest.param(lambda g=g: dual(from_group(g)),
+                           g.order // len(g.commutator_subgroup),
+                           id=f"dual-k{name}")
+    yield pytest.param(build_h8, 4, id="H8")
+
+
+@pytest.mark.parametrize("build,count", _group_like_cases())
+def test_group_like_elements_match_the_structure_constants(build, count):
+    h = build()
+    found = group_like_elements(h)
+    assert len(found) == count and len(set(found)) == count
+    assert all(_is_group_like(h, v) for v in found)
