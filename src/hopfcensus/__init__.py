@@ -5,7 +5,7 @@ Submodules:
 * ``cyclotomic`` -- exact arithmetic in cyclotomic fields Q(zeta_n), the scalar
   type used by every tensor in the package.
 * ``groups``     -- finite groups by multiplication table, with the derived
-  invariants (center, classes, centralizers, abelian duals, bicharacters).
+  invariants (center, classes, centralizers, bicharacters).
 * ``fusion``     -- based rings of irreducible characters: axiom verification,
   stabilizers, standard subalgebras and the infeasibility search.
 * ``census``     -- enumeration of algebra-type signatures for a given

@@ -263,18 +263,30 @@ def _cmd_twist(args) -> tuple[dict, list[str], int]:
 
 # -- dispatch -------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_options(defaults: bool) -> argparse.ArgumentParser:
+    """The options every command takes.  Only the top-level copy carries
+    defaults: a subcommand's copy sets an option only when it is given, so
+    the option may stand on either side of the subcommand."""
+    def default(value):
+        return value if defaults else argparse.SUPPRESS
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--threads", type=_int_from(0), default=0,
+    common.add_argument("--format", choices=("json", "table"),
+                        default=default("json"))
+    common.add_argument("--threads", type=_int_from(0), default=default(0),
                         help="worker hint; never affects output")
-    common.add_argument("--budget", type=_int_from(1), default=10 ** 7,
+    common.add_argument("--budget", type=_int_from(1), default=default(10 ** 7),
                         help="node limit for fusion searches")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="hopfcensus", parents=[common],
+        prog="hopfcensus", parents=[_common_options(defaults=True)],
         description="exact census and verification tools for low-dimensional "
                     "semisimple Hopf algebra types")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_options(defaults=False)
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)

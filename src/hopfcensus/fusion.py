@@ -27,7 +27,6 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from hopfcensus.cyclotomic import prime_factors
 from hopfcensus.groups import FiniteGroup, abelian_decomposition
 
 
@@ -36,10 +35,6 @@ class FusionError(ValueError):
 
 
 class UnsupportedGroupError(FusionError):
-    pass
-
-
-class InconsistentOrbitDataError(FusionError):
     pass
 
 
@@ -173,20 +168,6 @@ class FusionDatum:
         """The subgroup {g of degree 1 : g * chi_i = chi_i}."""
         return _stabilizer(self.sparse, self.degrees, self.dual, i)
 
-    def quotient_end_dim(self, subgroup, i: int) -> int:
-        """Endomorphism dimension of chi_i in the quotient modulo the subgroup."""
-        sub = tuple(sorted(subgroup))
-        ones = set(self.one_indices)
-        if not set(sub) <= ones:
-            raise FusionError("subgroup must consist of degree-1 indices")
-        prod = self.group_product
-        for a in sub:
-            for b in sub:
-                if prod[(a, b)] not in sub:
-                    raise FusionError("subset is not closed under the group product")
-        row = self.constants[self.dual[i]][i]
-        return sum(row[g] for g in sub)
-
     # -- standard subalgebras
 
     def standard_subalgebras(self) -> list[tuple[tuple[int, ...], int]]:
@@ -218,7 +199,7 @@ class FusionDatum:
         out.sort(key=lambda pair: (pair[1], pair[0]))
         return out
 
-    # -- biaction orbits
+    # -- degree-1 translations (the degree-one-group check)
 
     def _one_perm(self, g: int, side: str) -> list[int]:
         perm = [-1] * self.size
@@ -230,51 +211,6 @@ class FusionDatum:
         if len(set(perm)) != self.size:
             raise FusionError("degree-1 translation is not a permutation")
         return perm
-
-    def biaction_orbits(self, d: int) -> "BiactionReport":
-        xs = self.indices_of_degree(d) if d > 1 else ()
-        ones = self.one_indices
-        left = {g: self._one_perm(g, "left") for g in ones}
-        right = {h: self._one_perm(h, "right") for h in ones}
-        inv = {h: self.dual[h] for h in ones}
-        orbits = []
-        seen: set[int] = set()
-        for x in xs:
-            if x in seen:
-                continue
-            members = {x}
-            frontier = [x]
-            while frontier:
-                y = frontier.pop()
-                for g in ones:
-                    for h in ones:
-                        z = left[g][right[inv[h]][y]]
-                        if z not in members:
-                            members.add(z)
-                            frontier.append(z)
-            seen |= members
-            rep = min(members)
-            stab = tuple((g, h) for g in ones for h in ones
-                         if left[g][right[inv[h]][rep]] == rep)
-            orbits.append(OrbitInfo(tuple(sorted(members)), rep, stab))
-        prop = self._prop_pq_check(d, xs)
-        return BiactionReport(d, tuple(orbits), prop)
-
-    def _prop_pq_check(self, d: int, xs) -> str:
-        """For a nonabelian degree-1 group of order p*q (p < q primes) with all
-        degree-p stabilizers nontrivial, q^2 must divide |X_p|."""
-        ones = self.one_indices
-        prod = self.group_product
-        n = len(ones)
-        abelian = all(prod[(a, b)] == prod[(b, a)] for a in ones for b in ones)
-        factors = prime_factors(n)
-        if (abelian or len(factors) != 2 or factors[0] == factors[1]
-                or d != factors[0] or not xs):
-            return "vacuous"
-        if any(len(self.left_stabilizer(x)) <= 1 for x in xs):
-            return "vacuous"
-        q = factors[1]
-        return "holds" if len(xs) % (q * q) == 0 else "violated"
 
     # -- serialization
 
@@ -319,20 +255,6 @@ class FusionDatum:
 
 def _int_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, int) for x in value)
-
-
-@dataclass(frozen=True)
-class OrbitInfo:
-    members: tuple[int, ...]
-    representative: int
-    stabilizer: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class BiactionReport:
-    degree: int
-    orbits: tuple[OrbitInfo, ...]
-    prop_pq: str
 
 
 # -- verification ----------------------------------------------------------------
@@ -639,40 +561,6 @@ def from_group_characters(g: FiniteGroup) -> FusionDatum:
         return FusionDatum(degrees, dual, constants)
     raise UnsupportedGroupError(
         f"no shipped character ring for nonabelian group {g.name} of order {g.order}")
-
-
-# -- quotient coalgebra arithmetic -------------------------------------------------
-
-def quotient_coalgebra_type(signature: AlgebraTypeSignature,
-                            orbit_data) -> tuple[int, ...]:
-    """Component dimensions of the quotient coalgebra modulo a group action.
-
-    ``orbit_data`` lists every orbit of simple components as a triple
-    (component dimension d^2, orbit size, stabilizer order); orbit size
-    times stabilizer order must be one common group order, the covered
-    dimensions must exhaust the total, and each orbit contributes one
-    component of dimension d^2 / stabilizer order.
-    """
-    if not orbit_data:
-        raise InconsistentOrbitDataError("empty orbit data")
-    sizes = {orbit * stab for _, orbit, stab in orbit_data}
-    if len(sizes) != 1:
-        raise InconsistentOrbitDataError(
-            f"orbit size times stabilizer order is not constant: {sorted(sizes)}")
-    group_order = sizes.pop()
-    covered = sum(dsq * orbit for dsq, orbit, _ in orbit_data)
-    if covered != signature.total:
-        raise InconsistentOrbitDataError(
-            f"orbit data covers dimension {covered}, expected {signature.total}")
-    out = []
-    for dsq, orbit, stab in orbit_data:
-        if dsq % stab != 0:
-            raise InconsistentOrbitDataError(
-                f"component of dimension {dsq} not divisible by stabilizer {stab}")
-        out.append(dsq * orbit // group_order)
-    if sum(out) * group_order != signature.total:
-        raise InconsistentOrbitDataError("quotient dimensions do not add up")
-    return tuple(sorted(out))
 
 
 # -- the search --------------------------------------------------------------------

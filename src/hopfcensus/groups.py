@@ -264,10 +264,6 @@ class AbelianStructure:
             if b % a != 0:
                 raise GroupError(f"not a divisibility chain: {fs}")
 
-    @property
-    def order(self) -> int:
-        return math.prod(self.invariant_factors) if self.invariant_factors else 1
-
 
 @dataclass(frozen=True)
 class AbelianDecomposition:
@@ -284,12 +280,6 @@ class AbelianDecomposition:
     @property
     def structure(self) -> AbelianStructure:
         return AbelianStructure(self.orders)
-
-    def element_of(self, exponents) -> int:
-        g = self.group.identity
-        for e, x in zip(self.generators, exponents):
-            g = self.group.mul(g, self.group.power(e, x))
-        return g
 
 
 def abelian_decomposition(a: FiniteGroup) -> AbelianDecomposition:
@@ -483,64 +473,6 @@ def build_semidirect(n: FiniteGroup, q: FiniteGroup, act: GroupAction) -> Finite
     return FiniteGroup(table, name=f"{n.name}:{q.name}")
 
 
-# -- characters of abelian groups --------------------------------------------
-
-class GroupCharacter:
-    """A homomorphism from an abelian group to roots of unity."""
-
-    def __init__(self, decomp: AbelianDecomposition, exponents: tuple[int, ...]):
-        self.decomp = decomp
-        self.exponents = tuple(e % m for e, m in zip(exponents, decomp.orders))
-
-    def __call__(self, g: int) -> CycNumber:
-        value = CycNumber.one()
-        for e, m, x in zip(self.exponents, self.decomp.orders,
-                           self.decomp.coords[g]):
-            if e and x:
-                value = value * CycNumber.root_of_unity(m, e * x)
-        return value
-
-    def __mul__(self, other: "GroupCharacter") -> "GroupCharacter":
-        assert self.decomp is other.decomp
-        return GroupCharacter(self.decomp,
-                              tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def inverse(self) -> "GroupCharacter":
-        return GroupCharacter(self.decomp, tuple(-e for e in self.exponents))
-
-    def order(self) -> int:
-        result = 1
-        for e, m in zip(self.exponents, self.decomp.orders):
-            if e:
-                result = math.lcm(result, m // math.gcd(m, e))
-        return result
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupCharacter)
-                and self.decomp is other.decomp
-                and self.exponents == other.exponents)
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __repr__(self):
-        return f"GroupCharacter{self.exponents}"
-
-
-def character_group(a: FiniteGroup) -> list[GroupCharacter]:
-    """All |A| characters of an abelian group, in lexicographic order."""
-    decomp = abelian_decomposition(a)
-    return [GroupCharacter(decomp, exps)
-            for exps in itertools.product(*[range(m) for m in decomp.orders])]
-
-
-def hom_lambda2_order(structure: AbelianStructure) -> int:
-    """Number of alternating bicharacters on the group: prod gcd(m_i, m_j)."""
-    fs = structure.invariant_factors
-    return math.prod(math.gcd(fs[i], fs[j])
-                     for i in range(len(fs)) for j in range(i + 1, len(fs)))
-
-
 # -- alternating bicharacters -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -595,25 +527,6 @@ class AltBicharacter:
                     value = value * self.values[i][j] ** (x[i] * y[j])
         return value
 
-    def is_trivial(self) -> bool:
-        one = CycNumber.one()
-        return all(v == one for row in self.values for v in row)
-
-    def value_order(self) -> int:
-        """lcm of the multiplicative orders of the defining values."""
-        result = 1
-        one = CycNumber.one()
-        for i, row in enumerate(self.values):
-            for j, v in enumerate(row):
-                if v == one:
-                    continue
-                g = math.gcd(self.orders[i], self.orders[j])
-                for d in range(1, g + 1):
-                    if v ** d == one:
-                        result = math.lcm(result, d)
-                        break
-        return result
-
 
 def precompose_character_exponents(decomp: AbelianDecomposition,
                                    perm) -> "dict[tuple, tuple]":
@@ -641,64 +554,6 @@ def precompose_character_exponents(decomp: AbelianDecomposition,
             new.append(int(y) % orders[j])
         out[t] = tuple(new)
     return out
-
-
-def dual_action(decomp: AbelianDecomposition, act: GroupAction) -> GroupAction:
-    """Transport an action on A to the contragredient action on its characters.
-
-    Characters are indexed lexicographically by exponent tuple, matching
-    ``character_group``; the actor element g sends x to x o g^{-1}.
-    """
-    if not act.is_by_automorphisms(decomp.group):
-        raise NotAutomorphismActionError("action is not by automorphisms")
-    orders = decomp.orders
-    exp_tuples = list(itertools.product(*[range(m) for m in orders]))
-    index = {t: i for i, t in enumerate(exp_tuples)}
-    rows = []
-    for g in range(act.actor.order):
-        ginv = act.actor.inv(g)
-        perm = [act.apply(ginv, a) for a in range(decomp.group.order)]
-        mapping = precompose_character_exponents(decomp, perm)
-        rows.append(tuple(index[mapping[t]] for t in exp_tuples))
-    return GroupAction(act.actor, len(exp_tuples), tuple(rows))
-
-
-def bichar_action_scalar(b: AltBicharacter, act: GroupAction,
-                         g: int) -> int | None:
-    """Exponent class t with B(g.x, g.y) = B(x, y)^t on all basis pairs.
-
-    The action must be the contragredient action on the character group,
-    indexed as in ``dual_action``.  Returns the smallest t in 1..order of
-    the bicharacter's values, or None when no single exponent works.
-    The class is invariant exactly when t = 1 modulo that order.
-    """
-    orders = b.orders
-    exp_tuples = list(itertools.product(*[range(m) for m in orders]))
-    index = {t: i for i, t in enumerate(exp_tuples)}
-    k = len(orders)
-
-    def basis_tuple(i):
-        t = [0] * k
-        t[i] = 1
-        return tuple(t)
-
-    moved = []
-    for i in range(k):
-        img_idx = act.apply(g, index[basis_tuple(i)])
-        moved.append(exp_tuples[img_idx])
-    order = b.value_order()
-    for t in range(1, order + 1):
-        ok = True
-        for i in range(k):
-            for j in range(i + 1, k):
-                if b.evaluate(moved[i], moved[j]) != b.values[i][j] ** t:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return t
-    return None
 
 
 # -- built-in registry --------------------------------------------------------
@@ -751,27 +606,3 @@ def builtin_group(name: str) -> FiniteGroup:
                          f"known: {', '.join(sorted(BUILTIN_GROUPS))}") from None
     g.name = name
     return g
-
-
-def group_from_json(spec) -> FiniteGroup:
-    """Recursive group spec: {"construct": ..., args...} or a builtin name."""
-    if isinstance(spec, str):
-        return builtin_group(spec)
-    kind = spec["construct"]
-    if kind == "cyclic":
-        return build_cyclic(int(spec["n"]))
-    if kind == "dihedral":
-        return build_dihedral(int(spec["n"]))
-    if kind == "quaternion":
-        return build_quaternion()
-    if kind == "symmetric":
-        return build_symmetric(int(spec["n"]))
-    if kind == "product":
-        return build_product(group_from_json(spec["left"]),
-                             group_from_json(spec["right"]))
-    if kind == "semidirect":
-        n = group_from_json(spec["kernel"])
-        q = group_from_json(spec["quotient"])
-        act = GroupAction(q, n.order, tuple(tuple(r) for r in spec["action"]))
-        return build_semidirect(n, q, act)
-    raise GroupError(f"unknown construct {kind!r}")

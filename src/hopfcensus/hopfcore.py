@@ -239,12 +239,6 @@ class HopfData:
     def vec_mul(self, u, v):
         return self._dense(self._product(_nonzeros(u), _nonzeros(v)))
 
-    def vec_pow(self, u, n: int):
-        out = self.unit
-        for _ in range(n):
-            out = self.vec_mul(out, u)
-        return out
-
     def counit_of(self, u) -> CycNumber:
         return _evaluate(self.counit, _nonzeros(u))
 

@@ -1,0 +1,58 @@
+"""Every definition in the package has a caller in the package.
+
+A top-level function or class, or a method not named ``__*__``, passes
+when its name is read somewhere in ``src/hopfcensus`` outside its own
+definition, as a bare name or as an attribute.  The check is by name, so
+a caller of a same-named definition elsewhere counts too; it catches code
+that only the tests reach, not every dead path.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import hopfcensus
+
+SOURCE = Path(hopfcensus.__file__).parent
+
+# Definitions kept without a caller in the package, with the reason.
+NO_CALLER_NEEDED = {
+    "FusionDatum.multiply": "the acceptance suite reads products through it",
+    "tensor_type": "the acceptance suite checks product types with it",
+    "complete_type": "the acceptance suite builds the residual types with it",
+    "HopfData.antipode_of": "the reference test compares the antipode with it",
+    "_Parser.error": "argparse calls it on a malformed command line",
+}
+
+
+def _definitions(tree):
+    """(qualified name, node) for each checked definition of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _names_read(node) -> Counter:
+    """How often each name is read under ``node``, as a Name or an Attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))]
+    everywhere = sum((_names_read(tree) for tree in trees), Counter())
+    uncalled = []
+    for tree in trees:
+        for qualified, node in _definitions(tree):
+            name = qualified.rpartition(".")[2]
+            if everywhere[name] == _names_read(node)[name]:
+                uncalled.append(qualified)
+    assert sorted(set(uncalled) - set(NO_CALLER_NEEDED)) == []
+    assert sorted(set(NO_CALLER_NEEDED) - set(uncalled)) == []

@@ -159,6 +159,27 @@ def test_outputs_are_thread_flag_independent(argv):
     assert second == third
 
 
+SUBCOMMAND_ARGV = {
+    "census": ["census", "--dim", "12"],
+    "fusion-search": ["fusion-search", "--type", "1,2;2,1"],
+    "fusion-verify": ["fusion-verify", "--group", "S3"],
+    "double": ["double", "--group", "S3"],
+    "h8-report": ["h8-report"],
+    "twist": ["twist", "--group", "Z2xZ2", "--subgroup", "auto",
+              "--bicharacter", "trivial"],
+}
+COMMON_OPTIONS = {"--format": "table", "--threads": "2", "--budget": "1"}
+
+
+@pytest.mark.parametrize("option", sorted(COMMON_OPTIONS))
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_common_options_may_precede_the_subcommand(command, option):
+    given = [option, COMMON_OPTIONS[option]]
+    before = invoke(given + SUBCOMMAND_ARGV[command])
+    after = invoke(SUBCOMMAND_ARGV[command] + given)
+    assert before == after
+
+
 def _d4_datum(drop=None, extra=None, more=None):
     datum = from_group_characters(build_dihedral(4)).to_json()
     datum.pop(drop, None)

@@ -1,4 +1,4 @@
-"""Fusion data: axioms, character rings, stabilizers, orbits, and the search."""
+"""Fusion data: axioms, character rings, stabilizers, and the search."""
 
 import copy
 import itertools
@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from hopfcensus import fusion
 from hopfcensus.fusion import (PROFILES, AlgebraTypeSignature, AxiomReport,
-                               FusionDatum, FusionError,
-                               InconsistentOrbitDataError,
-                               UnsupportedGroupError, from_group_characters,
-                               quotient_coalgebra_type, search_fusion,
+                               FusionDatum, FusionError, UnsupportedGroupError,
+                               from_group_characters, search_fusion,
                                verify_fusion_datum)
 from hopfcensus.groups import (build_cyclic, build_dihedral, build_product,
                                build_quaternion, build_symmetric)
@@ -121,24 +119,6 @@ def test_stabilizer_group_properties():
             assert datum.multiply(i, datum.dual[i])[0] == 1
 
 
-def test_biaction_orbits():
-    s3 = from_group_characters(build_symmetric(3))
-    rep = s3.biaction_orbits(2)
-    assert len(rep.orbits) == 1
-    assert rep.orbits[0].members == (2,)
-    assert len(rep.orbits[0].stabilizer) == 4
-    assert rep.prop_pq == "vacuous"
-
-    d4 = from_group_characters(build_dihedral(4))
-    rep = d4.biaction_orbits(2)
-    assert len(rep.orbits) == 1
-    assert len(rep.orbits[0].stabilizer) == 16
-
-    z4 = from_group_characters(build_cyclic(4))
-    assert z4.biaction_orbits(2).orbits == ()
-    assert z4.biaction_orbits(2).prop_pq == "vacuous"
-
-
 def test_standard_subalgebras():
     s3 = from_group_characters(build_symmetric(3))
     assert [d for _, d in s3.standard_subalgebras()] == [1, 2, 6]
@@ -146,29 +126,6 @@ def test_standard_subalgebras():
     assert [d for _, d in z4.standard_subalgebras()] == [1, 2, 4]
     d4 = from_group_characters(build_dihedral(4))
     assert [d for _, d in d4.standard_subalgebras()] == [1, 2, 2, 2, 4, 8]
-
-
-def test_quotient_end_dim():
-    s3 = from_group_characters(build_symmetric(3))
-    assert s3.quotient_end_dim((0, 1), 2) == 2
-    assert s3.quotient_end_dim((0,), 2) == 1
-    d4 = from_group_characters(build_dihedral(4))
-    assert d4.quotient_end_dim((0, 1, 2, 3), 4) == 4
-
-
-def test_quotient_coalgebra_type():
-    # order-4 group acting on the 8-dimensional algebra of type (1,4;2,1):
-    # one free orbit on the four group-likes, the 4-dim component stabilized
-    assert quotient_coalgebra_type(P("1,4;2,1"), [(1, 4, 1), (4, 1, 4)]) == (1, 1)
-    # trivial group: type unchanged
-    assert quotient_coalgebra_type(P("1,4;2,1"),
-                                   [(1, 1, 1)] * 4 + [(4, 1, 1)]) == (1, 1, 1, 1, 4)
-    # six group-likes in two free orbits of size 3
-    assert quotient_coalgebra_type(P("1,6"), [(1, 3, 1), (1, 3, 1)]) == (1, 1)
-    with pytest.raises(InconsistentOrbitDataError):
-        quotient_coalgebra_type(P("1,6"), [(1, 3, 1), (1, 2, 1)])
-    with pytest.raises(InconsistentOrbitDataError):
-        quotient_coalgebra_type(P("1,6"), [(1, 3, 1)])
 
 
 def test_signature_parsing_and_total():

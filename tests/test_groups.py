@@ -1,21 +1,16 @@
-"""Finite-group kernel: constructions, invariants, duals, bicharacters."""
+"""Finite-group kernel: constructions, invariants, bicharacters."""
 
-import itertools
 import math
 
 import pytest
 
 from hopfcensus.cyclotomic import CycNumber
-from hopfcensus.groups import (AbelianStructure, AltBicharacter, FiniteGroup,
-                               GroupAction, GroupError,
-                               NotAutomorphismActionError,
-                               abelian_decomposition,
-                               action_from_generator_images,
-                               bichar_action_scalar, build_cyclic,
+from hopfcensus.groups import (AltBicharacter, FiniteGroup, GroupAction,
+                               GroupError, NotAutomorphismActionError,
+                               action_from_generator_images, build_cyclic,
                                build_dihedral, build_product,
                                build_quaternion, build_semidirect,
-                               build_symmetric, builtin_group, character_group,
-                               dual_action, group_from_json, hom_lambda2_order)
+                               build_symmetric, builtin_group)
 
 ONE = CycNumber.one()
 
@@ -55,7 +50,8 @@ def test_non_automorphism_action_rejected():
     bad = GroupAction(z2, 3, ((0, 1, 2), (0, 2, 1)))
     # swapping 1 <-> 2 in Z_3 is inversion, fine; a non-homomorphism is not
     broken = GroupAction(z2, 3, ((0, 1, 2), (1, 0, 2)))
-    build_semidirect(build_cyclic(3), z2, bad)
+    dihedral = build_semidirect(build_cyclic(3), z2, bad)
+    assert dihedral.order == 6 and not dihedral.is_abelian
     with pytest.raises(NotAutomorphismActionError):
         build_semidirect(build_cyclic(3), z2, broken)
 
@@ -79,6 +75,12 @@ def test_quaternion_abelianization():
              for a in range(8) for b in range(8)}
     assert comms == {0, 2}
     assert q8.abelianization.invariant_factors == (2, 2)
+    # an abelian group is its own abelianization: the chain of its basis
+    for chain in ((8,), (2, 6), (4, 4)):
+        a = build_cyclic(chain[0])
+        for m in chain[1:]:
+            a = build_product(a, build_cyclic(m))
+        assert a.abelianization.invariant_factors == chain
 
 
 def test_irreducible_degrees_small():
@@ -104,89 +106,6 @@ def test_degree_squares_sum_to_order():
         assert sum(1 for d in degrees if d == 1) == ab
 
 
-def test_character_group_values():
-    z2 = build_cyclic(2)
-    chars = character_group(z2)
-    assert len(chars) == 2
-    values = sorted(str(c(1)) for c in chars)
-    assert values == ["Cyc(-1)", "Cyc(1)"]
-
-    k4 = build_product(build_cyclic(2), build_cyclic(2))
-    for c in character_group(k4):
-        for g in range(4):
-            assert c(g) in (ONE, CycNumber.from_rational(-1))
-
-    z3 = build_cyclic(3)
-    seen = {c(1) for c in character_group(z3)}
-    assert seen == {ONE, CycNumber.root_of_unity(3, 1), CycNumber.root_of_unity(3, 2)}
-
-
-def test_character_group_is_isomorphic_to_the_group():
-    for build in (lambda: build_cyclic(8),
-                  lambda: build_product(build_cyclic(2), build_cyclic(6)),
-                  lambda: build_product(build_cyclic(4), build_cyclic(4))):
-        a = build()
-        decomp = abelian_decomposition(a)
-        chars = character_group(a)
-        assert len(chars) == a.order
-        # pointwise products close and reproduce the same invariant factors
-        index = {c: i for i, c in enumerate(chars)}
-        table = [[index[c1 * c2] for c2 in chars] for c1 in chars]
-        dual_group = FiniteGroup(table, validate=False)
-        assert abelian_decomposition(dual_group).orders == decomp.orders
-
-
-def invariant_factor_chains(n, lower=2):
-    """All chains m_1 | m_2 | ... with product n: the abelian types of order n."""
-    if n == 1:
-        return [()]
-    out = []
-    for d in range(max(lower, 2), n + 1):
-        if n % d == 0 and d % lower == 0:
-            for rest in invariant_factor_chains(n // d, d):
-                out.append((d,) + rest)
-    return out
-
-
-def group_for_chain(chain):
-    g = build_cyclic(chain[0]) if chain else build_cyclic(1)
-    for m in chain[1:]:
-        g = build_product(g, build_cyclic(m))
-    return g
-
-
-def brute_force_alternating_bicharacter_count(orders) -> int:
-    """Enumerate actual value matrices of roots of unity and count the valid ones."""
-    k = len(orders)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    choices = []
-    for i, j in pairs:
-        g = math.gcd(orders[i], orders[j])
-        choices.append([CycNumber.root_of_unity(g, t) for t in range(g)])
-    count = 0
-    for combo in itertools.product(*choices) if pairs else [()]:
-        values = [[ONE] * k for _ in range(k)]
-        for (i, j), v in zip(pairs, combo):
-            values[i][j] = v
-            values[j][i] = v.inv() if v != ONE else ONE
-        try:
-            AltBicharacter(tuple(orders), tuple(tuple(r) for r in values))
-            count += 1
-        except GroupError:
-            pass
-    return count
-
-
-def test_hom_lambda2_order_against_brute_force():
-    assert hom_lambda2_order(AbelianStructure((2, 2))) == 2
-    assert hom_lambda2_order(AbelianStructure((5,))) == 1
-    assert hom_lambda2_order(AbelianStructure((3, 3))) == 3
-    for n in range(1, 17):
-        for chain in invariant_factor_chains(n):
-            expected = brute_force_alternating_bicharacter_count(chain)
-            assert hom_lambda2_order(AbelianStructure(chain)) == expected
-
-
 def test_alt_bicharacter_validation():
     z = CycNumber.root_of_unity(4, 1)
     with pytest.raises(GroupError):
@@ -198,54 +117,6 @@ def test_alt_bicharacter_validation():
     assert good.evaluate((1, 1), (1, 1)) == ONE
 
 
-def test_bichar_action_scalar_trivial_action():
-    k4 = build_product(build_cyclic(2), build_cyclic(2))
-    decomp = abelian_decomposition(k4)
-    act = action_from_generator_images(build_cyclic(2), k4, {1: [0, 1, 2, 3]})
-    dact = dual_action(decomp, act)
-    for b in (AltBicharacter.trivial((2, 2)), AltBicharacter.nondegenerate_rank2(2)):
-        assert bichar_action_scalar(b, dact, 1) == 1
-
-
-def test_bichar_action_scalar_order18_setup():
-    gamma = build_product(build_cyclic(3), build_cyclic(3))
-    decomp = abelian_decomposition(gamma)
-    perm = [3 * ((3 - s) % 3) + t for s in range(3) for t in range(3)]
-    act = action_from_generator_images(build_cyclic(2), gamma, {1: perm})
-    dact = dual_action(decomp, act)
-    b = AltBicharacter.nondegenerate_rank2(3)
-    exponent = bichar_action_scalar(b, dact, 1)
-    assert exponent == 2
-    assert exponent % 3 != 1  # not invariant
-
-
-def test_bichar_action_scalar_nonscalar_case():
-    # On Z_2 x Z_4 the swap-free action scaling only one generator pair has
-    # no single exponent; build an automorphism of Z_4 x Z_4 mixing scales.
-    g = build_product(build_cyclic(4), build_cyclic(4))
-    decomp = abelian_decomposition(g)
-    # automorphism (a, b) -> (a, 3b): exponent 3 on one leg
-    perm = [4 * x + (3 * y) % 4 for x in range(4) for y in range(4)]
-    act = action_from_generator_images(build_cyclic(2), g, {1: perm})
-    dact = dual_action(decomp, act)
-    z4 = CycNumber.root_of_unity(4, 1)
-    b = AltBicharacter((4, 4), ((ONE, z4), (z4.inv(), ONE)))
-    assert bichar_action_scalar(b, dact, 1) == 3
-
-
-def test_group_json_spec():
-    g = group_from_json({"construct": "product",
-                         "left": {"construct": "dihedral", "n": 3},
-                         "right": "Z2"})
-    assert g.order == 12
-    inversion = [[0, 1, 2], [0, 2, 1]]
-    sd = group_from_json({"construct": "semidirect", "kernel": "Z3",
-                          "quotient": "Z2", "action": inversion})
-    assert sd.order == 6 and not sd.is_abelian  # the dihedral group of order 6
-    with pytest.raises(GroupError):
-        builtin_group("nope")
-
-
 def test_builtin_g12_g18():
     g12 = builtin_group("G12")
     assert g12.order == 12 and len(g12.center) == 2
@@ -254,3 +125,5 @@ def test_builtin_g12_g18():
     # Gamma = even indices is an abelian normal subgroup of order 9
     gamma = tuple(2 * i for i in range(9))
     assert g18.is_normal(gamma)
+    with pytest.raises(GroupError):
+        builtin_group("nope")
