@@ -171,7 +171,7 @@ def parse_rules(spec: str | Iterable[str]) -> tuple[CensusRule, ...]:
     return rules
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Elimination:
     signature: AlgebraTypeSignature
     rule: str
@@ -208,9 +208,10 @@ def _partitions_into_squares(remaining: int, degrees: Sequence[int], i: int,
     """All ways to write remaining as sum m * d^2 over distinct d in degrees[i:].
 
     ``degrees`` ascends.  Each way is its (d, m) entries by ascending d; the
-    list skips degrees[i] before it uses it once, twice and so on.  ``memo``
-    holds the list of every (remaining, i) already solved, for one degree
-    sequence, so all the degree-1 counts of a census share the work.
+    list uses degrees[i] once, twice and so on before it skips it, so it is
+    already in ascending order of entries (``AlgebraTypeSignature.sort_key``).
+    ``memo`` holds the list of every (remaining, i) already solved, for one
+    degree sequence, so all the degree-1 counts of a census share the work.
     """
     key = (remaining, i)
     if key not in memo:
@@ -220,11 +221,12 @@ def _partitions_into_squares(remaining: int, degrees: Sequence[int], i: int,
             memo[key] = []
         else:
             d = degrees[i]
-            out = list(_partitions_into_squares(remaining, degrees, i + 1, memo))
+            out = []
             for m in range(1, remaining // (d * d) + 1):
                 head = ((d, m),)
                 out += [head + rest for rest in _partitions_into_squares(
                     remaining - m * d * d, degrees, i + 1, memo)]
+            out += _partitions_into_squares(remaining, degrees, i + 1, memo)
             memo[key] = out
     return memo[key]
 
@@ -259,7 +261,6 @@ def enumerate_types(dimension: int,
             if proper_only and not entries:
                 continue
             candidates.append(AlgebraTypeSignature(n, entries))
-    candidates.sort(key=AlgebraTypeSignature.sort_key)
 
     survivors: list[AlgebraTypeSignature] = []
     eliminated: list[Elimination] = []
@@ -314,7 +315,6 @@ def complete_type(dimension: int, n: int,
     if not solutions:
         raise NoSolutionError(
             f"no signature with n = {n} and degrees in {allowed} at dimension {dimension}")
-    solutions.sort(key=AlgebraTypeSignature.sort_key)
     if len(solutions) == 1:
         return solutions[0]
     return Ambiguous(tuple(solutions))

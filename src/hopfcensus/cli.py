@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from hopfcensus import census as census_mod
 from hopfcensus import fusion, groups, hopfcore
@@ -335,6 +337,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(value, out, indent: str = "") -> None:
+    """Write ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
+    indent=2)`` would, a piece at a time.  Dict keys must be strings.
+
+    ``indent`` is the indentation of the line ``value`` starts on.  A list
+    item that is a flat dict of strings, such as a census elimination, is
+    filled into a ``%`` layout built once per key set of the list.
+    """
+    if isinstance(value, str):
+        out.write(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.write("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n"
+        for key, item in sorted(value.items()):
+            out.write(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(item, out, inner)
+            sep = ",\n"
+        out.write(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.write("[]")
+            return
+        inner = indent + "  "
+        sep, comma = "[\n" + inner, ",\n" + inner
+        layouts: dict[tuple, tuple[list, str]] = {}
+        for item in value:
+            text = None
+            if isinstance(item, dict) and item:
+                shape = tuple(item)
+                if shape not in layouts:
+                    layouts[shape] = _flat_layout(shape, inner)
+                keys, form = layouts[shape]
+                try:
+                    text = form % tuple(
+                        [encode_basestring_ascii(item[k]) for k in keys])
+                except TypeError:   # a value that is not a string
+                    pass
+            if text is None:
+                out.write(sep)
+                _write_json(item, out, inner)
+            else:
+                out.write(sep + text)
+            sep = comma
+        out.write(f"\n{indent}]")
+    else:
+        out.write(json.dumps(value))
+
+
+def _flat_layout(keys: tuple, indent: str) -> tuple[list, str]:
+    """The sorted ``keys`` of a dict of strings, and the ``%`` layout that
+    writes the dict at ``indent`` from its encoded values in that order."""
+    ordered = sorted(keys)
+    lines = [f"{indent}  {encode_basestring_ascii(k).replace('%', '%%')}: %s"
+             for k in ordered]
+    return ordered, "{\n" + ",\n".join(lines) + f"\n{indent}}}"
+
+
 def _render_table(payload: dict, out) -> None:
     def write_item(key, value, indent=0):
         pad = "  " * indent
@@ -373,10 +435,17 @@ def run(argv, out=None) -> int:
              and v is not None}
     report = {"command": args.command, "flags": flags,
               "results": payload, "citations": citations}
-    if args.format == "json":
-        out.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    else:
-        _render_table(report, out)
+    try:
+        if args.format == "json":
+            _write_json(report, out)
+            out.write("\n")
+        else:
+            _render_table(report, out)
+        out.flush()
+    except BrokenPipeError:
+        # The reader left early (``| head``): drop the rest of the report
+        # and point the stream at devnull, so that the flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return code
 
 

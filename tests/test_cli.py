@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfcensus.cli import run
+import hopfcensus
+from hopfcensus.cli import _write_json, run
 from hopfcensus.fusion import from_group_characters
 from hopfcensus.groups import build_dihedral
 
@@ -306,6 +311,91 @@ def test_fusion_verify_reports_an_empty_stabilizer(tmp_path):
     assert checks["stabilizer-size"] == {
         "axiom": "stabilizer-size", "passed": False,
         "detail": "|G[chi_4]| = 0 does not divide 4"}
+
+
+# -- the streaming JSON writer ------------------------------------------------------
+
+# any text, and text with the characters an encoder may get wrong: quotes,
+# backslashes, controls, non-ASCII and the layouts' "%"
+_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(
+    ("", "%", "%s", '"\\', "\x00\x1f\x7f", "\u2028 é ☃")))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30),
+    st.floats(allow_nan=False, allow_infinity=False), _TEXT)
+_FLAT_DICTS = st.dictionaries(_TEXT, _TEXT, min_size=1, max_size=4)
+
+
+@st.composite
+def _shuffled_flat_dicts(draw):
+    """Flat string dicts sharing one key set, each in its own key order."""
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    return [dict(zip(draw(st.permutations(keys)),
+                     draw(st.lists(_TEXT, min_size=len(keys),
+                                   max_size=len(keys)))))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(st.one_of(children, _FLAT_DICTS), max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=5),
+        # one key set with string and non-string values: the layout of the
+        # key set is built, then a non-string value must bypass it
+        st.lists(st.dictionaries(st.sampled_from(("a", "b", "%s")),
+                                 st.one_of(_TEXT, children), min_size=1),
+                 max_size=5),
+        _shuffled_flat_dicts(),
+        st.lists(_shuffled_flat_dicts(), max_size=2).map(
+            lambda lists: [d for chunk in lists for d in chunk]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tree=st.recursive(_SCALARS, _containers, max_leaves=30))
+def test_write_json_matches_json_dumps(tree):
+    out = io.StringIO()
+    _write_json(tree, out)
+    assert out.getvalue() == json.dumps(tree, sort_keys=True, indent=2)
+
+
+class _RecordingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.longest_write = 0
+
+    def write(self, text):
+        self.longest_write = max(self.longest_write, len(text))
+        return super().write(text)
+
+
+def test_report_is_written_in_pieces():
+    out = _RecordingStream()
+    assert run(["census", "--dim", "120", "--rules", "all"], out) == 0
+    text = out.getvalue()
+    assert len(text) > 200_000
+    assert out.longest_write <= 4096
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_a_reader_that_leaves_early_gets_no_traceback(fmt):
+    """``hopfcensus census ... | head -c 100``: the report is larger than the
+    pipe, so writing it meets a closed pipe.  The command still exits with
+    its own code, 0, and writes nothing on stderr."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hopfcensus.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hopfcensus.cli", "census", "--dim", "120",
+         "--rules", "all", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 # -- argv fuzzing ------------------------------------------------------------------
