@@ -4,7 +4,9 @@ A top-level function or class, or a method not named ``__*__``, passes
 when its name is read somewhere in ``src/hopfcensus`` outside its own
 definition, as a bare name or as an attribute.  The check is by name, so
 a caller of a same-named definition elsewhere counts too; it catches code
-that only the tests reach, not every dead path.
+that only the tests reach, not every dead path.  The definitions it cannot
+tell apart that way, those whose name another definition shares, are listed
+in ``SHARED_NAMES`` with the definition that calls each, or why none does.
 """
 
 import ast
@@ -22,6 +24,37 @@ NO_CALLER_NEEDED = {
     "complete_type": "the acceptance suite builds the residual types with it",
     "HopfData.antipode_of": "the reference test compares the antipode with it",
     "_Parser.error": "argparse calls it on a malformed command line",
+}
+
+# Definitions whose name another definition shares, each with the definition
+# that calls it ("module.name") or, after "none: ", why nothing in the
+# package does.
+SHARED_NAMES = {
+    "CensusResult.to_json": "cli._cmd_census",
+    "run": "cli.main",
+    "_dense": "cyclotomic._subfield_solver",
+    "CycNumber.inv": "hopfcore.LinearBasis.add",
+    "CycNumber.conjugate": "none: perfbench/tracer.py counts it by name, "
+                           "and tests/test_cyclotomic.py requires it",
+    "CycNumber.sort_key": "hopfcore._root_candidates",
+    "CycNumber.to_json": "hopfcore.HopfData.to_json",
+    "CycNumber.from_json": "cli._bicharacter_entry",
+    "AlgebraTypeSignature.sort_key": "none: it defines the order the census "
+                                     "emits its types in, which "
+                                     "tests/test_census.py checks",
+    "FusionDatum.to_json": "fusion.SearchOutcome.to_json",
+    "FusionDatum.from_json": "cli._cmd_fusion_verify",
+    "AxiomReport.to_json": "cli._cmd_twist",
+    "SearchOutcome.to_json": "cli._cmd_fusion_search",
+    "_Search.run": "fusion.search_fusion",
+    "FiniteGroup.inv": "hopfcore.from_group",
+    "FiniteGroup.conjugate": "groups.FiniteGroup.conjugacy_classes",
+    "HopfData._dense": "hopfcore.HopfData.vec_mul",
+    "HopfData.to_json": "none: tests/test_hopfcore_reference.py reads the "
+                        "structure constants through it",
+    "HopfData.from_json": "none: tests/test_hopfcore_reference.py rebuilds "
+                          "corrupted algebras with it",
+    "CharacterFunctional.sort_key": "hopfcore.algebra_characters",
 }
 
 
@@ -56,3 +89,18 @@ def test_every_definition_has_a_caller_in_the_package():
                 uncalled.append(qualified)
     assert sorted(set(uncalled) - set(NO_CALLER_NEEDED)) == []
     assert sorted(set(NO_CALLER_NEEDED) - set(uncalled)) == []
+
+
+def test_shared_names_are_listed_with_their_callers():
+    definitions = {f"{path.stem}.{qualified}": node
+                   for path in sorted(SOURCE.glob("*.py"))
+                   for qualified, node in _definitions(
+                       ast.parse(path.read_text(encoding="utf-8")))}
+    counts = Counter(key.rpartition(".")[2] for key in definitions)
+    shared = {key.partition(".")[2] for key in definitions
+              if counts[key.rpartition(".")[2]] > 1}
+    assert sorted(shared) == sorted(SHARED_NAMES)
+    for qualified, caller in SHARED_NAMES.items():
+        if not caller.startswith("none: "):
+            name = qualified.rpartition(".")[2]
+            assert _names_read(definitions[caller])[name], (qualified, caller)

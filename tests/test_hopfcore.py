@@ -1,6 +1,7 @@
 """Hopf-algebra layer: axioms, the dimension-8 algebra, doubles, twists."""
 
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter,
                                build_semidirect, build_symmetric, builtin_group)
 from hopfcensus.hopfcore import (CharacterFunctional, HopfData,
                                  NotNormalError, TwistElement,
-                                 TwistInvalidError, ZERO, ONE,
+                                 TwistInvalidError, ZERO, ONE, _generator_rows,
                                  algebra_characters, build_h8, build_lifted_twist,
                                  central_group_likes, character_convolution,
                                  cocommutativity_criterion,
@@ -459,3 +460,216 @@ def test_group_like_elements_match_the_structure_constants(build, count):
     found = group_like_elements(h)
     assert len(found) == count and len(set(found)) == count
     assert all(_is_group_like(h, v) for v in found)
+
+
+# -- generator rows of the axiom scans -------------------------------------------
+
+def _one_term_closure(h, start):
+    """Indices reached from ``start`` by products e_a e_b = c e_k, c != 0."""
+    reached = set(start)
+    grown = True
+    while grown:
+        grown = False
+        for a, b in itertools.product(sorted(reached), repeat=2):
+            product = h.vec_mul(basis_vec(h.dim, a), basis_vec(h.dim, b))
+            support = [k for k, c in enumerate(product) if c]
+            if len(support) == 1 and support[0] not in reached:
+                reached.add(support[0])
+                grown = True
+    return reached
+
+
+def _twisted(name, subgroup, bichar):
+    g = builtin_group(name)
+    return twist_hopf(from_group(g), build_lifted_twist(g, subgroup, bichar),
+                      verify=False)
+
+
+def _relabeled(h, seed):
+    """h on a seeded shuffle of its basis, so generators leave the prefix."""
+    perm = list(range(h.dim))
+    random.Random(seed).shuffle(perm)  # old index i is new index perm[i]
+    src = [perm.index(t) for t in range(h.dim)]
+
+    def row(entries):
+        return {perm[k]: c for k, c in entries}
+
+    return HopfData([h.labels[i] for i in src],
+                    [[row(h.mult[i][j]) for j in src] for i in src],
+                    [h.unit[i] for i in src],
+                    [{(perm[j], perm[k]): c for (j, k), c in h.comult[i].items()}
+                     for i in src],
+                    [h.counit[i] for i in src],
+                    [row(h.antipode[i]) for i in src])
+
+
+GENERATOR_ROW_ALGEBRAS = {
+    "H8": build_h8,
+    "dual-H8": lambda: dual(build_h8()),
+    "kS3": lambda: from_group(build_symmetric(3)),
+    "kG12": lambda: from_group(builtin_group("G12")),
+    "dual-kG12": lambda: dual(from_group(builtin_group("G12"))),
+    "relabeled-kG12": lambda: _relabeled(from_group(builtin_group("G12")), 5),
+    "twisted-kD3xD3": lambda: _twisted("D3xD3", D3D3_A, NONDEG2),
+    "twisted-kG12": lambda: _twisted("G12", G12_GAMMA, NONDEG2),
+    # products with several terms: seven generator rows would reach all 12
+    "dual-twisted-kG12": lambda: dual(_twisted("G12", G12_GAMMA, NONDEG2)),
+    "twisted-kG18": lambda: _twisted("G18", G18_GAMMA, NONDEG3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_ROW_ALGEBRAS))
+def test_generator_rows_reach_every_index_from_below(name):
+    h = GENERATOR_ROW_ALGEBRAS[name]()
+    rows = _generator_rows(h)
+    assert rows == sorted(set(rows)) and rows[0] == 0
+    assert _one_term_closure(h, rows) == set(range(h.dim))
+    # an index outside the rows is reached from the rows below it; the
+    # verifier's first-failure argument rests on this
+    for i in set(range(h.dim)) - set(rows):
+        assert i in _one_term_closure(h, [r for r in rows if r < i])
+    # and no row is reached from the rows below it
+    for i in rows:
+        assert i not in _one_term_closure(h, [r for r in rows if r < i])
+
+
+def test_generator_rows_are_pinned():
+    assert _generator_rows(build_h8()) == [0, 1, 2, 4]
+    assert _generator_rows(_twisted("D3xD3", D3D3_A, NONDEG2)) == \
+        [0, 1, 3, 6, 18]
+    # k^G: e_a e_b = delta_ab e_a reaches nothing new
+    assert _generator_rows(dual(from_group(builtin_group("G12")))) == \
+        list(range(12))
+    assert _generator_rows(GENERATOR_ROW_ALGEBRAS["dual-twisted-kG12"]()) == \
+        list(range(12))
+
+
+def _full_scan_report(h):
+    """The Hopf axiom report of scans over every basis row, in order."""
+    m = h.dim
+    e = [basis_vec(m, i) for i in range(m)]
+    products = [[dict(h.mult[i][j]) for j in range(m)] for i in range(m)]
+
+    def times(u: dict, j: int) -> dict:  # u e_j for sparse u
+        out = {}
+        for p, c in u.items():
+            for k, d in products[p][j].items():
+                out[k] = out.get(k, ZERO) + c * d
+        return {k: c for k, c in out.items() if c}
+
+    def left_times(i: int, u: dict) -> dict:  # e_i u for sparse u
+        out = {}
+        for p, c in u.items():
+            for k, d in products[i][p].items():
+                out[k] = out.get(k, ZERO) + c * d
+        return {k: c for k, c in out.items() if c}
+
+    def first(fails, *ranges):
+        return next((t if len(t) > 1 else t[0]
+                     for t in itertools.product(*ranges) if fails(*t)), None)
+
+    def dense(u: dict):
+        return tuple(u.get(k, ZERO) for k in range(m))
+
+    unit = dict((k, c) for k, c in enumerate(h.unit) if c)
+    rows, pairs = range(m), (range(m), range(m))
+    detail = {}
+    detail["associativity"] = ("first failure at ", first(
+        lambda i, j, k: times(products[i][j], k) !=
+        left_times(i, products[j][k]), rows, rows, rows))
+    detail["unit"] = ("unit law fails at basis element ", first(
+        lambda i: h.vec_mul(h.unit, e[i]) != e[i] or
+        h.vec_mul(e[i], h.unit) != e[i], rows))
+
+    def coassociative(i):
+        left, right = {}, {}
+        for (j, k), c in h.comult[i].items():
+            for (p, q), d in h.comult[j].items():
+                left[(p, q, k)] = left.get((p, q, k), ZERO) + c * d
+            for (p, q), d in h.comult[k].items():
+                right[(j, p, q)] = right.get((j, p, q), ZERO) + c * d
+        return ({key: c for key, c in left.items() if c} ==
+                {key: c for key, c in right.items() if c})
+
+    detail["coassociativity"] = ("fails on basis element ", first(
+        lambda i: not coassociative(i), rows))
+
+    def counit_side(i, side):
+        out = [ZERO] * m
+        for (j, k), c in h.comult[i].items():
+            kept, dropped = (k, j) if side == 0 else (j, k)
+            out[kept] = out[kept] + c * h.counit[dropped]
+        return tuple(out)
+
+    detail["counit"] = ("counit law fails at basis element ", first(
+        lambda i: counit_side(i, 0) != e[i] or counit_side(i, 1) != e[i], rows))
+
+    bad = None
+    if h.comult_of(h.unit) != {(i, j): a * b for i, a in unit.items()
+                               for j, b in unit.items()}:
+        bad = "unit"
+    elif h.counit_of(h.unit) != ONE:
+        bad = "counit(1)"
+    else:
+        bad = first(lambda i, j: h.counit_of(dense(products[i][j])) !=
+                    h.counit[i] * h.counit[j], *pairs)
+        if bad is None:
+            bad = first(lambda i, j: h.comult_of(dense(products[i][j])) !=
+                        h.tensor_mul(h.comult[i], h.comult[j]), *pairs)
+    detail["bialgebra-compatibility"] = ("fails at ", bad)
+
+    def antipode_side(i, side):
+        out = [ZERO] * m
+        for (j, k), c in h.comult[i].items():
+            if side == 0:
+                term = h.vec_mul(h.antipode_of(e[j]), e[k])
+            else:
+                term = h.vec_mul(e[j], h.antipode_of(e[k]))
+            out = [a + c * b for a, b in zip(out, term)]
+        return tuple(out)
+
+    detail["antipode"] = ("antipode axiom fails at basis element ", first(
+        lambda i: any(antipode_side(i, s) != tuple(h.counit[i] * u
+                                                   for u in h.unit)
+                      for s in (0, 1)), rows))
+    detail["antipode-squared-identity"] = ("S^2 differs from id at ", first(
+        lambda i: h.antipode_of(h.antipode_of(e[i])) != e[i], rows))
+
+    checks = [{"axiom": axiom, "passed": bad is None,
+               "detail": text if bad is None else f"{text}{bad}"}
+              for axiom, (text, bad) in detail.items()]
+    return {"passed": all(c["passed"] for c in checks), "checks": checks}
+
+
+CORRUPTION_VALUES = [ONE, -ONE, CycNumber.from_rational(3),
+                     CycNumber.root_of_unity(3, 1), ZERO]
+
+
+def _corrupted(h, rng):
+    """h with one structure constant of mult, comult or antipode changed."""
+    mult = [[dict(row) for row in plane] for plane in h.mult]
+    comult = [dict(entry) for entry in h.comult]
+    antipode = [dict(row) for row in h.antipode]
+    m = h.dim
+    table, key = rng.choice([
+        (mult[rng.randrange(m)][rng.randrange(m)], rng.randrange(m)),
+        (comult[rng.randrange(m)], (rng.randrange(m), rng.randrange(m))),
+        (antipode[rng.randrange(m)], rng.randrange(m))])
+    if table and rng.random() < 0.5:
+        key = rng.choice(sorted(table))
+    delta = rng.choice(CORRUPTION_VALUES)
+    table[key] = table.get(key, ZERO) + delta if delta else ZERO
+    return HopfData(h.labels, mult, h.unit, comult, h.counit, antipode)
+
+
+@pytest.mark.parametrize("name,corruptions", [
+    ("H8", 24), ("dual-H8", 24), ("kS3", 24), ("kG12", 12), ("dual-kG12", 8),
+    ("relabeled-kG12", 16), ("twisted-kD3xD3", 8), ("twisted-kG12", 12),
+    ("dual-twisted-kG12", 16), ("twisted-kG18", 8)])
+def test_generator_row_scans_report_the_full_scan(name, corruptions):
+    h = GENERATOR_ROW_ALGEBRAS[name]()
+    rng = random.Random(f"generator-rows-{name}")
+    cases = [h] + [_corrupted(h, rng) for _ in range(corruptions)]
+    reports = [verify_hopf_axioms(c).to_json() for c in cases]
+    assert reports == [_full_scan_report(c) for c in cases]
+    assert reports[0]["passed"]
