@@ -202,9 +202,10 @@ def _cmd_h8_report(args) -> tuple[dict, list[str], int]:
     h8 = hopfcore.build_h8()
     report = hopfcore.verify_hopf_axioms(h8)
     glikes = hopfcore.group_like_elements(h8)
+    # The characters are one sorted list whatever the generating set.
     chars = hopfcore.algebra_characters(h8, generators=[1, 2, 4])
-    yd = hopfcore.yd_one_dim_pairs(h8)
-    central = hopfcore.central_group_likes(h8)
+    yd = hopfcore.yd_one_dim_pairs(h8, glikes, chars)
+    central = hopfcore.central_group_likes(h8, glikes)
 
     def vec_name(v):
         support = [h8.labels[i] for i, c in enumerate(v) if c]

@@ -279,7 +279,16 @@ class CycNumber:
 
     @staticmethod
     def root_of_unity(n: int, k: int) -> "CycNumber":
-        """zeta_n^k, reduced to its minimal field."""
+        """zeta_n^k, reduced to its minimal field.
+
+        zeta_n^k = zeta_d^j is a primitive d-th root of unity, which
+        generates Q(zeta_d), so it is written straight into canonical form
+        without a subfield descent.  For d not congruent to 2 mod 4 the
+        conductor is d and the value is the power-basis vector of zeta_d^j
+        over denominator 1.  For d = 2u with u odd, Q(zeta_d) = Q(zeta_u)
+        and zeta_2u = -zeta_u^((u+1)/2), so zeta_2u^j = (-1)^j
+        zeta_u^(j(u+1)/2), a vector of Q(zeta_u) over denominator 1.
+        """
         if n < 1:
             raise ValueError("order must be positive")
         k %= n
@@ -287,13 +296,17 @@ class CycNumber:
             return _ONE
         d = n // math.gcd(n, k)
         j = k // (n // d)
-        if d == 2:
-            return CycNumber.from_rational(-1)
-        if _canonical_conductor(d) > MAX_CONDUCTOR:
+        conductor = _canonical_conductor(d)
+        if conductor > MAX_CONDUCTOR:
             raise ConductorLimitError(
                 f"a primitive {d}-th root of unity needs conductor "
-                f"{_canonical_conductor(d)} > {MAX_CONDUCTOR}")
-        return _from_numerators(d, _dense(_powers(d)[j], euler_phi(d)), 1)
+                f"{conductor} > {MAX_CONDUCTOR}")
+        if conductor == d:
+            return _make(d, tuple(_dense(_powers(d)[j], euler_phi(d))), 1)
+        # j is coprime to the even d, so odd: the sign (-1)^j is -1.
+        u = conductor
+        terms = _powers(u)[j * (u + 1) // 2 % u]
+        return _make(u, tuple(-c for c in _dense(terms, euler_phi(u))), 1)
 
     # -- basic queries -----------------------------------------------------
 

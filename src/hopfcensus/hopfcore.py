@@ -365,17 +365,21 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
     lexicographic order.  Products of basis elements are read straight from
     the sparse structure constants.
 
-    Associativity, counit multiplicativity and bialgebra compatibility scan
-    only the triples and pairs whose first index is a generator row (see
-    ``_generator_rows``); every other index k is reached from generator rows
-    below it by products e_a e_b = c e_k with c != 0.  The x with
-    (xy)z = x(yz) for all y, z form a subspace closed under products, so it
-    holds e_k once it holds e_a and e_b.  Once H is associative the same is
-    true of the x with eps(xy) = eps(x) eps(y) for all y, and of those with
-    Delta(xy) = Delta(x) Delta(y); until then those two scans take every
-    row.  So a row that is not a generator row passes when the rows below
-    it pass: the first failing row is a generator row, and the reduced scan
-    reports the full scan's first failure without a second scan.
+    Associativity, counit multiplicativity, bialgebra compatibility and
+    coassociativity scan only the triples, pairs and rows whose first index
+    is a generator row (see ``_generator_rows``); every other index k is
+    reached from generator rows below it by products e_a e_b = c e_k with
+    c != 0.  The x with (xy)z = x(yz) for all y, z form a subspace closed
+    under products, so it holds e_k once it holds e_a and e_b.  Once H is
+    associative the same is true of the x with eps(xy) = eps(x) eps(y) for
+    all y, and of those with Delta(xy) = Delta(x) Delta(y); until then those
+    two scans take every row.  Once H is also a bialgebra, Delta and
+    Delta (x) id are algebra maps, so (Delta (x) id) Delta and
+    (id (x) Delta) Delta are too, and the x they agree on (their equalizer)
+    form a subalgebra; until then coassociativity takes every row.  So a row
+    that is not a generator row passes when the rows below it pass: the
+    first failing row is a generator row, and the reduced scan reports the
+    full scan's first failure without a second scan.
     Associativity costs O(|G| * dim^2) products for |G| generator rows.
     """
     checks: list[AxiomCheck] = []
@@ -384,9 +388,9 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
     columns = [[mult[p][k] for p in range(m)] for k in range(m)]  # e_p e_k
     unit = _nonzeros(h.unit)
 
-    def add(axiom, bad, detail=""):
+    def add(axiom, bad, failure):
         checks.append(AxiomCheck(axiom, bad is None,
-                                 detail if bad is None else f"{detail}{bad}"))
+                                 "" if bad is None else f"{failure}{bad}"))
 
     def combination(terms, rows) -> dict:
         return _pruned(_combine(terms, rows))
@@ -409,8 +413,21 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
                 or combination(unit, mult[i]) != {i: ONE}), None)
     add("unit", bad, "unit law fails at basis element ")
 
-    bad = None
-    for i in range(m):
+    # Bialgebra compatibility is decided first, as it can shorten the
+    # coassociativity scan; the report keeps the axioms' order.
+    compatible = None
+    if h.comult_of(h.unit) != h.unit_tensor():
+        compatible = "unit"
+    if compatible is None and h.counit_of(h.unit) != ONE:
+        compatible = "counit(1)"
+    if compatible is None:
+        compatible = first(lambda i, j: _evaluate(h.counit, mult[i][j]) !=
+                           h.counit[i] * h.counit[j], rows, every)
+    if compatible is None:
+        compatible = first(lambda i, j: _pruned(h._comult(mult[i][j])) !=
+                           h.tensor_mul(h.comult[i], h.comult[j]), rows, every)
+
+    def coassociative(i) -> bool:
         left: dict = {}
         right: dict = {}
         for (j, k), c in h.comult[i].items():
@@ -422,9 +439,10 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
                 key = (j, p, q)
                 acc = right.get(key, ZERO) + c * d
                 right[key] = acc
-        if _pruned(left) != _pruned(right):
-            bad = i
-            break
+        return _pruned(left) == _pruned(right)
+
+    bad = next((i for i in (rows if compatible is None else every)
+                if not coassociative(i)), None)
     add("coassociativity", bad, "fails on basis element ")
 
     bad = None
@@ -439,18 +457,7 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
             break
     add("counit", bad, "counit law fails at basis element ")
 
-    bad = None
-    if h.comult_of(h.unit) != h.unit_tensor():
-        bad = "unit"
-    if bad is None and h.counit_of(h.unit) != ONE:
-        bad = "counit(1)"
-    if bad is None:
-        bad = first(lambda i, j: _evaluate(h.counit, mult[i][j]) !=
-                    h.counit[i] * h.counit[j], rows, every)
-    if bad is None:
-        bad = first(lambda i, j: _pruned(h._comult(mult[i][j])) !=
-                    h.tensor_mul(h.comult[i], h.comult[j]), rows, every)
-    add("bialgebra-compatibility", bad, "fails at ")
+    add("bialgebra-compatibility", compatible, "fails at ")
 
     bad = None
     for i in range(m):
@@ -605,13 +612,18 @@ class CharacterFunctional:
 
 @functools.cache
 def _root_candidates() -> tuple[CycNumber, ...]:
-    """0 together with every root of unity the scalar field supports."""
-    out = {ZERO}
+    """0 together with every root of unity the scalar field supports.
+
+    Each root is built once, as a primitive d-th root zeta_d^j with j
+    coprime to d: roots of different orders differ, and a supported root
+    has an order d whose canonical conductor is at most MAX_CONDUCTOR, so
+    d <= 2 * MAX_CONDUCTOR.  The values are distinct without a set.
+    """
+    out = [ZERO]
     for d in range(1, 2 * MAX_CONDUCTOR + 1):
-        if _canonical_conductor(d) > MAX_CONDUCTOR:
-            continue
-        for j in range(d):
-            out.add(CycNumber.root_of_unity(d, j))
+        if _canonical_conductor(d) <= MAX_CONDUCTOR:
+            out += (CycNumber.root_of_unity(d, j) for j in range(d)
+                    if math.gcd(j, d) == 1)
     return tuple(sorted(out, key=CycNumber.sort_key))
 
 
@@ -915,14 +927,18 @@ class YDPairReport:
     invariant_factors: tuple[int, ...] | None
 
 
-def yd_one_dim_pairs(h: HopfData) -> YDPairReport:
+def yd_one_dim_pairs(h: HopfData, glikes=None, chars=None) -> YDPairReport:
     """Pairs (g, eta) with (eta -> v) g = g (v <- eta) on every basis element.
 
     These index the one-dimensional Yetter-Drinfeld modules; the report
-    carries the group they form under componentwise product.
+    carries the group they form under componentwise product.  A caller
+    that already holds ``group_like_elements(h)`` or
+    ``algebra_characters(h)`` passes them in place of a second computation.
     """
-    glikes = group_like_elements(h)
-    chars = algebra_characters(h)
+    if glikes is None:
+        glikes = group_like_elements(h)
+    if chars is None:
+        chars = algebra_characters(h)
     pairs = []
     for g in glikes:
         for eta in chars:
@@ -953,10 +969,13 @@ def yd_one_dim_pairs(h: HopfData) -> YDPairReport:
     return YDPairReport(tuple(pairs), group, factors)
 
 
-def central_group_likes(h: HopfData) -> list[tuple]:
-    """Group-like elements commuting with every basis element."""
+def central_group_likes(h: HopfData, glikes=None) -> list[tuple]:
+    """Group-like elements commuting with every basis element; ``glikes``
+    is ``group_like_elements(h)`` when the caller already holds it."""
+    if glikes is None:
+        glikes = group_like_elements(h)
     out = []
-    for g in group_like_elements(h):
+    for g in glikes:
         if all(h.vec_mul(g, h.basis_vector(i)) == h.vec_mul(h.basis_vector(i), g)
                for i in range(h.dim)):
             out.append(g)

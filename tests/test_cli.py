@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfcensus
+from hopfcensus import cyclotomic, hopfcore
 from hopfcensus.cli import _write_json, run
 from hopfcensus.fusion import from_group_characters
 from hopfcensus.groups import build_dihedral
@@ -102,6 +103,26 @@ def test_h8_report():
     assert results["yd_pair_count"] == 8
     assert results["yd_group_invariant_factors"] == [2, 2, 2]
     assert results["cocommutative"] is False
+
+
+def test_h8_report_computes_group_likes_and_characters_once(monkeypatch):
+    _, before = invoke(["h8-report"])
+    calls = []
+    for name in ("group_like_elements", "algebra_characters"):
+        def counted(h, *args, _name=name, _fn=getattr(hopfcore, name), **kw):
+            calls.append((_name, h.labels))
+            return _fn(h, *args, **kw)
+        monkeypatch.setattr(hopfcore, name, counted)
+    # Empty caches make the command build its roots of unity again.
+    hopfcore._root_candidates.cache_clear()
+    cyclotomic._subfield_solver.cache_clear()
+    code, after = invoke(["h8-report"])
+    assert code == 0 and after == before
+    h8 = hopfcore.build_h8().labels
+    assert calls.count(("group_like_elements", h8)) == 1
+    assert calls.count(("algebra_characters", h8)) == 1
+    # roots of unity are built in canonical form, without a subfield descent
+    assert cyclotomic._subfield_solver.cache_info().currsize == 0
 
 
 def test_twist_command():

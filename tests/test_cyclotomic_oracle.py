@@ -6,13 +6,16 @@ reduced modulo the 24th cyclotomic polynomial.  Sympy computes sums,
 products, inverses and conjugates there without any code of this package.
 """
 
+import math
 from fractions import Fraction
 
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hopfcensus.cyclotomic import CycNumber
+from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
+                                   _canonical_conductor, _dense,
+                                   _from_numerators, _powers, euler_phi)
 
 N = 24
 X = sympy.Symbol("x")
@@ -120,3 +123,27 @@ def test_mixed_int_and_fraction_operands_coerce(p, k, a):
     assert x / k == _slow_rational(p / k)
     if p:
         assert k / x == _slow_rational(k / p)
+
+
+def test_roots_of_unity_agree_with_the_descent_path_and_sympy():
+    # Every supported zeta_n^k: n up to 2 * MAX_CONDUCTOR with the canonical
+    # field label of n within MAX_CONDUCTOR.  The descent path writes it as
+    # x^k in Q(zeta_n) and lets the subfield descent find its minimal field.
+    # Sympy compares it in Q(zeta_L), L = lcm(n, conductor), as x^(kL/n).
+    pairs = [(n, k) for n in range(1, 2 * MAX_CONDUCTOR + 1)
+             if _canonical_conductor(n) <= MAX_CONDUCTOR for k in range(n)]
+    assert len(pairs) == 516
+    for n, k in pairs:
+        got = CycNumber.root_of_unity(n, k)
+        slow = _from_numerators(n, _dense(_powers(n)[k], euler_phi(n)), 1)
+        assert (got.conductor, got.num, got.den) == \
+            (slow.conductor, slow.num, slow.den), (n, k)
+        big = math.lcm(n, got.conductor)
+        phi = sympy.Poly(sympy.cyclotomic_poly(big, X), X, domain=sympy.QQ)
+        step = big // got.conductor
+        value = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator)
+                               * X ** (j * step)
+                               for j, c in enumerate(got.coeffs)),
+                           X, domain=sympy.QQ)
+        expected = sympy.Poly(X ** (k * (big // n)), X, domain=sympy.QQ)
+        assert value.rem(phi) == expected.rem(phi), (n, k)

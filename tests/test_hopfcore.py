@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from hopfcensus.cyclotomic import CycNumber
+from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
+                                   _canonical_conductor, _dense,
+                                   _from_numerators, _powers, euler_phi)
 from hopfcensus.fusion import AlgebraTypeSignature
 from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter,
                                action_from_generator_images, build_cyclic,
@@ -14,6 +16,7 @@ from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter,
 from hopfcensus.hopfcore import (CharacterFunctional, HopfData,
                                  NotNormalError, TwistElement,
                                  TwistInvalidError, ZERO, ONE, _generator_rows,
+                                 _root_candidates,
                                  algebra_characters, build_h8, build_lifted_twist,
                                  central_group_likes, character_convolution,
                                  cocommutativity_criterion,
@@ -636,7 +639,7 @@ def _full_scan_report(h):
         lambda i: h.antipode_of(h.antipode_of(e[i])) != e[i], rows))
 
     checks = [{"axiom": axiom, "passed": bad is None,
-               "detail": text if bad is None else f"{text}{bad}"}
+               "detail": "" if bad is None else f"{text}{bad}"}
               for axiom, (text, bad) in detail.items()]
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
@@ -662,6 +665,21 @@ def _corrupted(h, rng):
     return HopfData(h.labels, mult, h.unit, comult, h.counit, antipode)
 
 
+# Pairs (a, b) of non-central group elements: J = e_a (x) e_b is invertible
+# but no 2-cocycle.  J Delta J^{-1} is still an algebra map, so bialgebra
+# compatibility passes while coassociativity fails.
+CONJUGATIONS = {"kG12": ("G12", [(1, 2), (5, 5), (7, 11)]),
+                "twisted-kD3xD3": ("D3xD3", [(1, 2), (3, 5), (7, 11)])}
+
+
+def _conjugated(h, group, a, b):
+    """h with Delta replaced by J Delta J^{-1}, J = e_a (x) e_b."""
+    g = builtin_group(group)
+    j, j_inv = {(a, b): ONE}, {(g.inv(a), g.inv(b)): ONE}
+    comult = [h.tensor_mul(h.tensor_mul(j, d), j_inv) for d in h.comult]
+    return HopfData(h.labels, h.mult, h.unit, comult, h.counit, h.antipode)
+
+
 @pytest.mark.parametrize("name,corruptions", [
     ("H8", 24), ("dual-H8", 24), ("kS3", 24), ("kG12", 12), ("dual-kG12", 8),
     ("relabeled-kG12", 16), ("twisted-kD3xD3", 8), ("twisted-kG12", 12),
@@ -670,6 +688,26 @@ def test_generator_row_scans_report_the_full_scan(name, corruptions):
     h = GENERATOR_ROW_ALGEBRAS[name]()
     rng = random.Random(f"generator-rows-{name}")
     cases = [h] + [_corrupted(h, rng) for _ in range(corruptions)]
-    reports = [verify_hopf_axioms(c).to_json() for c in cases]
-    assert reports == [_full_scan_report(c) for c in cases]
+    group, pairs = CONJUGATIONS.get(name, (None, []))
+    conjugated = [_conjugated(h, group, a, b) for a, b in pairs]
+    reports = [verify_hopf_axioms(c).to_json() for c in cases + conjugated]
+    assert reports == [_full_scan_report(c) for c in cases + conjugated]
     assert reports[0]["passed"]
+    for report in reports[len(cases):]:
+        passed = {c["axiom"]: c["passed"] for c in report["checks"]}
+        assert passed["associativity"] and passed["bialgebra-compatibility"]
+        assert not passed["coassociativity"]
+
+
+def test_root_candidates_are_every_supported_root_once():
+    # Every zeta_d^j, each through the general constructor's subfield
+    # descent, gathered in a set: zero and the 268 roots of unity whose
+    # order d has a canonical conductor within MAX_CONDUCTOR.
+    expected = {ZERO} | {
+        _from_numerators(d, _dense(_powers(d)[j], euler_phi(d)), 1)
+        for d in range(1, 2 * MAX_CONDUCTOR + 1)
+        if _canonical_conductor(d) <= MAX_CONDUCTOR for j in range(d)}
+    candidates = _root_candidates()
+    assert len(candidates) == len(set(candidates)) == 269
+    assert set(candidates) == expected
+    assert list(candidates) == sorted(candidates, key=vkey)
