@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 from hopfcensus import census as census_mod
 from hopfcensus import fusion, groups, hopfcore
-from hopfcensus.cyclotomic import MAX_CONDUCTOR, CycNumber
+from hopfcensus.cyclotomic import MAX_CONDUCTOR, ConductorLimitError, CycNumber
 
 FUSION_AXIOM_CITATIONS = {
     "degree-homomorphism": "degrees are multiplicative on products of characters",
@@ -427,7 +427,7 @@ def run(argv, out=None) -> int:
     except SystemExit as exc:   # --help
         return 2 if exc.code else 0
     except (UsageError, fusion.FusionError, census_mod.CensusError,
-            groups.GroupError, hopfcore.HopfError, OSError,
+            groups.GroupError, hopfcore.HopfError, ConductorLimitError, OSError,
             UnicodeDecodeError, json.JSONDecodeError) as exc:
         out.write(f"error: {exc}\n")
         return 2

@@ -7,7 +7,7 @@ that polynomial divided by ``den``, with gcd(den, *num) = 1.  This is the
 representation GAP uses for cyclotomics.  Reduction modulo Phi_n (rather
 than x^n - 1) keeps the ring a field, so every nonzero element is
 invertible; Phi_n is monic with integer coefficients, so the power basis
-tables, lifting and reduction need no fractions.
+tables, lifting, reduction and inversion need no fractions.
 
 The representative is canonical: the conductor is always the smallest m
 with the value in Q(zeta_m) (and never congruent to 2 mod 4, since
@@ -158,6 +158,34 @@ def _reduce_poly(coeffs: list[int], n: int) -> list[int]:
     return out
 
 
+def _times(a, b, n: int) -> list[int]:
+    """The product of two integer vectors of Q(zeta_n), reduced modulo Phi_n."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] += x * y
+    return _reduce_poly(prod, n)
+
+
+def _galois(num, n: int, k: int) -> list[int]:
+    """sigma_k(num): the image of an integer vector of Q(zeta_n) under the
+    automorphism zeta_n -> zeta_n^k, for k coprime to n.
+
+    sigma_k maps Q(zeta_m) onto itself for every m dividing n, and it maps
+    the integer lattice Z[zeta_n] onto itself, so it keeps both the minimal
+    conductor and the gcd of the numerators.
+    """
+    powers = _powers(n)
+    out = [0] * euler_phi(n)
+    for j, c in enumerate(num):
+        if c:
+            for t, v in powers[j * k % n]:
+                out[t] += c * v
+    return out
+
+
 @lru_cache(maxsize=None)
 def _lift_rows(k: int, n: int):
     """zeta_k^j for j < phi(k) in the power basis of Q(zeta_n), k | n."""
@@ -247,7 +275,7 @@ def _try_descend(v, n: int, m: int):
 class CycNumber:
     """An exact element of a cyclotomic field, canonical and immutable."""
 
-    __slots__ = ("conductor", "num", "den", "_hash")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs):
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
@@ -407,31 +435,33 @@ class CycNumber:
         if other.conductor == 1:
             return other.__mul__(self)
         n = self._common(other)
-        a, b = _lifted(self, n), _lifted(other, n)
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return _from_numerators(n, _reduce_poly(prod, n), self.den * other.den)
+        return _from_numerators(n, _times(_lifted(self, n), _lifted(other, n), n),
+                                self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def inv(self) -> "CycNumber":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse; raises ZeroDivisionError on zero.
+
+        For conductor n > 1, x^-1 = prod_{k != 1} sigma_k(x) / N(x) over the
+        k coprime to n, where the norm N(x) = x * prod_{k != 1} sigma_k(x)
+        is rational.  x^-1 lies in the same minimal field as x.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.conductor == 1:
             p, q = self.num[0], self.den
             return _make(1, (q,), p) if p > 0 else _make(1, (-q,), -p)
-        n = self.conductor
-        phi_poly = [Fraction(c) for c in cyclotomic_poly(n)]
-        g, s = _poly_xgcd(list(self.coeffs), phi_poly)
-        # g is a nonzero constant since Phi_n is irreducible over Q.
-        c = g[0]
-        return CycNumber(n, [x / c for x in s])
+        n, num, den = self.conductor, self.num, self.den
+        rest = _galois(num, n, n - 1)
+        for k in range(2, n - 1):
+            if _gcd(k, n) == 1:
+                rest = _times(rest, _galois(num, n, k), n)
+        norm = _times(num, rest, n)[0]
+        if norm < 0:
+            norm, den = -norm, -den
+        return _normalized(n, [den * c for c in rest], norm)
 
     def __truediv__(self, other) -> "CycNumber":
         other = _coerce(other)
@@ -459,13 +489,7 @@ class CycNumber:
         n = self.conductor
         if n == 1:
             return self
-        powers = _powers(n)
-        out = [0] * euler_phi(n)
-        for j, c in enumerate(self.num):
-            if c:
-                for t, v in powers[(n - j) % n]:
-                    out[t] += c * v
-        return _from_numerators(n, out, self.den)
+        return _make(n, tuple(_galois(self.num, n, n - 1)), self.den)
 
     # -- comparison, hashing, display, serialization ------------------------
 
@@ -478,16 +502,16 @@ class CycNumber:
             and self.num == other.num
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.conductor, self.coeffs))
-            _set_hash(self, h)
-            return h
+        return hash((self.conductor, self.num, self.den))
 
     def sort_key(self):
-        return (self.conductor,
-                tuple((c.numerator, c.denominator) for c in self.coeffs))
+        """(conductor, the (numerator, denominator) of each coefficient in
+        lowest terms): the order reports list values in."""
+        den, pairs = self.den, []
+        for c in self.num:
+            g = _gcd(c, den)
+            pairs.append((c // g, den // g))
+        return self.conductor, tuple(pairs)
 
     def __repr__(self) -> str:
         if self.conductor == 1:
@@ -517,15 +541,13 @@ _new_instance = object.__new__
 _set_conductor = CycNumber.__dict__["conductor"].__set__
 _set_num = CycNumber.__dict__["num"].__set__
 _set_den = CycNumber.__dict__["den"].__set__
-_set_hash = CycNumber.__dict__["_hash"].__set__
 
 
 def _make(conductor: int, num: tuple[int, ...], den: int) -> CycNumber:
     """The value num / den, already canonical: minimal conductor and
     gcd(den, *num) = 1 with den > 0.
 
-    Skips ``__init__`` (coercion and ``_canonicalize``); ``_hash`` stays
-    unset until ``__hash__`` first runs.
+    Skips ``__init__`` (coercion and ``_canonicalize``).
     """
     x = _new_instance(CycNumber)
     _set_conductor(x, conductor)
@@ -580,54 +602,6 @@ def _canonicalize(n: int, num: list[int], den: int):
         # descent failed, which cannot happen here.
         raise AssertionError(f"descent from conductor {n} must succeed")
     return n, num, den
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = _poly_trim(list(num))
-    den = _poly_trim(list(den))
-    if len(num) < len(den):
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1]
-        if c:
-            f = c / lead
-            q[i] = f
-            for j, dj in enumerate(den):
-                num[i + j] -= f * dj
-    return _poly_trim(q), _poly_trim(num[:len(den) - 1] or [Fraction(0)])
-
-
-def _poly_is_zero(p: list[Fraction]) -> bool:
-    return all(c == 0 for c in p)
-
-
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Extended Euclid in Q[x]: returns (g, s) with s*a = g (mod b)."""
-    r0, s0 = _poly_trim(list(b)), [Fraction(0)]
-    r1, s1 = _poly_trim(list(a)), [Fraction(1)]
-    while not _poly_is_zero(r1):
-        q, rem = _poly_divmod(r0, r1)
-        qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(s1):
-                    qs1[i + j] += x * y
-        s_next = [Fraction(0)] * max(len(s0), len(qs1))
-        for i, c in enumerate(s0):
-            s_next[i] += c
-        for i, c in enumerate(qs1):
-            s_next[i] -= c
-        r0, s0 = r1, s1
-        r1, s1 = rem, _poly_trim(s_next)
-    return r0, s0
 
 
 _ZERO = _make(1, (0,), 1)

@@ -27,7 +27,8 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from hopfcensus.groups import FiniteGroup, abelian_decomposition
+from hopfcensus.groups import (FiniteGroup, _closure, _element_order,
+                               abelian_decomposition)
 
 
 class FusionError(ValueError):
@@ -396,22 +397,6 @@ def _stabilizer_size_defect(stab, d) -> int | None:
     return None if stab and d * d % len(stab) == 0 else len(stab)
 
 
-def _element_order(rows, unit, g) -> int | None:
-    """The least n with g^n = unit, read from the one-hot rows x*g.
-
-    None when a row on the way is unknown, or when the powers of g miss the
-    unit, as in a degree-1 block that is not a group.
-    """
-    x, n = g, 1
-    while x != unit:
-        row = rows[x][g]
-        if row is None or n > len(rows):
-            return None
-        x = row[0][0]
-        n += 1
-    return n
-
-
 def _stabilizer_exponent_defect(rows, unit, stab, d) -> int | None:
     """The first g in G[chi] whose order is known and does not divide d."""
     for g in stab:
@@ -419,32 +404,6 @@ def _stabilizer_exponent_defect(rows, unit, stab, d) -> int | None:
         if order is not None and d % order:
             return g
     return None
-
-
-def _closure(rows, dual, unit, seed) -> frozenset[int] | None:
-    """The least set holding the unit and the seed and closed under products
-    and duals, or None on meeting an unknown row.
-
-    Each member enters the queue with its dual and, when taken, is multiplied
-    on both sides by every member taken before it.  So every product of two
-    members is read, and the result does not depend on the queue order.
-    """
-    closed = {unit, *seed}
-    closed |= {dual[i] for i in closed}
-    queue, taken = list(closed), []
-    while queue:
-        a = queue.pop()
-        taken.append(a)
-        for b in taken:
-            for row in (rows[a][b], rows[b][a]):
-                if row is None:
-                    return None
-                for k, _ in row:
-                    if k not in closed:
-                        new = {k, dual[k]}
-                        closed |= new
-                        queue.extend(new)
-    return frozenset(closed)
 
 
 def _associativity_defect(rows, x, y, z) -> int | None:

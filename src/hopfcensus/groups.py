@@ -105,11 +105,7 @@ class FiniteGroup:
         return result
 
     def element_order(self, g: int) -> int:
-        x, n = g, 1
-        while x != self.identity:
-            x = self.table[x][g]
-            n += 1
-        return n
+        return _element_order(self._sparse, self.identity, g)
 
     def elements(self) -> range:
         return range(self.order)
@@ -118,6 +114,13 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
     # -- derived invariants ---------------------------------------------------
+
+    @cached_property
+    def _sparse(self):
+        """The table as one-hot rows for the closure kernels; ``_inv`` is
+        their dual."""
+        hot = [((k, 1),) for k in range(self.order)]
+        return tuple(tuple(hot[c] for c in row) for row in self.table)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -148,18 +151,7 @@ class FiniteGroup:
         return tuple(classes)
 
     def subgroup_closure(self, gens) -> tuple[int, ...]:
-        closed = {self.identity, *gens}
-        frontier = list(closed)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(closed):
-                    for c in (self.table[a][b], self.table[b][a], self._inv[a]):
-                        if c not in closed:
-                            closed.add(c)
-                            nxt.append(c)
-            frontier = nxt
-        return tuple(sorted(closed))
+        return tuple(sorted(_closure(self._sparse, self._inv, self.identity, gens)))
 
     @cached_property
     def commutator_subgroup(self) -> tuple[int, ...]:
@@ -249,6 +241,55 @@ class FiniteGroup:
                 f"{len(solutions)} degree multisets satisfy the constraints "
                 f"for {self.name}")
         return (1,) * ell + solutions[0]
+
+
+# -- closure kernels over sparse rows ----------------------------------------
+#
+# ``rows[i][j]`` lists the nonzero (k, N[i][j][k]) of the product i*j, or is
+# None while that row is unknown: the structure constants of a fusion ring
+# (see the fusion module).  A group table is the fusion ring whose every
+# degree is 1, with one-hot rows and inversion as the dual.
+
+def _element_order(rows, unit, g) -> int | None:
+    """The least n with g^n = unit, read from the one-hot rows x*g.
+
+    None when a row on the way is unknown, or when the powers of g miss the
+    unit, as in a degree-1 block that is not a group.
+    """
+    x, n = g, 1
+    while x != unit:
+        row = rows[x][g]
+        if row is None or n > len(rows):
+            return None
+        x = row[0][0]
+        n += 1
+    return n
+
+
+def _closure(rows, dual, unit, seed) -> frozenset[int] | None:
+    """The least set holding the unit and the seed and closed under products
+    and duals, or None on meeting an unknown row.
+
+    Each member enters the queue with its dual and, when taken, is multiplied
+    on both sides by every member taken before it.  So every product of two
+    members is read, and the result does not depend on the queue order.
+    """
+    closed = {unit, *seed}
+    closed |= {dual[i] for i in closed}
+    queue, taken = list(closed), []
+    while queue:
+        a = queue.pop()
+        taken.append(a)
+        for b in taken:
+            for row in (rows[a][b], rows[b][a]):
+                if row is None:
+                    return None
+                for k, _ in row:
+                    if k not in closed:
+                        new = {k, dual[k]}
+                        closed |= new
+                        queue.extend(new)
+    return frozenset(closed)
 
 
 # -- abelian structure ------------------------------------------------------

@@ -154,6 +154,14 @@ def test_bad_inputs_exit_2():
     assert invoke(["twist", "--group", "S3", "--subgroup", "auto",
                    "--bicharacter", "trivial"])[0] == 2    # no canonical subgroup
     assert invoke(["fusion-verify"])[0] == 2
+    # Entries of conductors 5 and 7 multiply into conductor 35: an input the
+    # package cannot compute with, not a failed verification (exit 1).
+    z5 = {"conductor": 5, "coeffs": ["0", "1", "0", "0"]}
+    z7 = {"conductor": 7, "coeffs": ["0", "1", "0", "0", "0", "0"]}
+    for matrix in ("[[1,[5,1]],[[7,1],1]]", json.dumps([[1, z5], [z7, 1]])):
+        assert invoke(["twist", "--group", "Z2xZ2", "--subgroup", "0,1,2,3",
+                       "--bicharacter", matrix]) == \
+            (2, "error: operation needs conductor 35 > 24\n")
 
 
 @pytest.mark.parametrize("subgroup,reason", [

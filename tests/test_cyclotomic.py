@@ -1,15 +1,19 @@
 """Exact cyclotomic arithmetic: examples, field axioms, canonical form."""
 
+import ast
 import importlib
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfcensus import cyclotomic
 from hopfcensus.cyclotomic import (MAX_CONDUCTOR, ConductorLimitError,
                                    CycNumber, cyclotomic_poly, euler_phi)
 
@@ -17,6 +21,7 @@ zeta = CycNumber.root_of_unity
 rat = CycNumber.from_rational
 ONE = CycNumber.one()
 ZERO = CycNumber.zero()
+X = sympy.Symbol("x")
 
 
 def test_rational_addition():
@@ -191,12 +196,14 @@ def _check_representation(x):
     assert x.den > 0 and math.gcd(x.den, *x.num) == 1
     assert len(x.num) == euler_phi(x.conductor)
     assert x.coeffs == tuple(Fraction(c, x.den) for c in x.num)
-    assert hash(x) == hash((x.conductor, x.coeffs))
+    assert x.sort_key() == (x.conductor, tuple((c.numerator, c.denominator)
+                                               for c in x.coeffs))
     data = x.to_json()
     again = CycNumber.from_json(json.loads(json.dumps(data)))
     assert again == x and json.dumps(again.to_json()) == json.dumps(data)
     slow = CycNumber(x.conductor, x.coeffs)
     assert (slow.conductor, slow.num, slow.den) == (x.conductor, x.num, x.den)
+    assert hash(x) == hash(slow)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -229,3 +236,68 @@ def test_every_traced_operation_is_defined_on_the_class(monkeypatch):
     assert [name for name in names if name not in CycNumber.__dict__] == []
     for name in ("from_rational", "root_of_unity", "from_json"):
         assert isinstance(CycNumber.__dict__[name], staticmethod)
+
+
+# -- inverse and conjugate against sympy at every supported conductor -----------
+
+SUPPORTED = tuple(n for n in range(1, MAX_CONDUCTOR + 1) if n % 4 != 2)
+
+
+def _sympy_value(x, n, phi):
+    """x, whose conductor divides n, as a sympy polynomial in zeta_n mod phi."""
+    step = n // x.conductor
+    return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator)
+                          * X ** (j * step) for j, c in enumerate(x.coeffs)),
+                      X, domain=sympy.QQ).rem(phi)
+
+
+@pytest.mark.parametrize("n", SUPPORTED)
+def test_inverse_and_conjugate_agree_with_sympy(n):
+    # Q(zeta_n) has the automorphisms zeta_n -> zeta_n^k for k coprime to n;
+    # inv multiplies all but the identity together, so a value needs every
+    # coefficient in play for an omitted k to show.
+    phi = sympy.Poly(sympy.cyclotomic_poly(n, X), X, domain=sympy.QQ)
+    rnd = random.Random(n)
+    samples = [zeta(n, 1), zeta(n, 1) + rat(Fraction(1, 3))]
+    for _ in range(6):
+        samples.append(CycNumber(n, [Fraction(rnd.randint(-9, 9),
+                                              rnd.randint(1, 7))
+                                     for _ in range(euler_phi(n))]))
+    assert sum(x.conductor == n for x in samples) >= 7
+    for x in samples:
+        px = _sympy_value(x, n, phi)
+        assert _sympy_value(x.conjugate(), n, phi) == \
+            px.compose(sympy.Poly(X ** (n - 1), X)).rem(phi)
+        if x:
+            inverse = x.inv()
+            assert inverse.conductor == x.conductor
+            assert _sympy_value(inverse, n, phi) == px.invert(phi)
+
+
+# -- the Fraction boundary ----------------------------------------------------------
+
+# The only definitions of cyclotomic.py that may name Fraction: the API edges
+# that take or give Fractions, and the subfield solver, which is cached once
+# per pair of fields.  The arithmetic runs on integers.
+FRACTION_EDGES = {"__init__", "from_rational", "coeffs", "rational_value",
+                  "from_json", "_coerce", "_subfield_solver"}
+
+
+def test_fraction_is_named_only_at_the_api_edges():
+    tree = ast.parse(Path(cyclotomic.__file__).read_text(encoding="utf-8"))
+    definitions = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            definitions += [item for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            definitions.append(node)
+    users = {node.name for node in definitions
+             if any(isinstance(n, ast.Name) and n.id == "Fraction"
+                    for n in ast.walk(node))}
+    assert users <= FRACTION_EDGES
+    inside = {id(n) for node in definitions for n in ast.walk(node)}
+    outside = [n.lineno for n in ast.walk(tree)
+               if isinstance(n, ast.Name) and n.id == "Fraction"
+               and id(n) not in inside]
+    assert outside == []

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from hopfcensus.cyclotomic import CycNumber
-from hopfcensus.groups import (AltBicharacter, FiniteGroup, GroupAction,
-                               GroupError, NotAutomorphismActionError,
+from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter, FiniteGroup,
+                               GroupAction, GroupError, NotAutomorphismActionError,
                                action_from_generator_images, build_cyclic,
                                build_dihedral, build_product,
                                build_quaternion, build_semidirect,
@@ -127,3 +127,26 @@ def test_builtin_g12_g18():
     assert g18.is_normal(gamma)
     with pytest.raises(GroupError):
         builtin_group("nope")
+
+
+def brute_force_closure(g: FiniteGroup, gens):
+    """The subgroup generated by gens: products of pairs until none is new."""
+    closed = {g.identity, *gens}
+    while True:
+        products = {g.table[a][b] for a in closed for b in closed}
+        if products <= closed:
+            return tuple(sorted(closed))
+        closed |= products
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_orders_and_closures_match_brute_force(name):
+    g = builtin_group(name)
+    for a in g.elements():
+        powers = [a]
+        while powers[-1] != g.identity:
+            powers.append(g.table[powers[-1]][a])
+        assert g.element_order(a) == len(powers)
+        assert g.subgroup_closure([a]) == brute_force_closure(g, [a])
+        for b in range(a):
+            assert g.subgroup_closure([a, b]) == brute_force_closure(g, [a, b])
