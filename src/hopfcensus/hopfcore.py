@@ -8,6 +8,14 @@ vectors, as are the vectors the public API takes and returns.
 Everything here is exact; the axiom verifier reports per-axiom pass/fail
 with the first violating basis triple.
 
+``LinearBasis`` is the module's one exact elimination: it writes a vector
+of its span in the vectors it accepted, which gives minimal polynomials,
+the word basis of the character search and the inverse of the twist's
+antipode corrector.  The Hopf and twist axioms share their coproduct legs:
+``_delta_legs`` gives both sides of coassociativity and the inner terms of
+the cocycle identity, and ``_counit_legs`` both sides of the counit law and
+of counit normalization.
+
 The module covers: group algebras and duals, the 8-dimensional
 Kac-Paljutkin algebra, multiplicative characters and group-like
 elements, the regular hit actions, one-dimensional Yetter-Drinfeld
@@ -63,86 +71,54 @@ class TwistInvalidError(HopfError):
 # -- small exact linear algebra ------------------------------------------------
 
 class LinearBasis:
-    """Row-echelon span tracker over the cyclotomic field."""
+    """Row-echelon span tracker over the cyclotomic field.
+
+    Each reduced row keeps its expression in the vectors ``add`` accepted,
+    so ``coordinates`` writes a vector of the span in those vectors.  Rows
+    and expressions are sparse (index, coefficient) pairs.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: list[tuple] = []
-        self.pivots: list[int] = []
+        self.rows: list[tuple] = []   # (pivot, reduced row, its expression)
 
-    def _reduce(self, vec):
+    def _reduce(self, vec) -> tuple[list, dict]:
+        """(vec - r, r in the accepted vectors), r the row combination that
+        clears vec at every pivot."""
         vec = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if vec[p]:
-                c = vec[p]
-                for t in range(self.dim):
-                    if row[t]:
-                        vec[t] = vec[t] - c * row[t]
-        return vec
+        expr: dict = {}
+        for pivot, row, comb in self.rows:
+            c = vec[pivot]
+            if c:
+                for t, x in row:
+                    vec[t] = vec[t] - c * x
+                _add_scaled(expr, c, comb)
+        return vec, expr
 
-    def contains(self, vec) -> bool:
-        return all(not c for c in self._reduce(vec))
+    def coordinates(self, vec):
+        """The coefficients of vec in the accepted vectors; None off the span."""
+        red, expr = self._reduce(vec)
+        if any(red):
+            return None
+        return tuple(expr.get(a, ZERO) for a in range(self.rank))
 
     def add(self, vec) -> bool:
         """Insert the vector; True if it enlarged the span."""
-        red = self._reduce(vec)
+        red, expr = self._reduce(vec)
         pivot = next((t for t in range(self.dim) if red[t]), None)
         if pivot is None:
             return False
         inv = red[pivot].inv()
-        red = [c * inv for c in red]
-        self.rows.append(tuple(red))
-        self.pivots.append(pivot)
+        # red = vec - sum_a expr[a] v_a, and vec is accepted vector number rank
+        comb = [(a, -(e * inv)) for a, e in expr.items() if e]
+        comb.append((self.rank, inv))
+        self.rows.append((pivot, [(t, c * inv) for t, c in enumerate(red) if c],
+                          comb))
         return True
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def solve_linear_multi(columns, rhs_list):
-    """Solve sum_j x_j columns[j] = rhs for several rhs with one elimination.
-
-    Returns a list of solutions (None entries for inconsistent systems).
-    """
-    m = len(columns[0]) if columns else len(rhs_list[0])
-    k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] +
-           [rhs[i] for rhs in rhs_list] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = aug[r][c].inv()
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                row_r = aug[r]
-                aug[i] = [x if not row_r[t] else x - f * row_r[t]
-                          for t, x in enumerate(aug[i])]
-        pivots.append((r, c))
-        r += 1
-    pivot_rows = {pr for pr, _ in pivots}
-    out = []
-    for t in range(len(rhs_list)):
-        col = k + t
-        if any(aug[i][col] for i in range(m) if i not in pivot_rows):
-            out.append(None)
-            continue
-        sol = [ZERO] * k
-        for pr, c in pivots:
-            sol[c] = aug[pr][col]
-        out.append(tuple(sol))
-    return out
-
-
-def solve_linear(columns, rhs):
-    """Solve sum_j x_j columns[j] = rhs exactly; None when inconsistent."""
-    return solve_linear_multi(columns, [rhs])[0]
 
 
 # -- HopfData -------------------------------------------------------------------
@@ -174,6 +150,12 @@ def _combine(terms, rows) -> dict:
 
 def _pruned(out: dict) -> dict:
     return {k: c for k, c in out.items() if c}
+
+
+def _outer(u, v) -> dict:
+    """u (x) v for dense vectors, as a sparse {(i, j): coefficient} dict."""
+    v = _nonzeros(v)
+    return {(i, j): a * b for i, a in _nonzeros(u) for j, b in v}
 
 
 def _evaluate(values, terms) -> CycNumber:
@@ -279,16 +261,6 @@ class HopfData:
                             out[key] = out[key] + t if key in out else t
         return _pruned(out)
 
-    def unit_tensor(self) -> dict:
-        out: dict = {}
-        for i, a in enumerate(self.unit):
-            if not a:
-                continue
-            for j, b in enumerate(self.unit):
-                if b:
-                    out[(i, j)] = a * b
-        return out
-
     # -- serialization
 
     def to_json(self) -> dict:
@@ -328,6 +300,32 @@ class HopfData:
 
 
 # -- axiom verification -----------------------------------------------------------
+
+def _delta_legs(h: HopfData, t: dict) -> tuple[dict, dict]:
+    """(Delta (x) id) t and (id (x) Delta) t for t in H (x) H, over triples."""
+    left: dict = {}
+    right: dict = {}
+    comult = h.comult
+    for (i, j), c in t.items():
+        for (p, q), d in comult[i].items():
+            key, x = (p, q, j), c * d
+            left[key] = left[key] + x if key in left else x
+        for (p, q), d in comult[j].items():
+            key, x = (i, p, q), c * d
+            right[key] = right[key] + x if key in right else x
+    return _pruned(left), _pruned(right)
+
+
+def _counit_legs(h: HopfData, t: dict) -> tuple[tuple, tuple]:
+    """(eps (x) id) t and (id (x) eps) t for t in H (x) H, as dense vectors."""
+    left = [ZERO] * h.dim
+    right = [ZERO] * h.dim
+    counit = h.counit
+    for (i, j), c in t.items():
+        left[j] = left[j] + c * counit[i]
+        right[i] = right[i] + c * counit[j]
+    return tuple(left), tuple(right)
+
 
 def _generator_rows(h: HopfData) -> list[int]:
     """Basis indices from which one-term products reach every basis index.
@@ -416,7 +414,7 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
     # Bialgebra compatibility is decided first, as it can shorten the
     # coassociativity scan; the report keeps the axioms' order.
     compatible = None
-    if h.comult_of(h.unit) != h.unit_tensor():
+    if h.comult_of(h.unit) != _outer(h.unit, h.unit):
         compatible = "unit"
     if compatible is None and h.counit_of(h.unit) != ONE:
         compatible = "counit(1)"
@@ -428,33 +426,15 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
                            h.tensor_mul(h.comult[i], h.comult[j]), rows, every)
 
     def coassociative(i) -> bool:
-        left: dict = {}
-        right: dict = {}
-        for (j, k), c in h.comult[i].items():
-            for (p, q), d in h.comult[j].items():
-                key = (p, q, k)
-                acc = left.get(key, ZERO) + c * d
-                left[key] = acc
-            for (p, q), d in h.comult[k].items():
-                key = (j, p, q)
-                acc = right.get(key, ZERO) + c * d
-                right[key] = acc
-        return _pruned(left) == _pruned(right)
+        left, right = _delta_legs(h, h.comult[i])
+        return left == right
 
     bad = next((i for i in (rows if compatible is None else every)
                 if not coassociative(i)), None)
     add("coassociativity", bad, "fails on basis element ")
 
-    bad = None
-    for i in range(m):
-        lvec = [ZERO] * m
-        rvec = [ZERO] * m
-        for (j, k), c in h.comult[i].items():
-            lvec[k] = lvec[k] + c * h.counit[j]
-            rvec[j] = rvec[j] + c * h.counit[k]
-        if tuple(lvec) != h.basis_vector(i) or tuple(rvec) != h.basis_vector(i):
-            bad = i
-            break
+    bad = next((i for i in range(m) if _counit_legs(h, h.comult[i]) !=
+                (h.basis_vector(i),) * 2), None)
     add("counit", bad, "counit law fails at basis element ")
 
     add("bialgebra-compatibility", compatible, "fails at ")
@@ -629,20 +609,12 @@ def _root_candidates() -> tuple[CycNumber, ...]:
 
 def minimal_polynomial(h: HopfData, vec) -> list[CycNumber]:
     """Monic minimal polynomial of an algebra element, ascending coefficients."""
-    powers = [h.unit]
     basis = LinearBasis(h.dim)
-    basis.add(h.unit)
-    current = h.unit
-    while True:
-        current = h.vec_mul(current, vec)
-        if not basis.add(current):
-            powers.append(current)
-            break
-        powers.append(current)
-    k = len(powers) - 1
-    sol = solve_linear([powers[i] for i in range(k)], powers[k])
-    assert sol is not None
-    return [-c for c in sol] + [ONE]
+    power = h.unit
+    while basis.add(power):
+        power = h.vec_mul(power, vec)
+    # power is the first one add rejected: write it in the lower ones
+    return [-c for c in basis.coordinates(power)] + [ONE]
 
 
 def _poly_eval(coeffs, point: CycNumber) -> CycNumber:
@@ -716,37 +688,38 @@ def _synthetic_div(coeffs, root):
 def minimal_generating_indices(h: HopfData) -> list[int]:
     """A small basis-index set generating the algebra, found greedily."""
     chosen: list[int] = []
-    span = _algebra_closure(h, chosen)
+    _, span = _words(h, chosen)
     for i in range(h.dim):
         if span.rank == h.dim:
             break
-        if not span.contains(h.basis_vector(i)):
+        if span.coordinates(h.basis_vector(i)) is None:
             chosen.append(i)
-            span = _algebra_closure(h, chosen)
-    if span.rank != h.dim:
-        raise GeneratorsDoNotSpanError("no generating set found")
+            _, span = _words(h, chosen)
     return chosen
 
 
-def _algebra_closure(h: HopfData, indices) -> LinearBasis:
+def _words(h: HopfData, generators) -> tuple[list, LinearBasis]:
+    """A word basis of the subalgebra the generator indices generate.
+
+    Words are letter tuples (positions in ``generators``), taken breadth
+    first: a word joins when its product e_(g_1) ... e_(g_r) enlarges the
+    span of the words before it.  Returns the words and the LinearBasis
+    whose accepted vectors are their products, in the same order.
+    """
     basis = LinearBasis(h.dim)
     basis.add(h.unit)
-    vectors = [h.unit] + [h.basis_vector(i) for i in indices]
-    for v in vectors:
-        basis.add(v)
-    changed = True
-    current = list(vectors)
-    while changed and basis.rank < h.dim:
-        changed = False
-        products = []
-        for u in current:
-            for g in indices:
-                p = h.vec_mul(u, h.basis_vector(g))
-                if basis.add(p):
-                    products.append(p)
-                    changed = True
-        current += products
-    return basis
+    words: list[tuple[int, ...]] = [()]
+    frontier = [((), h.unit)]
+    while frontier and basis.rank < h.dim:
+        nxt = []
+        for letters, vec in frontier:
+            for gpos, g in enumerate(generators):
+                w = h.vec_mul(vec, h.basis_vector(g))
+                if basis.add(w):
+                    words.append(letters + (gpos,))
+                    nxt.append((letters + (gpos,), w))
+        frontier = nxt
+    return words, basis
 
 
 def algebra_characters(h: HopfData, generators=None) -> list[CharacterFunctional]:
@@ -761,28 +734,10 @@ def algebra_characters(h: HopfData, generators=None) -> list[CharacterFunctional
         generators = minimal_generating_indices(h)
     generators = list(generators)
 
-    span = _algebra_closure(h, generators)
-    if span.rank != h.dim:
+    words, basis = _words(h, generators)
+    if basis.rank != h.dim:
         raise GeneratorsDoNotSpanError(
-            f"indices {generators} generate a subalgebra of rank {span.rank}")
-
-    # spanning word basis: products of generators, recorded as letter lists
-    words: list[tuple[tuple[int, ...], tuple]] = [((), h.unit)]
-    basis = LinearBasis(h.dim)
-    basis.add(h.unit)
-    frontier = [((), h.unit)]
-    while basis.rank < h.dim:
-        nxt = []
-        for letters, vec in frontier:
-            for gpos, g in enumerate(generators):
-                w = h.vec_mul(vec, h.basis_vector(g))
-                if basis.add(w):
-                    entry = (letters + (gpos,), w)
-                    words.append(entry)
-                    nxt.append(entry)
-        if not nxt:
-            raise GeneratorsDoNotSpanError("word closure stalled before full rank")
-        frontier = nxt
+            f"indices {generators} generate a subalgebra of rank {basis.rank}")
 
     root_sets = []
     for g in generators:
@@ -792,20 +747,19 @@ def algebra_characters(h: HopfData, generators=None) -> list[CharacterFunctional
 
     # pairwise products of generators expanded in the word basis give early
     # consistency constraints: value(e_a e_b) must equal value(a)*value(b).
-    word_columns = [vec for _, vec in words]
-    pair_keys = [(a, b) for a in range(len(generators))
-                 for b in range(len(generators))]
-    pair_rhs = [h.vec_mul(h.basis_vector(generators[a]),
-                          h.basis_vector(generators[b])) for a, b in pair_keys]
-    # each pair's nonzero terms, filed under the depth at which the pair's
-    # generators and every letter of its terms are assigned: a pair is
-    # checked once, at that depth, as its value never changes deeper down
+    # Each pair's nonzero terms are filed under the depth at which the
+    # pair's generators and every letter of its terms are assigned: a pair
+    # is checked once, at that depth, as its value never changes deeper down
     checks_at: list[list] = [[] for _ in range(len(generators) + 1)]
-    for (a, b), combo in zip(pair_keys,
-                             solve_linear_multi(word_columns, pair_rhs)):
-        terms = [(letters, c) for (letters, _), c in zip(words, combo) if c]
+    for a, b in itertools.product(range(len(generators)), repeat=2):
+        combo = basis.coordinates(h.vec_mul(h.basis_vector(generators[a]),
+                                            h.basis_vector(generators[b])))
+        terms = [(letters, c) for letters, c in zip(words, combo) if c]
         depth = 1 + max([a, b] + [g for letters, _ in terms for g in letters])
         checks_at[depth].append((a, b, terms))
+    # each e_i in the word basis, so a functional is read off its word values
+    in_words = [_nonzeros(basis.coordinates(h.basis_vector(i)))
+                for i in range(h.dim)]
 
     results = []
     assignment: list[CycNumber] = []
@@ -827,14 +781,8 @@ def algebra_characters(h: HopfData, generators=None) -> list[CharacterFunctional
 
     def descend():
         if len(assignment) == len(generators):
-            # solve sum_i eta_i word_w[i] = value_w for eta on the basis
-            values = [word_value(letters) for letters, _ in words]
-            eta = solve_linear(
-                [tuple(word_columns[w][i] for w in range(len(words)))
-                 for i in range(h.dim)], tuple(values))
-            if eta is None:
-                return
-            func = CharacterFunctional(eta)
+            values = [word_value(letters) for letters in words]
+            func = CharacterFunctional(_evaluate(values, row) for row in in_words)
             if _is_multiplicative(h, func):
                 results.append(func)
             return
@@ -880,14 +828,7 @@ def group_like_elements(h: HopfData) -> list[tuple]:
     out = []
     for eta in chars:
         v = eta.values
-        expected = {}
-        for i, a in enumerate(v):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if b:
-                    expected[(i, j)] = a * b
-        if h.comult_of(v) != expected or h.counit_of(v) != ONE:
+        if h.comult_of(v) != _outer(v, v) or h.counit_of(v) != ONE:
             continue
         out.append(v)
     out.sort(key=lambda v: tuple(c.sort_key() for c in v))
@@ -1103,31 +1044,18 @@ def verify_twist(h: HopfData, twist: TwistElement) -> AxiomReport:
     phi = twist.value_dict()
     phi_inv = twist.inverse_dict()
 
-    lvec = [ZERO] * h.dim
-    rvec = [ZERO] * h.dim
-    for (i, j), c in phi.items():
-        lvec[j] = lvec[j] + c * h.counit[i]
-        rvec[i] = rvec[i] + c * h.counit[j]
-    ok = tuple(lvec) == h.unit and tuple(rvec) == h.unit
+    ok = _counit_legs(h, phi) == (h.unit, h.unit)
     checks.append(AxiomCheck("counit-normalization", ok,
                              "" if ok else "(eps (x) id) phi is not 1"))
 
     prod = h.tensor_mul(phi, phi_inv)
     prod2 = h.tensor_mul(phi_inv, phi)
-    unit_t = h.unit_tensor()
+    unit_t = _outer(h.unit, h.unit)
     ok = prod == unit_t and prod2 == unit_t
     checks.append(AxiomCheck("invertibility", ok,
                              "" if ok else "phi * phi^{-1} differs from 1 (x) 1"))
 
-    left: dict = {}
-    right: dict = {}
-    for (i, j), c in phi.items():
-        for (p, q), d in h.comult[i].items():
-            key = (p, q, j)
-            left[key] = left.get(key, ZERO) + c * d
-        for (p, q), d in h.comult[j].items():
-            key = (i, p, q)
-            right[key] = right.get(key, ZERO) + c * d
+    left, right = _delta_legs(h, phi)
     phi1 = {}
     phi3 = {}
     for (i, j), c in phi.items():
@@ -1135,8 +1063,8 @@ def verify_twist(h: HopfData, twist: TwistElement) -> AxiomReport:
             if u:
                 phi1[(i, j, k)] = c * u
                 phi3[(k, i, j)] = c * u
-    lhs = h.tensor3_mul(phi1, _pruned(left))
-    rhs = h.tensor3_mul(phi3, _pruned(right))
+    lhs = h.tensor3_mul(phi1, left)
+    rhs = h.tensor3_mul(phi3, right)
     ok = lhs == rhs
     checks.append(AxiomCheck("cocycle-identity", ok,
                              "" if ok else "the two cocycle sides differ"))
@@ -1183,14 +1111,14 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
 
 
 def _algebra_inverse(h: HopfData, u):
-    # u is sparse; columns[j] = u * e_j, so a solution of
-    # sum_j x_j (u e_j) = 1 is a right inverse; finite dimension makes it
-    # two-sided.
-    columns = [h._dense(h._product(u, [(j, ONE)])) for j in range(h.dim)]
-    sol = solve_linear(columns, h.unit)
-    if sol is None:
-        raise TwistInvalidError("twist antipode corrector is not invertible")
-    return tuple(sol)
+    # u is sparse.  u is invertible exactly when the u e_j are independent;
+    # the coordinates x of 1 in them give u (sum_j x_j e_j) = 1, a right
+    # inverse, which finite dimension makes two-sided.
+    basis = LinearBasis(h.dim)
+    for j in range(h.dim):
+        if not basis.add(h._dense(h._product(u, [(j, ONE)]))):
+            raise TwistInvalidError("twist antipode corrector is not invertible")
+    return basis.coordinates(h.unit)
 
 
 def surviving_group_likes(g: FiniteGroup, twist: TwistElement) -> tuple[int, ...]:

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
                                    _canonical_conductor, _dense,
@@ -13,10 +15,11 @@ from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter,
                                action_from_generator_images, build_cyclic,
                                build_dihedral, build_product, build_quaternion,
                                build_semidirect, build_symmetric, builtin_group)
-from hopfcensus.hopfcore import (CharacterFunctional, HopfData,
-                                 NotNormalError, TwistElement,
-                                 TwistInvalidError, ZERO, ONE, _generator_rows,
-                                 _root_candidates,
+from hopfcensus.hopfcore import (CharacterFunctional,
+                                 GeneratorsDoNotSpanError, HopfData,
+                                 LinearBasis, NotNormalError, TwistElement,
+                                 TwistInvalidError, ZERO, ONE, _algebra_inverse,
+                                 _generator_rows, _root_candidates,
                                  algebra_characters, build_h8, build_lifted_twist,
                                  central_group_likes, character_convolution,
                                  cocommutativity_criterion,
@@ -711,3 +714,110 @@ def test_root_candidates_are_every_supported_root_once():
     assert len(candidates) == len(set(candidates)) == 269
     assert set(candidates) == expected
     assert list(candidates) == sorted(candidates, key=vkey)
+
+
+# -- the exact linear-algebra kernel --------------------------------------------------
+
+def _sympy_rational(c):
+    f = c.rational_value()
+    return sympy.Rational(f.numerator, f.denominator)
+
+
+def _random_fraction(rnd):
+    return Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+
+
+def _random_rational(rnd):
+    return sympy.Rational(rnd.randint(-6, 6), rnd.randint(1, 4))
+
+
+def _cyc_vector(row):
+    return [CycNumber.from_rational(Fraction(int(x.p), int(x.q))) for x in row]
+
+
+@pytest.mark.parametrize("dim, count, rank", [
+    (1, 2, 1), (3, 2, 2), (3, 5, 2), (4, 6, 4), (5, 7, 3), (6, 6, 6),
+    (6, 9, 1), (7, 8, 5), (4, 3, 0)])
+def test_linear_basis_agrees_with_sympy_on_rational_matrices(dim, count, rank):
+    # count rows of rank at most `rank`, built as (count x rank) (rank x dim)
+    rnd = random.Random(100 * dim + count)
+    left = sympy.Matrix(count, rank, lambda *_: _random_rational(rnd))
+    right = sympy.Matrix(rank, dim, lambda *_: _random_rational(rnd))
+    rows = (left * right).tolist()
+    basis = LinearBasis(dim)
+    accepted = [row for row in rows if basis.add(_cyc_vector(row))]
+    assert basis.rank == sympy.Matrix(rows).rank() == len(accepted)
+    columns = sympy.Matrix.hstack(*[sympy.Matrix(row) for row in accepted]) \
+        if accepted else sympy.zeros(dim, 0)
+    targets = [[_random_rational(rnd) for _ in range(dim)] for _ in range(3)]
+    targets += [list(columns * sympy.Matrix([_random_rational(rnd)
+                                              for _ in accepted]))
+                for _ in range(3)]
+    for target in targets:
+        coords = basis.coordinates(_cyc_vector(target))
+        try:
+            expected, free = columns.gauss_jordan_solve(sympy.Matrix(target))
+        except ValueError:  # sympy: the system is inconsistent
+            assert coords is None
+            continue
+        assert free.shape[0] == 0
+        assert [_sympy_rational(c) for c in coords] == list(expected)
+
+
+@pytest.mark.parametrize("n", [3, 8, 12])
+def test_linear_basis_coordinates_rebuild_the_vector(n):
+    rnd = random.Random(n)
+
+    def scalar():
+        if rnd.random() < 0.3:
+            return ZERO
+        return CycNumber(n, [_random_fraction(rnd) for _ in range(euler_phi(n))])
+
+    dim = 4
+    basis = LinearBasis(dim)
+    accepted: list = []
+    for _ in range(14):
+        if accepted and rnd.random() < 0.5:  # a combination of accepted vectors
+            vec = [ZERO] * dim
+            for v in accepted:
+                c = scalar()
+                vec = [x + c * y for x, y in zip(vec, v)]
+        else:
+            vec = [scalar() for _ in range(dim)]
+        coords = basis.coordinates(vec)
+        assert (coords is None) == basis.add(vec)
+        if coords is None:
+            accepted.append(vec)
+            continue
+        assert len(coords) == len(accepted)
+        rebuilt = [ZERO] * dim
+        for c, v in zip(coords, accepted):
+            rebuilt = [x + c * y for x, y in zip(rebuilt, v)]
+        assert rebuilt == vec
+    assert basis.rank == len(accepted) == dim
+
+
+@pytest.mark.parametrize("generators, rank", [([1], 2), ([4], 4), ([], 1)])
+def test_characters_name_the_rank_of_a_non_generating_set(h8, generators, rank):
+    with pytest.raises(GeneratorsDoNotSpanError) as err:
+        algebra_characters(h8, generators=generators)
+    assert str(err.value) == \
+        f"indices {generators} generate a subalgebra of rank {rank}"
+
+
+def test_algebra_inverse_of_twist_correctors():
+    kz2 = from_group(build_cyclic(2))
+    with pytest.raises(TwistInvalidError) as err:
+        _algebra_inverse(kz2, [(0, ONE), (1, ONE)])  # (e + g)(e - g) = 0
+    assert str(err.value) == "twist antipode corrector is not invertible"
+
+    # U = sum phi^(1) S(phi^(2)) of the G18 twist
+    kg = from_group(builtin_group("G18"))
+    tw = build_lifted_twist(builtin_group("G18"), G18_GAMMA, NONDEG3)
+    u = [ZERO] * kg.dim
+    for (i, j), c in tw.value_dict().items():
+        term = kg.vec_mul(kg.basis_vector(i), kg.antipode_of(kg.basis_vector(j)))
+        u = [x + c * y for x, y in zip(u, term)]
+    assert sum(1 for c in u if c) > 1
+    v = _algebra_inverse(kg, [(k, c) for k, c in enumerate(u) if c])
+    assert kg.vec_mul(tuple(u), v) == kg.vec_mul(v, tuple(u)) == kg.unit
