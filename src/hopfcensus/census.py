@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from hopfcensus.cyclotomic import prime_factors
+from hopfcensus.cyclotomic import _partitions_into_squares, prime_factors
 from hopfcensus.fusion import (AlgebraTypeSignature, FusionError, SearchOutcome,
                                search_fusion)
 
@@ -203,40 +203,11 @@ class CensusResult:
         }
 
 
-def _partitions_into_squares(remaining: int, degrees: Sequence[int], i: int,
-                             memo: dict) -> list[tuple[tuple[int, int], ...]]:
-    """All ways to write remaining as sum m * d^2 over distinct d in degrees[i:].
-
-    ``degrees`` ascends.  Each way is its (d, m) entries by ascending d; the
-    list uses degrees[i] once, twice and so on before it skips it, so it is
-    already in ascending order of entries (``AlgebraTypeSignature.sort_key``).
-    ``memo`` holds the list of every (remaining, i) already solved, for one
-    degree sequence, so all the degree-1 counts of a census share the work.
-    """
-    key = (remaining, i)
-    if key not in memo:
-        if remaining == 0:
-            memo[key] = [()]
-        elif i == len(degrees) or degrees[i] ** 2 > remaining:
-            memo[key] = []
-        else:
-            d = degrees[i]
-            out = []
-            for m in range(1, remaining // (d * d) + 1):
-                head = ((d, m),)
-                out += [head + rest for rest in _partitions_into_squares(
-                    remaining - m * d * d, degrees, i + 1, memo)]
-            out += _partitions_into_squares(remaining, degrees, i + 1, memo)
-            memo[key] = out
-    return memo[key]
-
-
 def enumerate_types(dimension: int,
                     rules: Iterable[CensusRule] | str = "all",
                     proper_only: bool = True,
                     n_filter: int | None = None,
                     oracle_types: Iterable[AlgebraTypeSignature | str] | str = (),
-                    oracle_profile: str = "hopf",
                     oracle_budget: int = 10 ** 7) -> CensusResult:
     """All type signatures at the given dimension, filtered by the rules.
 
@@ -284,7 +255,7 @@ def enumerate_types(dimension: int,
         if str(sig) not in survivor_keys:
             continue
         try:
-            outcome = search_fusion(sig, oracle_profile, oracle_budget)
+            outcome = search_fusion(sig, "hopf", oracle_budget)
         except FusionError as exc:
             outcome = SearchOutcome("inconclusive", 0, trace=str(exc))
         oracle_results.append((sig, outcome))

@@ -107,17 +107,18 @@ def _parse_bicharacter(spec: str, orders) -> groups.AltBicharacter:
 
 
 def _bicharacter_entry(entry) -> CycNumber:
-    """An integer, [n, k] for zeta_n^k, or a CycNumber's JSON object."""
+    """An integer, [n, k] for zeta_n^k, or a CycNumber's JSON object.  The
+    integers are tested by ``type``: isinstance takes true and false too."""
     try:
-        if isinstance(entry, int):
+        if type(entry) is int:
             return CycNumber.from_rational(entry)
         if isinstance(entry, list) and len(entry) == 2 \
-                and all(isinstance(x, int) for x in entry):
+                and all(type(x) is int for x in entry):
             return CycNumber.root_of_unity(entry[0], entry[1])
-        if isinstance(entry, dict) and isinstance(entry.get("conductor"), int) \
+        if isinstance(entry, dict) and type(entry.get("conductor")) is int \
                 and 1 <= entry["conductor"] <= MAX_CONDUCTOR \
                 and isinstance(entry.get("coeffs"), list) \
-                and all(isinstance(c, (int, str)) for c in entry["coeffs"]):
+                and all(type(c) in (int, str) for c in entry["coeffs"]):
             return CycNumber.from_json(entry)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad bicharacter entry {entry!r}: {exc}") from None

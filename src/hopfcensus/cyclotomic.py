@@ -16,6 +16,7 @@ makes equality of values equality of representations, and values are
 hashable.  ``coeffs`` gives the same value as a tuple of Fractions.
 
 Every operation is pure and exact; there is no floating point anywhere.
+The package's number-theory helpers live here too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 #: Largest conductor the package will compute with.  Exceeding it raises
 #: ConductorLimitError rather than degrading silently.
@@ -74,6 +76,35 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def _partitions_into_squares(remaining: int, degrees: Sequence[int], i: int,
+                             memo: dict) -> list[tuple[tuple[int, int], ...]]:
+    """All ways to write remaining as sum m * d^2 over distinct d in degrees[i:].
+
+    ``degrees`` ascends.  Each way is its (d, m) entries by ascending d; the
+    list uses degrees[i] once, twice and so on before it skips it, so it is
+    already in ascending order of entries (``AlgebraTypeSignature.sort_key``).
+    ``memo`` holds the list of every (remaining, i) already solved, for one
+    degree sequence, so calls for several remainders share the work, as the
+    census does across its degree-1 counts.
+    """
+    key = (remaining, i)
+    if key not in memo:
+        if remaining == 0:
+            memo[key] = [()]
+        elif i == len(degrees) or degrees[i] ** 2 > remaining:
+            memo[key] = []
+        else:
+            d = degrees[i]
+            out = []
+            for m in range(1, remaining // (d * d) + 1):
+                head = ((d, m),)
+                out += [head + rest for rest in _partitions_into_squares(
+                    remaining - m * d * d, degrees, i + 1, memo)]
+            out += _partitions_into_squares(remaining, degrees, i + 1, memo)
+            memo[key] = out
+    return memo[key]
 
 
 def _canonical_conductor(n: int) -> int:

@@ -18,7 +18,10 @@ Both share one kernel per axiom over ``rows``: ``rows[i][j]`` lists the
 nonzero (k, N[i][j][k]) of i*j, or is None while that row is not yet
 complete.  A kernel that meets such a row concludes nothing, so the
 verifier runs the kernels on a datum's ``sparse`` view and the search runs
-them on each row as it completes.
+them on each row as it completes.  The kernels are ``_translation_defect``
+(degree-1 translations permute the basis), ``_associativity_defect``, the
+stabilizer kernels, ``_nr_companion``, and the closure and element-order
+kernels of the groups module.
 """
 
 from __future__ import annotations
@@ -115,11 +118,11 @@ class AlgebraTypeSignature:
 class FusionDatum:
     """A based ring: degrees, duality and integer structure constants."""
 
-    def __init__(self, degrees, dual, constants, unit: int = 0):
+    def __init__(self, degrees, dual, constants):
         self.degrees = tuple(int(d) for d in degrees)
         self.size = len(self.degrees)
         self.dual = tuple(int(x) for x in dual)
-        self.unit = unit
+        self.unit = 0
         self.constants = tuple(tuple(tuple(int(v) for v in row)
                                      for row in plane) for plane in constants)
         if len(self.dual) != self.size or len(self.constants) != self.size:
@@ -130,9 +133,6 @@ class FusionDatum:
     @cached_property
     def one_indices(self) -> tuple[int, ...]:
         return tuple(i for i, d in enumerate(self.degrees) if d == 1)
-
-    def indices_of_degree(self, d: int) -> tuple[int, ...]:
-        return tuple(i for i, deg in enumerate(self.degrees) if deg == d)
 
     def n(self, i: int, j: int, k: int) -> int:
         return self.constants[i][j][k]
@@ -152,18 +152,6 @@ class FusionDatum:
             counts[d] = counts.get(d, 0) + 1
         n = counts.pop(1, 0)
         return AlgebraTypeSignature(n, tuple(sorted(counts.items())))
-
-    @cached_property
-    def group_product(self) -> dict[tuple[int, int], int]:
-        """Multiplication of the degree-1 elements, if they close as a group."""
-        table = {}
-        for g in self.one_indices:
-            for h in self.one_indices:
-                row = self.sparse[g][h]
-                if len(row) != 1 or row[0][1] != 1 or self.degrees[row[0][0]] != 1:
-                    raise FusionError("degree-1 elements do not close as a group")
-                table[(g, h)] = row[0][0]
-        return table
 
     def left_stabilizer(self, i: int) -> tuple[int, ...]:
         """The subgroup {g of degree 1 : g * chi_i = chi_i}."""
@@ -199,19 +187,6 @@ class FusionDatum:
                for s in found]
         out.sort(key=lambda pair: (pair[1], pair[0]))
         return out
-
-    # -- degree-1 translations (the degree-one-group check)
-
-    def _one_perm(self, g: int, side: str) -> list[int]:
-        perm = [-1] * self.size
-        for i in range(self.size):
-            row = self.sparse[g][i] if side == "left" else self.sparse[i][g]
-            if len(row) != 1 or row[0][1] != 1:
-                raise FusionError("degree-1 translation is not a permutation")
-            perm[i] = row[0][0]
-        if len(set(perm)) != self.size:
-            raise FusionError("degree-1 translation is not a permutation")
-        return perm
 
     # -- serialization
 
@@ -255,7 +230,8 @@ class FusionDatum:
 
 
 def _int_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, int) for x in value)
+    """A list of JSON integers; ``type`` keeps out ``true`` and ``false``."""
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 # -- verification ----------------------------------------------------------------
@@ -339,16 +315,15 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> AxiomReport:
     add("group-like-multiplicity", bad is None,
         "" if bad is None else f"chi chi* contains a degree-1 element twice: {bad}")
 
-    try:
-        f.group_product
-        for g in f.one_indices:
-            f._one_perm(g, "left")
-            f._one_perm(g, "right")
-        add("degree-one-group", True)
-        group_ok = True
-    except FusionError as exc:
-        add("degree-one-group", False, str(exc))
-        group_ok = False
+    ones, detail = f.one_indices, ""
+    if not all(len(row) == 1 and row[0][1] == 1 and deg[row[0][0]] == 1
+               for row in (f.sparse[g][h] for g in ones for h in ones)):
+        detail = "degree-1 elements do not close as a group"
+    elif any(_translation_defect(f.sparse, deg, a, b)
+             for g in ones for i in range(r) for a, b in ((g, i), (i, g))):
+        detail = "degree-1 translation is not a permutation"
+    group_ok = not detail
+    add("degree-one-group", group_ok, detail)
 
     bad = None
     for i, j, k in itertools.product(range(r), repeat=3):
@@ -386,6 +361,30 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> AxiomReport:
 
 
 # -- axiom kernels over rows (see the module docstring) ---------------------------
+
+def _translation_defect(rows, deg, a, b) -> str | None:
+    """Why the known row (a, b), with deg a = 1 or deg b = 1, keeps the
+    translation by a degree-1 factor from permuting the basis, or None.
+
+    The row must be one basis element with coefficient 1, and no other known
+    row of the same translation (a*x, or x*b) may hold that element; unknown
+    (None) rows are skipped.
+    """
+    row = rows[a][b]
+    if len(row) != 1 or row[0][1] != 1:
+        return f"degree-1 translate row ({a},{b}) not one-hot"
+    hot = row[0]
+    if deg[a] == 1:
+        for x, other in enumerate(rows[a]):
+            if x != b and other is not None and hot in other:
+                return f"left translation by {a} not injective at {hot[0]}"
+    if deg[b] == 1:
+        for x, plane in enumerate(rows):
+            other = plane[b]
+            if x != a and other is not None and hot in other:
+                return f"right translation by {b} not injective at {hot[0]}"
+    return None
+
 
 def _stabilizer(rows, deg, dual, i) -> tuple[int, ...]:
     """G[chi_i]: the degree-1 g with N(i, i*, g) = 1."""
@@ -449,8 +448,8 @@ def _check_nr_dichotomy(f: FusionDatum) -> AxiomCheck:
     """
     deg = f.degrees
     has4 = 4 in deg
-    for i in f.indices_of_degree(2):
-        if len(f.left_stabilizer(i)) > 1:
+    for i in range(f.size):
+        if deg[i] != 2 or len(f.left_stabilizer(i)) > 1:
             continue
         psi = _nr_companion(f.sparse, deg, f.dual, f.unit, i)
         if psi is None:
@@ -612,7 +611,9 @@ class _Search:
 
     ``value[i][j][k]`` is an assigned constant or None.  ``rows[i][j]`` is
     the kernels' view of row (i, j): its nonzero (k, v) once the row is
-    complete, None until then.  The kernels run on each row as it completes.
+    complete, None until then.  The shared kernels (``_translation_defect``,
+    the stabilizer kernels, ``_nr_companion``, ``_closure`` and
+    ``_associativity_defect``) run on each row as it completes.
 
     The rest of the state is kept incrementally, so that no node rescans a
     row or the table.  ``row_mask[i][j]`` has bit k set while entry k of row
@@ -782,25 +783,11 @@ class _Search:
         return bool(reachable >> budget & 1)
 
     def _row_completed_checks(self, a, b) -> bool:
-        deg, r = self.deg, self.r
-        # translations by degree-1 elements are injections onto one basis element
+        deg = self.deg
         if deg[a] == 1 or deg[b] == 1:
-            row = self.rows[a][b]
-            if len(row) != 1 or row[0][1] != 1:
-                return self._fail(f"degree-1 translate row ({a},{b}) not one-hot")
-            target = row[0][0]
-            if deg[a] == 1:
-                for x in range(r):
-                    if x != b and self.rows[a][x] is not None \
-                            and self.value[a][x][target] == 1 and deg[x] == deg[b]:
-                        return self._fail(
-                            f"left translation by {a} not injective at {target}")
-            if deg[b] == 1:
-                for x in range(r):
-                    if x != a and self.rows[x][b] is not None \
-                            and self.value[x][b][target] == 1 and deg[x] == deg[a]:
-                        return self._fail(
-                            f"right translation by {b} not injective at {target}")
+            defect = _translation_defect(self.rows, deg, a, b)
+            if defect is not None:
+                return self._fail(defect)
         if self.profile == "hopf":
             if b == self.dual[a] and deg[a] > 1:
                 if not self._stabilizer_checks(a):

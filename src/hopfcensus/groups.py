@@ -5,6 +5,9 @@ Elements are indices 0..order-1; the table is validated on construction
 sorted index tuples inside the parent group.  All derived data (center,
 classes, abelian decompositions, ...) is computed by brute-force scans,
 which is exact and instant at the orders this package deals with (<= 64).
+Irreducible degrees count |G:G'| linear characters and take the rest from
+the census's partitions into squares (``cyclotomic``).  The closure and
+element-order kernels here are shared with the fusion module.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from hopfcensus.cyclotomic import CycNumber
+from hopfcensus.cyclotomic import CycNumber, _partitions_into_squares, divisors
 
 
 class GroupError(ValueError):
@@ -196,51 +199,25 @@ class FiniteGroup:
         return FiniteGroup(table, name=f"{self.name}/N", validate=False), proj
 
     @cached_property
-    def abelianization(self) -> "AbelianStructure":
-        q, _ = self.quotient(self.commutator_subgroup)
-        return abelian_decomposition(q).structure
-
-    @cached_property
     def irreducible_degrees(self) -> tuple[int, ...]:
         """Multiset of irreducible complex representation degrees.
 
         Inferred by constrained counting: the number of linear characters is
-        the order of the abelianization, the number of nonlinear ones is the
-        remaining class count, their squares sum to the remaining order, and
-        each degree divides the group order.  Raises AmbiguousDegreesError
-        when these constraints admit more than one solution.
+        the index |G:G'|, the number of nonlinear ones is the remaining class
+        count, their squares sum to the remaining order, and each degree
+        divides the group order.  Raises AmbiguousDegreesError when these
+        constraints admit more than one solution.
         """
-        ell = math.prod(self.abelianization.invariant_factors) if \
-            self.abelianization.invariant_factors else 1
+        ell = self.order // len(self.commutator_subgroup)
         k = len(self.conjugacy_classes) - ell
-        target = self.order - ell
-        if k == 0:
-            if target != 0:
-                raise AmbiguousDegreesError("class count inconsistent with order")
-            return (1,) * ell
-        candidates = [d for d in range(2, self.order + 1)
-                      if self.order % d == 0 and d * d <= target]
-        solutions: list[tuple[int, ...]] = []
-
-        def extend(prefix, start, remaining, slots):
-            if slots == 0:
-                if remaining == 0:
-                    solutions.append(tuple(prefix))
-                return
-            for i in range(start, len(candidates)):
-                d = candidates[i]
-                if d * d * slots > remaining:
-                    break  # entries are nondecreasing, so no later d fits
-                prefix.append(d)
-                extend(prefix, i, remaining - d * d, slots - 1)
-                prefix.pop()
-
-        extend([], 0, target, k)
+        solutions = [entries for entries in _partitions_into_squares(
+                         self.order - ell, divisors(self.order)[1:], 0, {})
+                     if sum(m for _, m in entries) == k]
         if len(solutions) != 1:
             raise AmbiguousDegreesError(
                 f"{len(solutions)} degree multisets satisfy the constraints "
                 f"for {self.name}")
-        return (1,) * ell + solutions[0]
+        return (1,) * ell + tuple(d for d, m in solutions[0] for _ in range(m))
 
 
 # -- closure kernels over sparse rows ----------------------------------------
@@ -295,32 +272,16 @@ def _closure(rows, dual, unit, seed) -> frozenset[int] | None:
 # -- abelian structure ------------------------------------------------------
 
 @dataclass(frozen=True)
-class AbelianStructure:
-    """Invariant factors m_1 | m_2 | ... | m_k with product the group order."""
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self):
-        fs = self.invariant_factors
-        for a, b in zip(fs, fs[1:]):
-            if b % a != 0:
-                raise GroupError(f"not a divisibility chain: {fs}")
-
-
-@dataclass(frozen=True)
 class AbelianDecomposition:
     """An abelian group with a chosen basis realizing its invariant factors.
 
     ``coords[g]`` are the exponents of g in the basis ``generators``;
-    ``orders`` matches ``structure.invariant_factors`` (ascending chain).
+    ``orders`` are the invariant factors, an ascending divisibility chain.
     """
     group: FiniteGroup
     generators: tuple[int, ...]
     orders: tuple[int, ...]
     coords: dict[int, tuple[int, ...]] = field(repr=False)
-
-    @property
-    def structure(self) -> AbelianStructure:
-        return AbelianStructure(self.orders)
 
 
 def abelian_decomposition(a: FiniteGroup) -> AbelianDecomposition:

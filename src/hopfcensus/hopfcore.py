@@ -685,41 +685,41 @@ def _synthetic_div(coeffs, root):
     return out
 
 
-def minimal_generating_indices(h: HopfData) -> list[int]:
-    """A small basis-index set generating the algebra, found greedily."""
-    chosen: list[int] = []
-    _, span = _words(h, chosen)
-    for i in range(h.dim):
-        if span.rank == h.dim:
-            break
-        if span.coordinates(h.basis_vector(i)) is None:
-            chosen.append(i)
-            _, span = _words(h, chosen)
-    return chosen
+def _words(h: HopfData, generators=None) -> tuple[list, list, LinearBasis]:
+    """The generators, a word basis of the subalgebra they generate, and
+    the LinearBasis whose accepted vectors are the words' products.
 
-
-def _words(h: HopfData, generators) -> tuple[list, LinearBasis]:
-    """A word basis of the subalgebra the generator indices generate.
-
-    Words are letter tuples (positions in ``generators``), taken breadth
-    first: a word joins when its product e_(g_1) ... e_(g_r) enlarges the
-    span of the words before it.  Returns the words and the LinearBasis
-    whose accepted vectors are their products, in the same order.
+    Words are letter tuples (positions in the generator list).  Each word is
+    multiplied once by each letter, in the order the words were found, and a
+    product that enlarges the span joins as a word.  Without ``generators``,
+    index i becomes a letter when e_i lies outside the span so far, a greedy
+    choice, and only the new letter's products are added.
     """
     basis = LinearBasis(h.dim)
     basis.add(h.unit)
+    letters: list[int] = []
     words: list[tuple[int, ...]] = [()]
-    frontier = [((), h.unit)]
-    while frontier and basis.rank < h.dim:
-        nxt = []
-        for letters, vec in frontier:
-            for gpos, g in enumerate(generators):
-                w = h.vec_mul(vec, h.basis_vector(g))
-                if basis.add(w):
-                    words.append(letters + (gpos,))
-                    nxt.append((letters + (gpos,), w))
-        frontier = nxt
-    return words, basis
+    products = [h.unit]
+
+    def join(new):  # old words meet the new letters, new words every letter
+        old, first = len(words), len(letters)
+        letters.extend(new)
+        w = 0
+        while w < len(words) and basis.rank < h.dim:
+            for pos in range(first if w < old else 0, len(letters)):
+                vec = h.vec_mul(products[w], h.basis_vector(letters[pos]))
+                if basis.add(vec):
+                    words.append(words[w] + (pos,))
+                    products.append(vec)
+            w += 1
+
+    if generators is not None:
+        join(generators)
+    else:
+        for i in range(h.dim):
+            if basis.rank < h.dim and basis.coordinates(h.basis_vector(i)) is None:
+                join([i])
+    return letters, words, basis
 
 
 def algebra_characters(h: HopfData, generators=None) -> list[CharacterFunctional]:
@@ -730,11 +730,7 @@ def algebra_characters(h: HopfData, generators=None) -> list[CharacterFunctional
     multiplicatively along a spanning word basis and survive only if
     multiplicative on every basis pair.
     """
-    if generators is None:
-        generators = minimal_generating_indices(h)
-    generators = list(generators)
-
-    words, basis = _words(h, generators)
+    generators, words, basis = _words(h, generators)
     if basis.rank != h.dim:
         raise GeneratorsDoNotSpanError(
             f"indices {generators} generate a subalgebra of rank {basis.rank}")

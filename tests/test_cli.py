@@ -214,6 +214,9 @@ def test_common_options_may_precede_the_subcommand(command, option):
     assert before == after
 
 
+Z2_CONSTANTS = [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1]]
+
+
 def _d4_datum(drop=None, extra=None, more=None):
     datum = from_group_characters(build_dihedral(4)).to_json()
     datum.pop(drop, None)
@@ -232,8 +235,14 @@ def _d4_datum(drop=None, extra=None, more=None):
     (_d4_datum(extra=[-1, 0, 0, 1]), "outside 0..4"),  # would alias index 4
     (_d4_datum(extra=[4, 4, 4, -1]), "negative multiplicity"),
     (_d4_datum(extra=[4, 4, 4, 5], more=[4, 4, 4, 0]), "repeats an earlier entry"),
+    # JSON true is an int to isinstance; read as 1 these were valid Z2 rings
+    ({"degrees": [1, True], "dual": [0, 1], "constants": Z2_CONSTANTS},
+     "must be integer lists"),
+    ({"degrees": [1, 1], "dual": [0, 1],
+      "constants": Z2_CONSTANTS[:-1] + [[1, 1, 0, True]]}, "must be integer lists"),
 ], ids=["no-constants", "no-degrees", "no-dual", "list", "index-too-large",
-        "negative-index", "negative-multiplicity", "duplicate-constant"])
+        "negative-index", "negative-multiplicity", "duplicate-constant",
+        "boolean-degree", "boolean-multiplicity"])
 def test_fusion_verify_rejects_malformed_files(tmp_path, data, reason):
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(data))
@@ -261,9 +270,15 @@ def test_fusion_verify_rejects_malformed_files(tmp_path, data, reason):
     (["twist", "--group", "D4", "--subgroup", "auto",
       "--bicharacter", '[[{"conductor": 1, "coeffs": ["x"]}, 1], [1, 1]]'],
      "bad bicharacter entry"),
+    # read as 1, true made this the trivial bicharacter
+    (["twist", "--group", "Z2xZ2", "--subgroup", "auto",
+      "--bicharacter", "[[true, 1], [1, 1]]"], "bad bicharacter entry True"),
+    (["twist", "--group", "D4", "--subgroup", "auto",
+      "--bicharacter", '[[{"conductor": true, "coeffs": [1]}, 1], [1, 1]]'],
+     "bad bicharacter entry"),
 ], ids=["open-range", "three-ends", "unknown-end", "number", "null",
         "zero-order-root", "conductor-too-large", "string-root", "empty-object",
-        "bad-coefficient"])
+        "bad-coefficient", "boolean-entry", "boolean-conductor"])
 def test_malformed_option_values_are_usage_errors(argv, reason):
     code, text = invoke(argv)
     assert code == 2

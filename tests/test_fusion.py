@@ -110,8 +110,11 @@ def test_stabilizer_group_properties():
                   from_group_characters(build_quaternion())):
         for i in range(datum.size):
             stab = datum.left_stabilizer(i)
-            prod = datum.group_product
-            assert all(prod[(a, b)] in stab for a in stab for b in stab)
+            # the block product a*b is one degree-1 element with coefficient 1
+            assert all(len(datum.sparse[a][b]) == 1
+                       and datum.sparse[a][b][0][1] == 1
+                       and datum.sparse[a][b][0][0] in stab
+                       for a in stab for b in stab)
             if datum.degrees[i] > 1:
                 assert (datum.degrees[i] ** 2) % len(stab) == 0
             assert datum.dual[datum.dual[i]] == i
@@ -383,7 +386,11 @@ def test_verifier_reports_on_any_well_shaped_datum(data):
     except FusionError:
         return
     for profile in PROFILES:
-        assert isinstance(verify_fusion_datum(datum, profile), AxiomReport)
+        report = verify_fusion_datum(datum, profile)
+        assert isinstance(report, AxiomReport)
+        checks = {c.axiom: c.detail for c in report.checks}
+        if "degree-one-group" in checks:
+            assert checks["degree-one-group"] == _degree_one_group_oracle(datum)
 
 
 def test_verifier_returns_when_powers_miss_the_unit():
@@ -411,3 +418,91 @@ def test_verifier_returns_when_powers_miss_the_unit():
         "stabilizer-exponent", "closure-divisibility"}
     checks = {c.axiom: c.detail for c in report.checks}
     assert checks["degree-one-group"] == "degree-1 translation is not a permutation"
+
+
+# -- the degree-one-group check against a brute-force oracle -----------------------
+
+def _degree_one_group_oracle(datum):
+    """The degree-one-group detail, read from the dense constants: the
+    degree-1 block must close, then each left and right translation by a
+    degree-1 element must be a bijection of the basis."""
+    r, deg, n = datum.size, datum.degrees, datum.constants
+
+    def image(row):  # the basis element a one-hot row with coefficient 1 hits
+        return row.index(1) if sorted(row) == [0] * (r - 1) + [1] else None
+
+    ones = [g for g in range(r) if deg[g] == 1]
+    if any(image(n[g][h]) is None or deg[image(n[g][h])] != 1
+           for g in ones for h in ones):
+        return "degree-1 elements do not close as a group"
+    for g in ones:
+        for images in ([image(n[g][i]) for i in range(r)],
+                       [image(n[i][g]) for i in range(r)]):
+            if None in images or sorted(images) != list(range(r)):
+                return "degree-1 translation is not a permutation"
+    return ""
+
+
+def _corrupted(datum, rng):
+    """A copy with one defect: a constant moved by +-1, or the targets of two
+    rows of one degree-1 translation swapped or made equal."""
+    r = datum.size
+    constants = [[list(row) for row in plane] for plane in datum.constants]
+    kind = rng.choice(("constant", "swap", "copy"))
+    if kind == "constant":
+        i, j, k = (rng.randrange(r) for _ in range(3))
+        constants[i][j][k] = max(0, constants[i][j][k] + rng.choice((-1, 1)))
+    else:
+        g = rng.choice([i for i in range(r) if datum.degrees[i] == 1])
+        x, y = rng.sample(range(r), 2)
+        left = rng.random() < 0.5
+        get = (lambda t: constants[g][t]) if left else (lambda t: constants[t][g])
+        a, b = get(x), get(y)
+        if kind == "swap":
+            a[:], b[:] = b[:], a[:]
+        else:
+            a[:] = b
+    return FusionDatum(datum.degrees, datum.dual, constants)
+
+
+def test_degree_one_group_detail_matches_the_oracle_on_corrupted_rings():
+    rng = random.Random(13)
+    bases = [from_group_characters(g) for g in (
+        build_cyclic(3), build_cyclic(4), build_symmetric(3), build_dihedral(4),
+        build_quaternion(), build_product(build_cyclic(2), build_cyclic(4)))]
+    bases += [search_fusion(P(t), "hopf", 10 ** 5).witness
+              for t in ("1,6;3,2", "1,2;2,1;3,2")]
+    seen = set()
+    for trial in range(240):
+        datum = _corrupted(bases[trial % len(bases)], rng)
+        expected = _degree_one_group_oracle(datum)
+        seen.add(expected)
+        for profile in PROFILES:
+            checks = {c.axiom: c.detail
+                      for c in verify_fusion_datum(datum, profile).checks}
+            assert checks["degree-one-group"] == expected
+    assert seen == {"", "degree-1 elements do not close as a group",
+                    "degree-1 translation is not a permutation"}
+
+
+def test_translation_defect_texts():
+    defect = fusion._translation_defect
+    deg = (1, 1, 2, 2)
+    hot = [((k, 1),) for k in range(4)]
+    # Z2 = {0, 1} and two degree-2 elements; None marks an unknown row
+    rows = [[None] * 4 for _ in range(4)]
+    for x in range(4):
+        rows[0][x] = rows[x][0] = hot[x]
+    rows[1][1], rows[1][2], rows[1][3] = hot[0], hot[2], hot[3]
+    assert defect(rows, deg, 1, 2) is None
+    rows[1][3] = hot[2]
+    assert defect(rows, deg, 1, 3) == "left translation by 1 not injective at 2"
+    rows[1][2] = None
+    assert defect(rows, deg, 1, 3) is None
+    rows[2][1] = rows[3][1] = hot[2]
+    assert defect(rows, deg, 3, 1) == "right translation by 1 not injective at 2"
+    rows[2][1] = None
+    assert defect(rows, deg, 3, 1) is None
+    for row in (((2, 2),), ((2, 1), (3, 1)), ()):
+        rows[3][1] = row
+        assert defect(rows, deg, 3, 1) == "degree-1 translate row (3,1) not one-hot"

@@ -1,12 +1,11 @@
 """Finite-group kernel: constructions, invariants, bicharacters."""
 
-import math
-
 import pytest
 
 from hopfcensus.cyclotomic import CycNumber
 from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter, FiniteGroup,
                                GroupAction, GroupError, NotAutomorphismActionError,
+                               abelian_decomposition,
                                action_from_generator_images, build_cyclic,
                                build_dihedral, build_product,
                                build_quaternion, build_semidirect,
@@ -74,13 +73,17 @@ def test_quaternion_abelianization():
     comms = {q8.mul(q8.mul(a, b), q8.mul(q8.inv(a), q8.inv(b)))
              for a in range(8) for b in range(8)}
     assert comms == {0, 2}
-    assert q8.abelianization.invariant_factors == (2, 2)
+    assert q8.order // len(q8.commutator_subgroup) == 4
+    assert abelian_decomposition(
+        q8.quotient(q8.commutator_subgroup)[0]).orders == (2, 2)
     # an abelian group is its own abelianization: the chain of its basis
     for chain in ((8,), (2, 6), (4, 4)):
         a = build_cyclic(chain[0])
         for m in chain[1:]:
             a = build_product(a, build_cyclic(m))
-        assert a.abelianization.invariant_factors == chain
+        assert a.order // len(a.commutator_subgroup) == a.order
+        assert abelian_decomposition(
+            a.quotient(a.commutator_subgroup)[0]).orders == chain
 
 
 def test_irreducible_degrees_small():
@@ -88,6 +91,13 @@ def test_irreducible_degrees_small():
     assert build_quaternion().irreducible_degrees == (1, 1, 1, 1, 2)
     assert build_dihedral(4).irreducible_degrees == (1, 1, 1, 1, 2)
     assert build_symmetric(4).irreducible_degrees == (1, 1, 2, 3, 3)
+    assert build_dihedral(8).irreducible_degrees == (1,) * 4 + (2,) * 3
+    assert build_product(build_quaternion(), build_cyclic(2)) \
+        .irreducible_degrees == (1,) * 8 + (2,) * 2
+    assert build_product(build_symmetric(3), build_cyclic(4)) \
+        .irreducible_degrees == (1,) * 8 + (2,) * 4
+    assert build_product(build_dihedral(4), build_dihedral(4)) \
+        .irreducible_degrees == (1,) * 16 + (2,) * 8 + (4,)
 
 
 def test_d3d3_degrees_match_pairwise_product_oracle():
@@ -102,7 +112,7 @@ def test_degree_squares_sum_to_order():
         g = builtin_group(name)
         degrees = g.irreducible_degrees
         assert sum(d * d for d in degrees) == g.order
-        ab = math.prod(g.abelianization.invariant_factors or (1,))
+        ab = g.order // len(g.commutator_subgroup)
         assert sum(1 for d in degrees if d == 1) == ab
 
 
