@@ -27,11 +27,11 @@ kernels of the groups module.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from hopfcensus.groups import (FiniteGroup, _closure, _element_order,
-                               abelian_decomposition)
+from hopfcensus.groups import FiniteGroup, _closure, _element_order
 
 
 class FusionError(ValueError):
@@ -477,48 +477,33 @@ def _check_nr_dichotomy(f: FusionDatum) -> AxiomCheck:
 # -- fusion data from groups ------------------------------------------------------
 
 def from_group_characters(g: FiniteGroup) -> FusionDatum:
-    """The character ring of a group: abelian groups, or the shipped tables
-    for the nonabelian groups of order 6 and 8."""
-    if g.is_abelian:
-        decomp = abelian_decomposition(g)
-        tuples = list(itertools.product(*[range(m) for m in decomp.orders]))
-        index = {t: i for i, t in enumerate(tuples)}
-        r = len(tuples)
-        dual = [index[tuple(-x % m for x, m in zip(t, decomp.orders))]
-                for t in tuples]
-        constants = [[[0] * r for _ in range(r)] for _ in range(r)]
-        for a, ta in enumerate(tuples):
-            for b, tb in enumerate(tuples):
-                c = index[tuple((x + y) % m for x, y, m
-                                in zip(ta, tb, decomp.orders))]
-                constants[a][b][c] = 1
-        return FusionDatum([1] * r, dual, constants)
-    if g.order == 6:
-        degrees = [1, 1, 2]
-        dual = [0, 1, 2]
-        constants = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-        table = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
-        for (a, b), c in table.items():
-            constants[a][b][c] = 1
-        for gidx in (0, 1):
-            constants[gidx][2][2] = 1
-            constants[2][gidx][2] = 1
-        constants[2][2][0] = constants[2][2][1] = constants[2][2][2] = 1
-        return FusionDatum(degrees, dual, constants)
-    if g.order == 8:
-        degrees = [1, 1, 1, 1, 2]
-        dual = [0, 1, 2, 3, 4]
-        constants = [[[0] * 5 for _ in range(5)] for _ in range(5)]
-        for a in range(4):
-            for b in range(4):
-                constants[a][b][a ^ b] = 1
-            constants[a][4][4] = 1
-            constants[4][a][4] = 1
-        for a in range(4):
-            constants[4][4][a] = 1
-        return FusionDatum(degrees, dual, constants)
-    raise UnsupportedGroupError(
-        f"no shipped character ring for nonabelian group {g.name} of order {g.order}")
+    """The character ring of a group with at most one nonlinear irreducible.
+
+    The linear characters form G/G': their block is the quotient's table,
+    with inverses as duals.  A single nonlinear rho has degree d with
+    d^2 = |G| - |G:G'|; it is self-dual, lambda rho = rho lambda = rho for
+    every linear lambda, and rho^2 = sum lambda + ((d^2 - |G:G'|) / d) rho.
+    The nonlinear count is the class count minus |G:G'|.
+    """
+    q, _ = g.quotient(g.commutator_subgroup)
+    ell, r = q.order, len(g.conjugacy_classes)
+    if r > ell + 1:
+        raise UnsupportedGroupError(
+            f"no shipped character ring for nonabelian group {g.name} of order {g.order}")
+    constants = [[[0] * r for _ in range(r)] for _ in range(r)]
+    for a in range(ell):
+        for b in range(ell):
+            constants[a][b][q.table[a][b]] = 1
+    degrees, dual = [1] * ell, [q.inv(a) for a in range(ell)]
+    if r > ell:
+        d = math.isqrt(g.order - ell)
+        for a in range(ell):
+            constants[a][ell][ell] = constants[ell][a][ell] = 1
+            constants[ell][ell][a] = 1
+        constants[ell][ell][ell] = (d * d - ell) // d
+        degrees.append(d)
+        dual.append(ell)
+    return FusionDatum(degrees, dual, constants)
 
 
 # -- the search --------------------------------------------------------------------

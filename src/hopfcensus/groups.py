@@ -1,10 +1,13 @@
 """Finite groups as multiplication tables, with derived invariants.
 
 Elements are indices 0..order-1; the table is validated on construction
-(Latin square, associativity, two-sided inverses).  Subgroups are plain
-sorted index tuples inside the parent group.  All derived data (center,
-classes, abelian decompositions, ...) is computed by brute-force scans,
-which is exact and instant at the orders this package deals with (<= 64).
+(Latin square, associativity, two-sided inverses).  A semidirect product is
+built from its action table and checked by that same validator: once the
+identity acts trivially, it passes exactly when the action is by
+automorphisms.  Subgroups are plain sorted index tuples inside the parent
+group.  All derived data (center, classes, abelian decompositions, ...) is
+computed by brute-force scans, which is exact and instant at the orders
+this package deals with (<= 64).
 Irreducible degrees count |G:G'| linear characters and take the rest from
 the census's partitions into squares (``cyclotomic``).  The closure and
 element-order kernels here are shared with the fusion module.
@@ -15,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from hopfcensus.cyclotomic import CycNumber, _partitions_into_squares, divisors
@@ -26,10 +28,6 @@ class GroupError(ValueError):
 
 
 class NotAbelianError(GroupError):
-    pass
-
-
-class NotAutomorphismActionError(GroupError):
     pass
 
 
@@ -278,7 +276,6 @@ class AbelianDecomposition:
     ``coords[g]`` are the exponents of g in the basis ``generators``;
     ``orders`` are the invariant factors, an ascending divisibility chain.
     """
-    group: FiniteGroup
     generators: tuple[int, ...]
     orders: tuple[int, ...]
     coords: dict[int, tuple[int, ...]] = field(repr=False)
@@ -335,7 +332,7 @@ def abelian_decomposition(a: FiniteGroup) -> AbelianDecomposition:
         coords[g] = exps
     if len(coords) != a.order:
         raise GroupError("basis does not span the group")
-    return AbelianDecomposition(a, generators, orders, coords)
+    return AbelianDecomposition(generators, orders, coords)
 
 
 # -- constructions ----------------------------------------------------------
@@ -397,49 +394,15 @@ def build_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(table, name=f"{g.name}x{h.name}", validate=False)
 
 
-@dataclass(frozen=True)
-class GroupAction:
-    """An action of ``actor`` on the set 0..target_size-1."""
-    actor: FiniteGroup
-    target_size: int
-    table: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        t = self.table
-        if len(t) != self.actor.order or any(len(r) != self.target_size for r in t):
-            raise GroupError("action table has wrong shape")
-        e = self.actor.identity
-        if any(t[e][x] != x for x in range(self.target_size)):
-            raise GroupError("identity does not act trivially")
-        for a in range(self.actor.order):
-            for b in range(self.actor.order):
-                ab = self.actor.table[a][b]
-                for x in range(self.target_size):
-                    if t[ab][x] != t[a][t[b][x]]:
-                        raise GroupError("action is not compatible with multiplication")
-
-    def apply(self, g: int, x: int) -> int:
-        return self.table[g][x]
-
-    def is_by_automorphisms(self, target: FiniteGroup) -> bool:
-        if target.order != self.target_size:
-            return False
-        for g in range(self.actor.order):
-            row = self.table[g]
-            for a in range(target.order):
-                for b in range(target.order):
-                    if row[target.table[a][b]] != target.table[row[a]][row[b]]:
-                        return False
-        return True
-
-
 def action_from_generator_images(actor: FiniteGroup, target: FiniteGroup,
-                                 images: dict[int, list[int]]) -> GroupAction:
-    """Build a GroupAction from permutation images of some actor generators.
+                                 images: dict[int, list[int]]
+                                 ) -> tuple[tuple[int, ...], ...]:
+    """The action table of ``actor`` on the elements of ``target``: row g is
+    the permutation by which the actor element g acts.
 
-    ``images[g]`` is the permutation by which the actor element g acts.
-    The remaining rows are filled in by composing along products; the usual
-    compatibility checks run in the GroupAction constructor.
+    ``images`` gives the rows of some actor generators; the other rows are
+    filled in by composing along products.  ``build_semidirect`` checks the
+    result.
     """
     rows: dict[int, tuple[int, ...]] = {actor.identity: tuple(range(target.order))}
     for g, perm in images.items():
@@ -455,15 +418,24 @@ def action_from_generator_images(actor: FiniteGroup, target: FiniteGroup,
                     changed = True
     if len(rows) != actor.order:
         raise GroupError("generator images do not determine the action")
-    return GroupAction(actor, target.order, tuple(rows[g] for g in range(actor.order)))
+    return tuple(rows[g] for g in range(actor.order))
 
 
-def build_semidirect(n: FiniteGroup, q: FiniteGroup, act: GroupAction) -> FiniteGroup:
-    """Semidirect product N x| Q with (n,q)(n',q') = (n * (q . n'), q q')."""
-    if act.actor is not q and act.actor.table != q.table:
-        raise NotAutomorphismActionError("action's actor is not the quotient factor")
-    if not act.is_by_automorphisms(n):
-        raise NotAutomorphismActionError("action is not by automorphisms of the kernel")
+def build_semidirect(n: FiniteGroup, q: FiniteGroup,
+                     act: tuple[tuple[int, ...], ...]) -> FiniteGroup:
+    """Semidirect product N x| Q with (n,q)(n',q') = (n * (q . n'), q q').
+
+    ``act[b]`` is the permutation by which the element b of Q acts on N.
+    Once the identity of Q acts trivially, the table is associative exactly
+    when every row is an endomorphism of N and the rows compose
+    multiplicatively, and it is a Latin square exactly when every row is a
+    bijection: so the validating ``FiniteGroup`` constructor checks that Q
+    acts by automorphisms.
+    """
+    if len(act) != q.order or any(len(row) != n.order for row in act):
+        raise GroupError("action table has wrong shape")
+    if tuple(act[q.identity]) != tuple(range(n.order)):
+        raise GroupError("identity does not act trivially")
     size = n.order * q.order
     table = [[0] * size for _ in range(size)]
     for a in range(n.order):
@@ -471,7 +443,7 @@ def build_semidirect(n: FiniteGroup, q: FiniteGroup, act: GroupAction) -> Finite
             for c in range(n.order):
                 for d in range(q.order):
                     table[a * q.order + b][c * q.order + d] = \
-                        n.table[a][act.apply(b, c)] * q.order + q.table[b][d]
+                        n.table[a][act[b][c]] * q.order + q.table[b][d]
     return FiniteGroup(table, name=f"{n.name}:{q.name}")
 
 
@@ -528,34 +500,6 @@ class AltBicharacter:
                 if y[j] and self.values[i][j] != CycNumber.one():
                     value = value * self.values[i][j] ** (x[i] * y[j])
         return value
-
-
-def precompose_character_exponents(decomp: AbelianDecomposition,
-                                   perm) -> "dict[tuple, tuple]":
-    """The map x -> x o pi on character exponent tuples, for an automorphism
-    pi of the group given as an element permutation.
-
-    (x o pi)(gen_j) = x(pi(gen_j)) = prod_l zeta_{m_l}^{t_l c_l} with
-    c = coords(pi(gen_j)); the exponent on gen_j is the matching power of
-    zeta_{m_j}, which is integral exactly because x o pi is a character.
-    """
-    orders = decomp.orders
-    k = len(orders)
-    images = [decomp.coords[perm[e]] for e in decomp.generators]
-    out = {}
-    for t in itertools.product(*[range(m) for m in orders]):
-        new = []
-        for j in range(k):
-            frac = Fraction(0)
-            for l in range(k):
-                if t[l] and images[j][l]:
-                    frac += Fraction(t[l] * images[j][l], orders[l])
-            y = frac * orders[j]
-            if y.denominator != 1:
-                raise GroupError("permutation is not an automorphism")
-            new.append(int(y) % orders[j])
-        out[t] = tuple(new)
-    return out
 
 
 # -- built-in registry --------------------------------------------------------

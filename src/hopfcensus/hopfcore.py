@@ -35,8 +35,7 @@ from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
                                    _canonical_conductor, divisors)
 from hopfcensus.fusion import AlgebraTypeSignature, AxiomCheck, AxiomReport
 from hopfcensus.groups import (AltBicharacter, FiniteGroup, GroupError,
-                               abelian_decomposition,
-                               precompose_character_exponents)
+                               abelian_decomposition)
 
 ZERO = CycNumber.zero()
 ONE = CycNumber.one()
@@ -649,28 +648,47 @@ def _poly_roots_in_field(coeffs) -> list[CycNumber]:
 
     Candidates are zero, the supported roots of unity, rational-root-theorem
     candidates when the coefficients are rational, and (for a linear factor)
-    the exact field root.  Raises when the polynomial does not fully split.
+    the exact field root.  A quadratic factor no candidate divides is split
+    when its discriminant is (q s)^2, with q rational and s a supported root
+    of unity.  Raises when the polynomial does not fully split that way.
     """
     remaining = list(coeffs)
     roots: list[CycNumber] = []
-    progress = True
-    while len(remaining) > 1 and progress:
-        if len(remaining) == 2:
-            roots.append(-(remaining[0] * remaining[1].inv()))
-            remaining = [ONE]
+    while len(remaining) > 2:
+        candidates = itertools.chain(_root_candidates(),
+                                     _rational_root_candidates(remaining))
+        cand = next((c for c in candidates if not _poly_eval(remaining, c)), None)
+        if cand is None:
             break
-        progress = False
-        for cand in itertools.chain(_root_candidates(),
-                                    _rational_root_candidates(remaining)):
-            if not _poly_eval(remaining, cand):
-                remaining = _synthetic_div(remaining, cand)
-                roots.append(cand)
-                progress = True
-                break
-    if len(remaining) > 1:
+        remaining = _synthetic_div(remaining, cand)
+        roots.append(cand)
+    if len(remaining) == 3:
+        roots += _quadratic_roots(remaining[0], remaining[1])
+    elif len(remaining) == 2:
+        roots.append(-remaining[0])
+    if len(roots) < len(coeffs) - 1:
         raise CandidateOutsideFieldError(
             "minimal polynomial does not split over the supported fields")
     return roots
+
+
+def _quadratic_roots(c: CycNumber, b: CycNumber) -> list[CycNumber]:
+    """The roots (-b +- q s) / 2 of t^2 + b t + c for the first supported
+    root of unity s with (b^2 - 4c) / s^2 the square of a rational q >= 0,
+    or [] when there is none."""
+    disc = b * b - 4 * c
+    for s in _root_candidates():
+        field = math.lcm(disc.conductor, b.conductor, s.conductor)
+        if not s or _canonical_conductor(field) > MAX_CONDUCTOR:
+            continue
+        ratio = disc / (s * s)
+        value = ratio.rational_value() if ratio.is_rational() else -1
+        if value >= 0:
+            q = Fraction(math.isqrt(value.numerator),
+                         math.isqrt(value.denominator))
+            if q * q == value:
+                return [(q * s - b) / 2, (-q * s - b) / 2]
+    return []
 
 
 def _synthetic_div(coeffs, root):
@@ -951,16 +969,28 @@ def drinfeld_double_group_type(g: FiniteGroup) -> AlgebraTypeSignature:
 
 @dataclass(frozen=True)
 class TwistElement:
-    """An invertible normalized 2-cocycle in H (x) H, stored sparsely."""
+    """An invertible normalized 2-cocycle in H (x) H, stored sparsely as
+    {(i, j): coefficient} in ascending key order."""
     dim: int
-    value: tuple[tuple[int, int, CycNumber], ...]
-    inverse: tuple[tuple[int, int, CycNumber], ...]
+    value: dict[tuple[int, int], CycNumber]
+    inverse: dict[tuple[int, int], CycNumber]
 
-    def value_dict(self) -> dict:
-        return {(i, j): c for i, j, c in self.value}
 
-    def inverse_dict(self) -> dict:
-        return {(i, j): c for i, j, c in self.inverse}
+def _abelian_subgroup(g: FiniteGroup, subgroup, bichar: AltBicharacter):
+    """The subgroup as a group, its index map to g and its abelian
+    decomposition, once it is checked to be an abelian subgroup whose
+    invariants are the bicharacter's orders."""
+    if not g.is_subgroup(subgroup):
+        raise NotAbelianSubgroupError("subset is not a subgroup")
+    a_group, to_parent = g.subgroup_as_group(subgroup)
+    if not a_group.is_abelian:
+        raise NotAbelianSubgroupError("subgroup is not abelian")
+    decomp = abelian_decomposition(a_group)
+    if tuple(bichar.orders) != tuple(decomp.orders):
+        raise NotAbelianSubgroupError(
+            f"bicharacter orders {bichar.orders} do not match the subgroup "
+            f"invariants {decomp.orders}")
+    return a_group, to_parent, decomp
 
 
 def build_lifted_twist(g: FiniteGroup, subgroup,
@@ -972,17 +1002,7 @@ def build_lifted_twist(g: FiniteGroup, subgroup,
     character group of A.  Different splittings give cohomologous cocycles
     and gauge-equivalent twists, so the canonical one is used.
     """
-    sub = tuple(sorted(subgroup))
-    if not g.is_subgroup(sub):
-        raise NotAbelianSubgroupError("subset is not a subgroup")
-    a_group, to_parent = g.subgroup_as_group(sub)
-    if not a_group.is_abelian:
-        raise NotAbelianSubgroupError("subgroup is not abelian")
-    decomp = abelian_decomposition(a_group)
-    if tuple(bichar.orders) != tuple(decomp.orders):
-        raise NotAbelianSubgroupError(
-            f"bicharacter orders {bichar.orders} do not match the subgroup "
-            f"invariants {decomp.orders}")
+    a_group, to_parent, decomp = _abelian_subgroup(g, subgroup, bichar)
     tuples = list(itertools.product(*[range(m) for m in decomp.orders]))
     k = len(decomp.orders)
 
@@ -1025,20 +1045,15 @@ def build_lifted_twist(g: FiniteGroup, subgroup,
             _add_scaled(value, ca, (((a, b), c) for b, c in right.items()))
             _add_scaled(inverse, ca,
                         (((a, b), c) for b, c in right_inv.items()))
-    value = {key: c for key, c in value.items() if c}
-    inverse = {key: c for key, c in inverse.items() if c}
     return TwistElement(g.order,
-                        tuple((i, j, c) for (i, j), c in sorted(value.items(),
-                                                                key=lambda t: t[0])),
-                        tuple((i, j, c) for (i, j), c in sorted(inverse.items(),
-                                                                key=lambda t: t[0])))
+                        {key: c for key, c in sorted(value.items()) if c},
+                        {key: c for key, c in sorted(inverse.items()) if c})
 
 
 def verify_twist(h: HopfData, twist: TwistElement) -> AxiomReport:
     """Counit normalization, invertibility and the 2-cocycle identity."""
     checks = []
-    phi = twist.value_dict()
-    phi_inv = twist.inverse_dict()
+    phi, phi_inv = twist.value, twist.inverse
 
     ok = _counit_legs(h, phi) == (h.unit, h.unit)
     checks.append(AxiomCheck("counit-normalization", ok,
@@ -1081,8 +1096,7 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
         raise TwistInvalidError(
             "twist verification failed: " +
             "; ".join(c.axiom for c in report.failures()))
-    phi = twist.value_dict()
-    phi_inv = twist.inverse_dict()
+    phi, phi_inv = twist.value, twist.inverse
     comult = [h.tensor_mul(h.tensor_mul(phi, middle), phi_inv)
               for middle in h.comult]
 
@@ -1120,7 +1134,7 @@ def _algebra_inverse(h: HopfData, u):
 def surviving_group_likes(g: FiniteGroup, twist: TwistElement) -> tuple[int, ...]:
     """Group elements with (g (x) g) phi = phi (g (x) g): the twisted group-likes
     supported on the group basis."""
-    phi = twist.value_dict()
+    phi = twist.value
     out = []
     for x in range(g.order):
         left = {(g.table[x][i], g.table[x][j]): c for (i, j), c in phi.items()}
@@ -1139,32 +1153,24 @@ def cocommutativity_criterion(g: FiniteGroup, subgroup,
     group element g and every basis pair of characters, the action on
     characters being contragredient to conjugation on A.
     """
-    sub = tuple(sorted(subgroup))
-    if not g.is_normal(sub):
+    if not g.is_normal(subgroup):
         raise NotNormalError("subgroup is not normal")
-    a_group, to_parent = g.subgroup_as_group(sub)
-    if not a_group.is_abelian:
-        raise NotAbelianSubgroupError("subgroup is not abelian")
-    decomp = abelian_decomposition(a_group)
-    if tuple(bichar.orders) != tuple(decomp.orders):
-        raise NotAbelianSubgroupError("bicharacter does not match the subgroup")
+    _, to_parent, decomp = _abelian_subgroup(g, subgroup, bichar)
     to_child = {p: c for c, p in to_parent.items()}
-    k = len(decomp.orders)
-
-    def basis_tuple(i):
-        t = [0] * k
-        t[i] = 1
-        return tuple(t)
-
-    for gi in range(g.order):
-        # (g.x)(a) = x(g^{-1} a g): precompose each character with the inner
-        # automorphism of A induced by g^{-1}.
-        perm = [to_child[g.conjugate(g.inv(gi), to_parent[c])]
-                for c in range(a_group.order)]
-        mapping = precompose_character_exponents(decomp, perm)
-        images = [mapping[basis_tuple(i)] for i in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                if bichar.evaluate(images[i], images[j]) != bichar.values[i][j]:
-                    return False
+    orders = decomp.orders
+    for x in range(g.order):
+        # (x.e_i)(a) = e_i(x^{-1} a x).  With c_j the coordinates of
+        # x^{-1} gen_j x, its value on gen_j is zeta_{m_i}^{c_ji}, which is
+        # zeta_{m_j} to the power c_ji m_j / m_i: an integer, since
+        # conjugation is an automorphism.
+        coords = [decomp.coords[to_child[g.conjugate(g.inv(x), to_parent[gen])]]
+                  for gen in decomp.generators]
+        images = []
+        for i, m_i in enumerate(orders):
+            assert all(c[i] * m_j % m_i == 0 for c, m_j in zip(coords, orders))
+            images.append([c[i] * m_j // m_i % m_j
+                           for c, m_j in zip(coords, orders)])
+        for i, j in itertools.combinations(range(len(orders)), 2):
+            if bichar.evaluate(images[i], images[j]) != bichar.values[i][j]:
+                return False
     return True

@@ -15,8 +15,9 @@ from hopfcensus.fusion import (PROFILES, AlgebraTypeSignature, AxiomReport,
                                FusionDatum, FusionError, UnsupportedGroupError,
                                from_group_characters, search_fusion,
                                verify_fusion_datum)
-from hopfcensus.groups import (build_cyclic, build_dihedral, build_product,
-                               build_quaternion, build_symmetric)
+from hopfcensus.groups import (action_from_generator_images, build_cyclic,
+                               build_dihedral, build_product, build_quaternion,
+                               build_semidirect, build_symmetric)
 
 P = AlgebraTypeSignature.parse
 
@@ -55,6 +56,59 @@ D4_TABLE = [[1, 1, 1, 1, 1], [1, 1, 1, -1, -1], [1, 1, -1, 1, -1],
             [1, 1, -1, -1, 1], [2, -2, 0, 0, 0]]
 
 
+def complex_fusion_from_character_table(table, class_sizes):
+    """Structure constants (1/|G|) sum_C |C| chi_i chi_j conj(chi_k) of a
+    complex character table, rounded after a closeness check."""
+    t = np.array(table, dtype=complex)
+    sizes = np.array(class_sizes)
+    n = np.einsum("c,ic,jc,kc->ijk", sizes, t, t, t.conj()) / sizes.sum()
+    rounded = np.rint(n.real)
+    assert np.allclose(n, rounded)
+    return rounded.astype(int).tolist()
+
+
+W = np.exp(2j * np.pi / 3)
+A4_CLASSES = [1, 3, 4, 4]        # 1, double transpositions, two 3-cycle classes
+A4_TABLE = [[1, 1, 1, 1], [1, 1, W, W * W], [1, 1, W * W, W], [3, -1, 0, 0]]
+
+F20_CLASSES = [1, 4, 5, 5, 5]    # 1, order 5, a, a^2, a^3 with a of order 4
+F20_TABLE = [[1, 1, 1, 1, 1], [1, 1, 1j, -1, -1j], [1, 1, -1, 1, -1],
+             [1, 1, -1j, -1, 1j], [4, -1, 0, 0, 0]]
+
+
+def a4_and_f20():
+    k4 = build_product(build_cyclic(2), build_cyclic(2))
+    a4 = build_semidirect(k4, build_cyclic(3), action_from_generator_images(
+        build_cyclic(3), k4, {1: [0, 3, 1, 2]}))
+    f20 = build_semidirect(build_cyclic(5), build_cyclic(4),
+                           action_from_generator_images(
+                               build_cyclic(4), build_cyclic(5),
+                               {1: [0, 2, 4, 1, 3]}))  # x -> 2x
+    return [(a4, A4_TABLE, A4_CLASSES), (f20, F20_TABLE, F20_CLASSES)]
+
+
+@pytest.mark.parametrize("group, table, classes", a4_and_f20())
+def test_one_nonlinear_character_ring_matches_complex_table_oracle(
+        group, table, classes):
+    oracle = complex_fusion_from_character_table(table, classes)
+    t = np.array(table, dtype=complex)
+    r = len(table)
+    oracle_dual = [next(k for k in range(r) if np.allclose(t[k], t[i].conj()))
+                   for i in range(r)]
+    datum = from_group_characters(group)
+    ell = r - 1
+    assert datum.degrees == tuple(int(abs(row[0])) for row in table)
+    # the linear block is labelled up to a relabelling fixing the unit
+    relabellings = [(0,) + rest + (ell,)
+                    for rest in itertools.permutations(range(1, ell))]
+    assert any(all(datum.constants[i][j][k] == oracle[p[i]][p[j]][p[k]]
+                   for i in range(r) for j in range(r) for k in range(r))
+               and all(p[datum.dual[i]] == oracle_dual[p[i]] for i in range(r))
+               for p in relabellings)
+    for profile in PROFILES:
+        assert verify_fusion_datum(datum, profile).passed, profile
+
+
 def test_s3_character_ring_matches_table_oracle():
     oracle = fusion_from_character_table(S3_TABLE, S3_CLASSES)
     datum = from_group_characters(build_symmetric(3))
@@ -70,6 +124,16 @@ def test_d4_character_ring_matches_table_oracle():
     assert list(datum.multiply(4, 4)) == [1, 1, 1, 1, 0]
     assert oracle[4][4] == [1, 1, 1, 1, 0]
     assert datum.signature() == P("1,4;2,1")
+    # the whole ring, as the shipped order-8 table gave it
+    assert datum.to_json() == {
+        "degrees": [1, 1, 1, 1, 2], "dual": [0, 1, 2, 3, 4],
+        "constants": [
+            [0, 0, 0, 1], [0, 1, 1, 1], [0, 2, 2, 1], [0, 3, 3, 1], [0, 4, 4, 1],
+            [1, 0, 1, 1], [1, 1, 0, 1], [1, 2, 3, 1], [1, 3, 2, 1], [1, 4, 4, 1],
+            [2, 0, 2, 1], [2, 1, 3, 1], [2, 2, 0, 1], [2, 3, 1, 1], [2, 4, 4, 1],
+            [3, 0, 3, 1], [3, 1, 2, 1], [3, 2, 1, 1], [3, 3, 0, 1], [3, 4, 4, 1],
+            [4, 0, 4, 1], [4, 1, 4, 1], [4, 2, 4, 1], [4, 3, 4, 1],
+            [4, 4, 0, 1], [4, 4, 1, 1], [4, 4, 2, 1], [4, 4, 3, 1]]}
 
 
 def test_hopf_profile_passes_on_shipped_data():

@@ -1,11 +1,12 @@
 """Finite-group kernel: constructions, invariants, bicharacters."""
 
+import itertools
+
 import pytest
 
 from hopfcensus.cyclotomic import CycNumber
 from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter, FiniteGroup,
-                               GroupAction, GroupError, NotAutomorphismActionError,
-                               abelian_decomposition,
+                               GroupError, abelian_decomposition,
                                action_from_generator_images, build_cyclic,
                                build_dihedral, build_product,
                                build_quaternion, build_semidirect,
@@ -20,7 +21,7 @@ def brute_force_center(g: FiniteGroup):
             if all(g.table[a][b] == g.table[b][a] for b in range(g.order))]
 
 
-def inversion_action_on_z3(actor: FiniteGroup, images: dict) -> GroupAction:
+def inversion_action_on_z3(actor: FiniteGroup, images: dict):
     return action_from_generator_images(actor, build_cyclic(3), images)
 
 
@@ -44,15 +45,51 @@ def test_semidirect_order_12_center():
     assert tuple(oracle) == g.center
 
 
-def test_non_automorphism_action_rejected():
+def is_automorphism_action(n: FiniteGroup, q: FiniteGroup, rows) -> bool:
+    """Oracle: the identity acts trivially, every row is an automorphism of
+    n, and the rows compose multiplicatively."""
+    elems = range(n.order)
+    return (rows[q.identity] == tuple(elems)
+            and all(sorted(row) == list(elems)
+                    and all(row[n.table[a][b]] == n.table[row[a]][row[b]]
+                            for a in elems for b in elems)
+                    for row in rows)
+            and all(rows[q.table[x][y]] == tuple(rows[x][rows[y][a]]
+                                                 for a in elems)
+                    for x in range(q.order) for y in range(q.order)))
+
+
+@pytest.mark.parametrize("n, q, row_choices, accepted", [
+    (build_cyclic(3), build_cyclic(2),
+     list(itertools.product(range(3), repeat=3)), 2),
+    (build_product(build_cyclic(2), build_cyclic(2)), build_cyclic(2),
+     list(itertools.permutations(range(4))), 4),
+    (build_cyclic(3), build_cyclic(3),
+     list(itertools.permutations(range(3))), 1),
+], ids=["Z2-on-Z3", "Z2-on-Z2xZ2", "Z3-on-Z3"])
+def test_semidirect_accepts_exactly_the_automorphism_actions(
+        n, q, row_choices, accepted):
+    expected, built = set(), set()
+    for rows in itertools.product(row_choices, repeat=q.order):
+        if is_automorphism_action(n, q, rows):
+            expected.add(rows)
+        try:
+            g = build_semidirect(n, q, rows)
+        except GroupError:
+            continue
+        assert g.order == n.order * q.order
+        built.add(rows)
+    assert built == expected and len(expected) == accepted
+
+
+def test_semidirect_by_inversion_is_dihedral():
     z2 = build_cyclic(2)
-    bad = GroupAction(z2, 3, ((0, 1, 2), (0, 2, 1)))
-    # swapping 1 <-> 2 in Z_3 is inversion, fine; a non-homomorphism is not
-    broken = GroupAction(z2, 3, ((0, 1, 2), (1, 0, 2)))
-    dihedral = build_semidirect(build_cyclic(3), z2, bad)
+    act = inversion_action_on_z3(z2, {1: [0, 2, 1]})
+    assert act == ((0, 1, 2), (0, 2, 1))
+    dihedral = build_semidirect(build_cyclic(3), z2, act)
     assert dihedral.order == 6 and not dihedral.is_abelian
-    with pytest.raises(NotAutomorphismActionError):
-        build_semidirect(build_cyclic(3), z2, broken)
+    with pytest.raises(GroupError, match="wrong shape"):
+        build_semidirect(build_cyclic(3), z2, act[:1])
 
 
 def test_center_and_classes():

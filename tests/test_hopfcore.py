@@ -1,6 +1,7 @@
 """Hopf-algebra layer: axioms, the dimension-8 algebra, doubles, twists."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
                                    _from_numerators, _powers, euler_phi)
 from hopfcensus.fusion import AlgebraTypeSignature
 from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter,
+                               abelian_decomposition,
                                action_from_generator_images, build_cyclic,
                                build_dihedral, build_product, build_quaternion,
                                build_semidirect, build_symmetric, builtin_group)
@@ -376,12 +378,13 @@ def test_twist_errors():
     with pytest.raises(Exception):
         build_lifted_twist(g, (0, 1, 2), NONDEG2)  # not a subgroup
     tw = build_lifted_twist(g, G12_GAMMA, NONDEG2)
+    assert list(tw.value) == sorted(tw.value)
+    assert list(tw.inverse) == sorted(tw.inverse)
     # corrupt one coefficient: the cocycle identity must fail and twisting
     # must refuse
-    bad_value = list(tw.value)
-    i, j, c = bad_value[0]
-    bad_value[0] = (i, j, c * CycNumber.from_rational(2))
-    bad = TwistElement(tw.dim, tuple(bad_value), tw.inverse)
+    first = next(iter(tw.value))
+    bad_value = {**tw.value, first: tw.value[first] * CycNumber.from_rational(2)}
+    bad = TwistElement(tw.dim, bad_value, tw.inverse)
     report = verify_twist(from_group(g), bad)
     assert not report.passed
     with pytest.raises(TwistInvalidError):
@@ -421,6 +424,74 @@ def test_criterion_cross_validation(name, make):
     tw = build_lifted_twist(g, subgroup, bichar)
     twisted = twist_hopf(from_group(g), tw, verify=False)
     assert is_cocommutative(twisted) == predicted, name
+
+
+def normal_abelian_subgroups(g):
+    """Every normal abelian subgroup, grown one element at a time from the
+    trivial one by brute force over the table."""
+    found, frontier = set(), [(g.identity,)]
+    while frontier:
+        sub = frontier.pop()
+        if sub in found:
+            continue
+        found.add(sub)
+        frontier += [g.subgroup_closure(sub + (x,)) for x in range(g.order)
+                     if x not in sub]
+    return sorted(s for s in found if g.is_normal(s)
+                  and all(g.mul(a, b) == g.mul(b, a) for a in s for b in s))
+
+
+def alternating_bicharacters(orders):
+    """Every alternating bicharacter on Z_m1 x ... x Z_mk: a root of unity
+    of order dividing gcd(m_i, m_j) above the diagonal, its inverse below."""
+    k = len(orders)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    gcds = [math.gcd(orders[i], orders[j]) for i, j in pairs]
+    for exps in itertools.product(*[range(m) for m in gcds]):
+        values = [[ONE] * k for _ in range(k)]
+        for (i, j), m, t in zip(pairs, gcds, exps):
+            values[i][j] = CycNumber.root_of_unity(m, t)
+            values[j][i] = CycNumber.root_of_unity(m, -t)
+        yield AltBicharacter(orders, tuple(map(tuple, values)))
+
+
+def test_group_likes_split_a_quadratic_minimal_polynomial():
+    # The D4 Klein twist: in its dual, t(t^2 - t + 1/2) has the roots
+    # (1 +- i)/2, found from the discriminant -1 = (1 * i)^2.  The twisted
+    # algebra is cocommutative, so it is a group algebra with 8 group-likes.
+    h = _twisted("D4", (0, 2, 4, 6), NONDEG2)
+    assert is_cocommutative(h)
+    glikes = group_like_elements(h)
+    assert len(glikes) == h.dim
+    basis = LinearBasis(h.dim)
+    for v in glikes:
+        delta = {}
+        for i, a in enumerate(v):
+            for key, c in h.comult[i].items():
+                delta[key] = delta.get(key, ZERO) + a * c
+        assert {k: c for k, c in delta.items() if c} == \
+            {(j, k): a * b for j, a in enumerate(v) for k, b in enumerate(v)
+             if a and b}
+        assert sum((a * e for a, e in zip(v, h.counit)), ZERO) == ONE
+        assert basis.add(v)
+    assert basis.rank == h.dim
+
+
+def test_criterion_matches_direct_cocommutativity_everywhere():
+    # every built-in group and A4: 46 triples, False only at orders 18 and 36
+    outcomes = {}
+    for g in [builtin_group(name) for name in BUILTIN_GROUPS] + [build_a4()[0]]:
+        kg = from_group(g)
+        for subgroup in normal_abelian_subgroups(g):
+            a_group = g.subgroup_as_group(subgroup)[0]
+            for bichar in alternating_bicharacters(
+                    abelian_decomposition(a_group).orders):
+                tw = build_lifted_twist(g, subgroup, bichar)
+                direct = is_cocommutative(twist_hopf(kg, tw, verify=False))
+                assert cocommutativity_criterion(g, subgroup, bichar) == direct, \
+                    (g.name, subgroup, bichar)
+                outcomes[direct] = outcomes.get(direct, 0) + 1
+    assert outcomes == {True: 42, False: 4}
 
 
 def test_yd_pair_count_formula():
@@ -814,7 +885,7 @@ def test_algebra_inverse_of_twist_correctors():
     kg = from_group(builtin_group("G18"))
     tw = build_lifted_twist(builtin_group("G18"), G18_GAMMA, NONDEG3)
     u = [ZERO] * kg.dim
-    for (i, j), c in tw.value_dict().items():
+    for (i, j), c in tw.value.items():
         term = kg.vec_mul(kg.basis_vector(i), kg.antipode_of(kg.basis_vector(j)))
         u = [x + c * y for x, y in zip(u, term)]
     assert sum(1 for c in u if c) > 1
