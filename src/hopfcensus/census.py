@@ -15,6 +15,7 @@ survivors.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -267,12 +268,11 @@ def enumerate_types(dimension: int,
 def tensor_type(a: AlgebraTypeSignature,
                 b: AlgebraTypeSignature) -> AlgebraTypeSignature:
     """Type of a tensor product: components pair off with multiplied degrees."""
-    counts: dict[int, int] = {}
+    counts: Counter = Counter()
     for d, m in [(1, a.n)] + list(a.entries):
         for e, k in [(1, b.n)] + list(b.entries):
-            counts[d * e] = counts.get(d * e, 0) + m * k
-    n = counts.pop(1, 0)
-    return AlgebraTypeSignature(n, tuple(sorted(counts.items())))
+            counts[d * e] += m * k
+    return AlgebraTypeSignature.from_counts(counts)
 
 
 def complete_type(dimension: int, n: int,

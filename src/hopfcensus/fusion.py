@@ -106,6 +106,12 @@ class AlgebraTypeSignature:
         n = pairs[0][1]
         return AlgebraTypeSignature(n, tuple(sorted(pairs[1:])))
 
+    @staticmethod
+    def from_counts(counts) -> "AlgebraTypeSignature":
+        """The type with ``counts[d]`` components of degree d."""
+        return AlgebraTypeSignature(counts.get(1, 0), tuple(sorted(
+            (d, m) for d, m in counts.items() if d != 1)))
+
     def __str__(self) -> str:
         return ";".join([f"1,{self.n}"] + [f"{d},{m}" for d, m in self.entries])
 
@@ -145,13 +151,6 @@ class FusionDatum:
 
     def multiply(self, i: int, j: int) -> tuple[int, ...]:
         return self.constants[i][j]
-
-    def signature(self) -> AlgebraTypeSignature:
-        counts: dict[int, int] = {}
-        for d in self.degrees:
-            counts[d] = counts.get(d, 0) + 1
-        n = counts.pop(1, 0)
-        return AlgebraTypeSignature(n, tuple(sorted(counts.items())))
 
     def left_stabilizer(self, i: int) -> tuple[int, ...]:
         """The subgroup {g of degree 1 : g * chi_i = chi_i}."""

@@ -11,10 +11,11 @@ with the first violating basis triple.
 ``LinearBasis`` is the module's one exact elimination: it writes a vector
 of its span in the vectors it accepted, which gives minimal polynomials,
 the word basis of the character search and the inverse of the twist's
-antipode corrector.  The Hopf and twist axioms share their coproduct legs:
-``_delta_legs`` gives both sides of coassociativity and the inner terms of
-the cocycle identity, and ``_counit_legs`` both sides of the counit law and
-of counit normalization.
+antipode corrector.  ``_legs`` is its one tensor map: it applies a linear
+map to each leg of a sparse tensor in H (x) H, which gives both sides of
+coassociativity, of the counit law and of counit normalization, the inner
+terms of the cocycle identity, the antipode axiom and corrector with one
+product per term, the hit actions and the convolution of characters.
 
 The module covers: group algebras and duals, the 8-dimensional
 Kac-Paljutkin algebra, multiplicative characters and group-like
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,6 +167,34 @@ def _evaluate(values, terms) -> CycNumber:
     return total
 
 
+def _legs(t: dict, f, g) -> dict:
+    """(f (x) g) t for a sparse {(i, j): coefficient} tensor t, pruned.
+
+    f and g are leg maps: ``f[i]`` is the image of e_i as a sparse
+    {key tuple: coefficient} dict, so ``h.comult`` is Delta; None stands
+    for the identity, which keeps i as the key (i,).  The result is keyed
+    by the concatenated key tuples: (Delta (x) id) t has triples,
+    (eps (x) id) t one-tuples and (a (x) b) t for functionals the empty one.
+    """
+    out: dict = {}
+    for (i, j), c in t.items():
+        for a, x in _image(f, i, c):
+            for b, y in _image(g, j, x):
+                key = a + b
+                out[key] = out[key] + y if key in out else y
+    return _pruned(out)
+
+
+def _image(f, i: int, c) -> list:
+    """c f(e_i) as (key tuple, coefficient) terms; f None is the identity."""
+    return [((i,), c)] if f is None else [(a, c * x) for a, x in f[i].items()]
+
+
+def _functional(values) -> list:
+    """The leg map of a functional given by its basis values."""
+    return [{(): v} for v in values]
+
+
 class HopfData:
     """A finite-dimensional Hopf algebra by structure constants.
 
@@ -231,6 +261,18 @@ class HopfData:
 
     # -- tensor helpers (elements of H (x) H as sparse {(i,j): scalar})
 
+    def antipode_leg(self) -> list:
+        """S as a leg map for ``_legs``."""
+        return [{(t,): x for t, x in row} for row in self.antipode]
+
+    def multiplied(self, t: dict) -> dict:
+        """m(t), pruned."""
+        out: dict = {}
+        mult = self.mult
+        for (a, b), c in t.items():
+            _add_scaled(out, c, mult[a][b])
+        return _pruned(out)
+
     def tensor_mul(self, a: dict, b: dict) -> dict:
         out: dict = {}
         mult = self.mult
@@ -243,21 +285,6 @@ class HopfData:
                     for q, y in right:
                         key, t = (p, q), cx * y
                         out[key] = out[key] + t if key in out else t
-        return _pruned(out)
-
-    def tensor3_mul(self, a: dict, b: dict) -> dict:
-        out: dict = {}
-        mult = self.mult
-        for (i1, i2, i3), c in a.items():
-            for (j1, j2, j3), d in b.items():
-                cd = c * d
-                third = mult[i3][j3]
-                for p, x in mult[i1][j1]:
-                    for q, y in mult[i2][j2]:
-                        cxy = cd * x * y
-                        for s, z in third:
-                            key, t = (p, q, s), cxy * z
-                            out[key] = out[key] + t if key in out else t
         return _pruned(out)
 
     # -- serialization
@@ -299,32 +326,6 @@ class HopfData:
 
 
 # -- axiom verification -----------------------------------------------------------
-
-def _delta_legs(h: HopfData, t: dict) -> tuple[dict, dict]:
-    """(Delta (x) id) t and (id (x) Delta) t for t in H (x) H, over triples."""
-    left: dict = {}
-    right: dict = {}
-    comult = h.comult
-    for (i, j), c in t.items():
-        for (p, q), d in comult[i].items():
-            key, x = (p, q, j), c * d
-            left[key] = left[key] + x if key in left else x
-        for (p, q), d in comult[j].items():
-            key, x = (i, p, q), c * d
-            right[key] = right[key] + x if key in right else x
-    return _pruned(left), _pruned(right)
-
-
-def _counit_legs(h: HopfData, t: dict) -> tuple[tuple, tuple]:
-    """(eps (x) id) t and (id (x) eps) t for t in H (x) H, as dense vectors."""
-    left = [ZERO] * h.dim
-    right = [ZERO] * h.dim
-    counit = h.counit
-    for (i, j), c in t.items():
-        left[j] = left[j] + c * counit[i]
-        right[i] = right[i] + c * counit[j]
-    return tuple(left), tuple(right)
-
 
 def _generator_rows(h: HopfData) -> list[int]:
     """Basis indices from which one-term products reach every basis index.
@@ -424,33 +425,24 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
         compatible = first(lambda i, j: _pruned(h._comult(mult[i][j])) !=
                            h.tensor_mul(h.comult[i], h.comult[j]), rows, every)
 
-    def coassociative(i) -> bool:
-        left, right = _delta_legs(h, h.comult[i])
-        return left == right
-
     bad = next((i for i in (rows if compatible is None else every)
-                if not coassociative(i)), None)
+                if _legs(h.comult[i], h.comult, None) !=
+                _legs(h.comult[i], None, h.comult)), None)
     add("coassociativity", bad, "fails on basis element ")
 
-    bad = next((i for i in range(m) if _counit_legs(h, h.comult[i]) !=
-                (h.basis_vector(i),) * 2), None)
+    counit = _functional(h.counit)
+    bad = next((i for i in range(m) if not _legs(h.comult[i], counit, None) ==
+                _legs(h.comult[i], None, counit) == {(i,): ONE}), None)
     add("counit", bad, "counit law fails at basis element ")
 
     add("bialgebra-compatibility", compatible, "fails at ")
 
-    bad = None
-    for i in range(m):
-        left = {}
-        right = {}
-        for (j, k), c in h.comult[i].items():
-            for t, x in h.antipode[j]:
-                _add_scaled(left, c * x, mult[t][k])
-            for t, x in h.antipode[k]:
-                _add_scaled(right, c * x, mult[j][t])
-        expected = _pruned({k: h.counit[i] * u for k, u in unit})
-        if _pruned(left) != expected or _pruned(right) != expected:
-            bad = i
-            break
+    # m (S (x) id) Delta (e_i) and m (id (x) S) Delta (e_i) against eps(e_i) 1
+    antipode = h.antipode_leg()
+    bad = next((i for i in range(m)
+                if not h.multiplied(_legs(h.comult[i], antipode, None)) ==
+                h.multiplied(_legs(h.comult[i], None, antipode)) ==
+                _pruned({k: h.counit[i] * u for k, u in unit})), None)
     add("antipode", bad, "antipode axiom fails at basis element ")
 
     bad = next((i for i in range(m)
@@ -826,14 +818,9 @@ def _is_multiplicative(h: HopfData, func: CharacterFunctional) -> bool:
 def character_convolution(h: HopfData, a: CharacterFunctional,
                           b: CharacterFunctional) -> CharacterFunctional:
     """Product in the dual algebra: (a*b)(e_i) = sum a(e_i(1)) b(e_i(2))."""
-    values = []
-    for i in range(h.dim):
-        total = ZERO
-        for (j, k), c in h.comult[i].items():
-            if a.values[j] and b.values[k]:
-                total = total + c * a.values[j] * b.values[k]
-        values.append(total)
-    return CharacterFunctional(values)
+    left, right = _functional(a.values), _functional(b.values)
+    return CharacterFunctional(_legs(entry, left, right).get((), ZERO)
+                               for entry in h.comult)
 
 
 def group_like_elements(h: HopfData) -> list[tuple]:
@@ -853,26 +840,14 @@ def group_like_elements(h: HopfData) -> list[tuple]:
 
 def hit_left(eta: CharacterFunctional, u, h: HopfData):
     """eta harpoon u = sum <eta, u_(2)> u_(1)."""
-    out = [ZERO] * h.dim
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for (j, k), c in h.comult[i].items():
-            if eta.values[k]:
-                out[j] = out[j] + a * c * eta.values[k]
-    return tuple(out)
+    legs = _legs(h._comult(_nonzeros(u)), None, _functional(eta.values))
+    return h._dense({j: c for (j,), c in legs.items()})
 
 
 def hit_right(u, eta: CharacterFunctional, h: HopfData):
     """u harpoon eta = sum <eta, u_(1)> u_(2)."""
-    out = [ZERO] * h.dim
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for (j, k), c in h.comult[i].items():
-            if eta.values[j]:
-                out[k] = out[k] + a * c * eta.values[j]
-    return tuple(out)
+    legs = _legs(h._comult(_nonzeros(u)), _functional(eta.values), None)
+    return h._dense({k: c for (k,), c in legs.items()})
 
 
 @dataclass(frozen=True)
@@ -953,16 +928,10 @@ def drinfeld_double_group_type(g: FiniteGroup) -> AlgebraTypeSignature:
     Irreducibles are indexed by (conjugacy class, centralizer irreducible)
     with dimension class size times centralizer degree.
     """
-    counts: dict[int, int] = {}
-    for cls in g.conjugacy_classes:
-        rep = cls[0]
-        size = len(cls)
-        centralizer, _ = g.subgroup_as_group(g.centralizer(rep))
-        for d in centralizer.irreducible_degrees:
-            dim = size * d
-            counts[dim] = counts.get(dim, 0) + 1
-    n = counts.pop(1, 0)
-    return AlgebraTypeSignature(n, tuple(sorted(counts.items())))
+    return AlgebraTypeSignature.from_counts(Counter(
+        len(cls) * d for cls in g.conjugacy_classes
+        for d in g.subgroup_as_group(g.centralizer(cls[0]))[0]
+        .irreducible_degrees))
 
 
 # -- cocycle twists -----------------------------------------------------------------
@@ -1051,11 +1020,19 @@ def build_lifted_twist(g: FiniteGroup, subgroup,
 
 
 def verify_twist(h: HopfData, twist: TwistElement) -> AxiomReport:
-    """Counit normalization, invertibility and the 2-cocycle identity."""
+    """Counit normalization, invertibility and the 2-cocycle identity.
+
+    As 1 is the unit, the cocycle identity's left side is
+    sum_s (phi X_s) (x) e_s for (Delta (x) id)(phi) = sum_s X_s (x) e_s, and
+    its right side sum_p e_p (x) (phi Y_p) for (id (x) Delta)(phi) =
+    sum_p e_p (x) Y_p.
+    """
     checks = []
     phi, phi_inv = twist.value, twist.inverse
 
-    ok = _counit_legs(h, phi) == (h.unit, h.unit)
+    counit = _functional(h.counit)
+    ok = (_legs(phi, counit, None) == _legs(phi, None, counit) ==
+          {(k,): u for k, u in _nonzeros(h.unit)})
     checks.append(AxiomCheck("counit-normalization", ok,
                              "" if ok else "(eps (x) id) phi is not 1"))
 
@@ -1066,17 +1043,16 @@ def verify_twist(h: HopfData, twist: TwistElement) -> AxiomReport:
     checks.append(AxiomCheck("invertibility", ok,
                              "" if ok else "phi * phi^{-1} differs from 1 (x) 1"))
 
-    left, right = _delta_legs(h, phi)
-    phi1 = {}
-    phi3 = {}
-    for (i, j), c in phi.items():
-        for k, u in enumerate(h.unit):
-            if u:
-                phi1[(i, j, k)] = c * u
-                phi3[(k, i, j)] = c * u
-    lhs = h.tensor3_mul(phi1, left)
-    rhs = h.tensor3_mul(phi3, right)
-    ok = lhs == rhs
+    left: dict = {}
+    for (p, q, s), c in _legs(phi, h.comult, None).items():
+        left.setdefault(s, {})[(p, q)] = c
+    right: dict = {}
+    for (p, q, r), c in _legs(phi, None, h.comult).items():
+        right.setdefault(p, {})[(q, r)] = c
+    ok = ({(a, b, s): c for s, x in left.items()
+           for (a, b), c in h.tensor_mul(phi, x).items()} ==
+          {(p, a, b): c for p, y in right.items()
+           for (a, b), c in h.tensor_mul(phi, y).items()})
     checks.append(AxiomCheck("cocycle-identity", ok,
                              "" if ok else "the two cocycle sides differ"))
     return AxiomReport(tuple(checks))
@@ -1087,25 +1063,23 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
 
     The antipode becomes U S(.) U^{-1} with U = sum phi^(1) S(phi^(2));
     multiplication, unit and counit are unchanged.  With ``verify`` the
-    full Hopf axiom suite runs on the result and failures raise.
+    twist is checked first and the full Hopf axiom suite then runs on the
+    result; failures raise.  Without it the caller vouches that the twist
+    passes ``verify_twist``.
     """
     if h.dim > MAX_TWIST_DIM:
         raise TwistInvalidError(f"twisting capped at dimension {MAX_TWIST_DIM}")
-    report = verify_twist(h, twist)
-    if not report.passed:
-        raise TwistInvalidError(
-            "twist verification failed: " +
-            "; ".join(c.axiom for c in report.failures()))
+    if verify:
+        report = verify_twist(h, twist)
+        if not report.passed:
+            raise TwistInvalidError(
+                "twist verification failed: " +
+                "; ".join(c.axiom for c in report.failures()))
     phi, phi_inv = twist.value, twist.inverse
     comult = [h.tensor_mul(h.tensor_mul(phi, middle), phi_inv)
               for middle in h.comult]
 
-    # U = sum phi^(1) S(phi^(2))
-    uvec: dict = {}
-    for (i, j), c in phi.items():
-        for t, x in h.antipode[j]:
-            _add_scaled(uvec, c * x, h.mult[i][t])
-    u = _pruned(uvec).items()
+    u = h.multiplied(_legs(phi, None, h.antipode_leg())).items()
     uinv = _nonzeros(_algebra_inverse(h, u))
     antipode = [h._product(h._product(u, h.antipode[i]).items(), uinv)
                 for i in range(h.dim)]

@@ -6,6 +6,9 @@ code with the sparse kernels.  The associativity scan order is pinned the
 same way: a naive lexicographic loop finds the first failing triple.
 """
 
+import hashlib
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,8 +16,11 @@ import pytest
 
 from hopfcensus.cyclotomic import CycNumber
 from hopfcensus.groups import AltBicharacter, build_symmetric, builtin_group
-from hopfcensus.hopfcore import (HopfData, build_h8, build_lifted_twist, dual,
-                                 from_group, twist_hopf, verify_hopf_axioms)
+from hopfcensus.hopfcore import (HopfData, TwistElement, algebra_characters,
+                                 build_h8, build_lifted_twist,
+                                 character_convolution, dual, from_group,
+                                 group_like_elements, hit_left, hit_right,
+                                 twist_hopf, verify_hopf_axioms, verify_twist)
 
 ZERO = CycNumber.zero()
 ONE = CycNumber.one()
@@ -156,3 +162,273 @@ def test_associativity_reports_the_first_failing_triple(name, position):
     check = next(c for c in report.checks if c.axiom == "associativity")
     assert not check.passed
     assert check.detail == f"first failure at {expected}"
+
+
+# -- the twist checks against dense loops --------------------------------
+
+class DenseTwistReference(DenseReference):
+    """The three checks of ``verify_twist`` by loops over basis indices.
+
+    Tensors are {index tuple: coefficient} dicts.  Each product runs over
+    the support of every leg's dense structure-constant row, so nothing
+    here shares code with the sparse leg maps or ``HopfData.tensor_mul``.
+    """
+
+    def __init__(self, data: dict):
+        super().__init__(data)
+        m = self.dim
+        self.unit = [CycNumber.from_json(c) for c in data["unit"]]
+        self.counit = [CycNumber.from_json(c) for c in data["counit"]]
+        self.support = [[[(k, self.mult[i][j][k]) for k in range(m)
+                          if self.mult[i][j][k]] for j in range(m)]
+                        for i in range(m)]
+
+    def product(self, a: dict, b: dict) -> dict:
+        out = {}
+        for x, c in a.items():
+            for y, d in b.items():
+                legs = [self.support[i][j] for i, j in zip(x, y)]
+                for terms in itertools.product(*legs):
+                    value = c * d
+                    for _, coeff in terms:
+                        value = value * coeff
+                    key = tuple(k for k, _ in terms)
+                    out[key] = out.get(key, ZERO) + value
+        return {key: c for key, c in out.items() if c}
+
+    def counit_normalized(self, phi: dict) -> bool:
+        m = self.dim
+        left = [sum((self.counit[i] * phi.get((i, j), ZERO)
+                     for i in range(m)), ZERO) for j in range(m)]
+        right = [sum((phi.get((i, j), ZERO) * self.counit[j]
+                      for j in range(m)), ZERO) for i in range(m)]
+        return left == self.unit and right == self.unit
+
+    def invertible(self, phi: dict, phi_inv: dict) -> bool:
+        m = self.dim
+        one = {(i, j): self.unit[i] * self.unit[j]
+               for i in range(m) for j in range(m)
+               if self.unit[i] and self.unit[j]}
+        return (self.product(phi, phi_inv) == one
+                and self.product(phi_inv, phi) == one)
+
+    def cocycle(self, phi: dict) -> bool:
+        """(phi (x) 1)(Delta (x) id)(phi) == (1 (x) phi)(id (x) Delta)(phi)."""
+        m = self.dim
+        left_delta, right_delta = {}, {}
+        for i, j in itertools.product(range(m), repeat=2):
+            c = phi.get((i, j), ZERO)
+            if not c:
+                continue
+            for p, q in itertools.product(range(m), repeat=2):
+                d = self.comult[i][p][q]
+                if d:
+                    left_delta[(p, q, j)] = \
+                        left_delta.get((p, q, j), ZERO) + c * d
+                d = self.comult[j][p][q]
+                if d:
+                    right_delta[(i, p, q)] = \
+                        right_delta.get((i, p, q), ZERO) + c * d
+        phi_one = {(i, j, k): c * self.unit[k]
+                   for (i, j), c in phi.items() for k in range(m)
+                   if self.unit[k]}
+        one_phi = {(k, i, j): self.unit[k] * c
+                   for (i, j), c in phi.items() for k in range(m)
+                   if self.unit[k]}
+        return (self.product(phi_one, left_delta) ==
+                self.product(one_phi, right_delta))
+
+
+# The twists of the benchmark's ``hopf`` workload: group -> (subgroup,
+# bicharacter).
+WORKLOAD_TWISTS = {
+    "D3xD3": ((0, 3, 18, 21), AltBicharacter.nondegenerate_rank2(2)),
+    "G12": ((0, 1, 2, 3), AltBicharacter.nondegenerate_rank2(2)),
+    "D4": ((0, 2, 4, 6), AltBicharacter.nondegenerate_rank2(2)),
+    "G18": (tuple(2 * i for i in range(9)),
+            AltBicharacter.nondegenerate_rank2(3)),
+}
+
+# The workload twists the dense loops can afford, and the trivial twist
+# 1 (x) 1 on the D3xD3 workload subgroup: (group, subgroup, bicharacter).
+REFERENCE_TWISTS = {
+    "trivial": ("D3xD3", WORKLOAD_TWISTS["D3xD3"][0],
+                AltBicharacter.trivial((2, 2))),
+    **{group: (group, *WORKLOAD_TWISTS[group])
+       for group in ("G12", "D4", "G18")},
+}
+
+CORRUPTION_VALUES = [ONE, -ONE, CycNumber.from_rational(3),
+                     CycNumber.root_of_unity(3, 1), ZERO]
+
+
+def _outer(u, v) -> dict:
+    return {(i, j): a * b for i, a in enumerate(u) for j, b in enumerate(v)
+            if a and b}
+
+
+def _changed(tensor: dict, changes) -> dict:
+    """tensor with each (key, delta) added, zeros dropped, keys ascending."""
+    out = dict(tensor)
+    for key, delta in changes:
+        out[key] = out.get(key, ZERO) + delta
+    return {key: c for key, c in sorted(out.items()) if c}
+
+
+def _corruptions(tw, rng):
+    """(field, twist): tw with one coefficient of ``value`` and then of
+    ``inverse`` changed by a corruption value (zero sets it to zero), and
+    with a nonzero delta moved between two keys of one column and then of
+    one row of ``value``.  On a group algebra the column move keeps
+    (eps (x) id) phi and changes (id (x) eps) phi, the row move the
+    reverse."""
+    out = []
+    for field in ("value", "inverse"):
+        tensors = {"value": tw.value, "inverse": tw.inverse}
+        key = rng.choice(sorted(tensors[field]))
+        delta = rng.choice(CORRUPTION_VALUES) or -tensors[field][key]
+        tensors[field] = _changed(tensors[field], [(key, delta)])
+        out.append((field, TwistElement(tw.dim, **tensors)))
+    for field, leg in (("column", 0), ("row", 1)):
+        key = rng.choice(sorted(tw.value))
+        other = list(key)
+        other[leg] = rng.choice([k for k in range(tw.dim) if k != key[leg]])
+        delta = rng.choice(CORRUPTION_VALUES[:-1])
+        moved = _changed(tw.value, [(key, delta), (tuple(other), -delta)])
+        out.append((field, TwistElement(tw.dim, moved, tw.inverse)))
+    return out
+
+
+def _h8_coboundary():
+    h8 = build_h8()
+    ref = DenseReference(h8.to_json())
+    a = (ZERO, ONE, -ONE, ZERO, ZERO, ONE, -ONE, ZERO)
+    assert not any(ref.vec_mul(a, a))
+    f = tuple(u + c for u, c in zip(h8.unit, a))
+    f_inv = tuple(u - c for u, c in zip(h8.unit, a))
+    return TwistElement(
+        h8.dim,
+        dict(sorted(ref.tensor_mul(_outer(f, f), ref.comult_of(f_inv))
+                    .items())),
+        dict(sorted(ref.tensor_mul(ref.comult_of(f), _outer(f_inv, f_inv))
+                    .items())))
+
+
+def _reference_twist_cases():
+    """(name, H, twist): each reference twist on kG as built and with each
+    of its corruptions.  kG is cocommutative and each of these twists lies
+    in a commutative subalgebra, so the set ends with a twist on H8 that
+    does neither: the coboundary (f (x) f) Delta(f^{-1}) of f = 1 + a, with
+    a = x - y + xz - yz, a^2 = 0 and so f^{-1} = 1 - a, built by the
+    reference's products."""
+    cases = []
+    for name, (group, subgroup, bichar) in REFERENCE_TWISTS.items():
+        g = builtin_group(group)
+        kg, tw = from_group(g), build_lifted_twist(g, subgroup, bichar)
+        rng = random.Random(f"corrupted-twist-{name}")
+        cases.append((name, kg, tw))
+        cases += [(f"{name}/{field}", kg, bad)
+                  for field, bad in _corruptions(tw, rng)]
+    cases.append(("H8-coboundary", build_h8(), _h8_coboundary()))
+    return cases
+
+
+def test_verify_twist_matches_dense_loops():
+    seen = {"counit-normalization": set(), "invertibility": set(),
+            "cocycle-identity": set()}
+    for name, h, tw in _reference_twist_cases():
+        ref = DenseTwistReference(h.to_json())
+        expected = {
+            "counit-normalization": ref.counit_normalized(tw.value),
+            "invertibility": ref.invertible(tw.value, tw.inverse),
+            "cocycle-identity": ref.cocycle(tw.value)}
+        got = {c.axiom: c.passed for c in verify_twist(h, tw).checks}
+        assert got == expected, name
+        for axiom, passed in got.items():
+            seen[axiom].add(passed)
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+# -- pinned function-level digests -----------------------------------------
+
+# sha256 of the JSON form of each value below, computed before the twist
+# and hit-action code moved onto one leg kernel.  A change that alters one
+# on purpose re-pins it and says why.
+PINNED_DIGESTS = {
+    "twist-D3xD3": "e932ddb00fc8e9f121d75ce08cc7315cc8f90c889801ecf9351185e1da58ddab",
+    "dual-twist-D3xD3": "06f3a43794869bcbe286e23f3b76b2de7e0d440f2c061c2988097da6f95c0a80",
+    "twist-G12": "d2aeafbd32ad511f66021d0ed79ef41778c0128241571e6712c003785e4e12fe",
+    "dual-twist-G12": "3aad75e28202a8b0ea8a76820f37299aaf005157ddf8e346e260e9d1a5d2899c",
+    "twist-D4": "5f7e0221488de3c77369f07ad0d00fd18e994d7673b5c5c591e55dc85c94b590",
+    "dual-twist-D4": "e3a2cc92db5b208f06a10bffecd0a93a71a0e9cac015eb8de018fe9d950021a4",
+    "twist-G18": "c5690c72d96e7d60a3c4dfb5727040937bdcaf2ae245e4395f37194b211f9540",
+    "dual-twist-G18": "2b5aa0ba5ad5da51382c9ab447a8a55493a6e0f6595a07d351075ef79d6048a5",
+    "h8-characters": "ca4a6eb74c6f7537f971804bac6dc4d2b56f4d46ae5f9f1c7adc8e0244c2f3d4",
+    "h8-group-likes": "5c68f6457cecfcddc3fa698d2cf05f32c10faf34d50115a9735c4de676365803",
+    "dual-h8-characters": "5c68f6457cecfcddc3fa698d2cf05f32c10faf34d50115a9735c4de676365803",
+    "dual-h8-group-likes": "ca4a6eb74c6f7537f971804bac6dc4d2b56f4d46ae5f9f1c7adc8e0244c2f3d4",
+    "h8-hit-left": "de97d7b109a4eec6b47ffbd506fdcba12077de127e296c8d4f35000b694036c6",
+    "h8-hit-right": "8feebf16303c91f3a6f27f169b0577b0b28d4420f55abdefbf19d6384d705884",
+    "h8-convolution": "1abfce04070f1ed0ed62ea1158e3df09e0b52f84d4a17de55c8cd7866e3ca943",
+    "corrupted-twist-reports": "709c93156b81db59c311127fdfcfd6345ff348f05560016009afe52ab9f0cbcf",
+    "dual-kS3-convolution": "5e79387fc79713b85c24b01204d090e957b5c499dc342f0580ff2b40b18eb248",
+    "twist-H8-coboundary": "c8b46cfa4801d85aac175874e619f9d4ca23672d232e23445956716e008ea016",
+}
+
+def _vec(v):
+    return [c.to_json() for c in v]
+
+
+def _pinned_values() -> dict:
+    values = {}
+    for group, (subgroup, bichar) in WORKLOAD_TWISTS.items():
+        g = builtin_group(group)
+        twisted = twist_hopf(from_group(g),
+                             build_lifted_twist(g, subgroup, bichar),
+                             verify=False)
+        values[f"twist-{group}"] = twisted.to_json()
+        values[f"dual-twist-{group}"] = dual(twisted).to_json()
+    h8 = build_h8()
+    for name, h in (("h8", h8), ("dual-h8", dual(h8))):
+        values[f"{name}-characters"] = [_vec(c.values)
+                                        for c in algebra_characters(h)]
+        values[f"{name}-group-likes"] = [_vec(v)
+                                         for v in group_like_elements(h)]
+    chars = algebra_characters(h8)
+    basis = [h8.basis_vector(i) for i in range(h8.dim)]
+    values["h8-hit-left"] = [[_vec(hit_left(eta, v, h8)) for v in basis]
+                             for eta in chars]
+    values["h8-hit-right"] = [[_vec(hit_right(v, eta, h8)) for v in basis]
+                              for eta in chars]
+    values["h8-convolution"] = [[_vec(character_convolution(h8, a, b).values)
+                                 for b in chars] for a in chars]
+    # the characters of (kS3)* are the points of S3, and do not commute
+    functions = dual(from_group(build_symmetric(3)))
+    points = algebra_characters(functions)
+    values["dual-kS3-convolution"] = [
+        [_vec(character_convolution(functions, a, b).values) for b in points]
+        for a in points]
+    # The axioms of H with Delta conjugated by each reference twist, beside
+    # the antipode of H twisted by the uncorrupted one.
+    reports = []
+    built = {}
+    for name, h, tw in _reference_twist_cases():
+        base = name.split("/")[0]
+        if base not in built:  # each twist comes first as built
+            built[base] = twist_hopf(h, tw, verify=False)
+        comult = [h.tensor_mul(h.tensor_mul(tw.value, d), tw.inverse)
+                  for d in h.comult]
+        conjugated = HopfData(h.labels, h.mult, h.unit, comult, h.counit,
+                              built[base].antipode)
+        reports.append([name, verify_twist(h, tw).to_json(),
+                        verify_hopf_axioms(conjugated).to_json()])
+    values["corrupted-twist-reports"] = reports
+    values["twist-H8-coboundary"] = built["H8-coboundary"].to_json()
+    return values
+
+
+def test_hopf_functions_match_the_pinned_digests():
+    digests = {name: hashlib.sha256(json.dumps(value, sort_keys=True)
+                                    .encode()).hexdigest()
+               for name, value in _pinned_values().items()}
+    assert digests == PINNED_DIGESTS
