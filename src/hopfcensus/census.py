@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from hopfcensus.cyclotomic import _partitions_into_squares, prime_factors
 from hopfcensus.fusion import (AlgebraTypeSignature, FusionError, SearchOutcome,
@@ -172,9 +172,9 @@ def parse_rules(spec: str | Iterable[str]) -> tuple[CensusRule, ...]:
     return rules
 
 
-@dataclass(frozen=True, slots=True)
-class Elimination:
-    signature: AlgebraTypeSignature
+class Elimination(NamedTuple):
+    """A candidate the rules removed: its type text, the rule and why."""
+    type: str
     rule: str
     detail: str
 
@@ -192,16 +192,32 @@ class CensusResult:
                    if out.status == "infeasible"}
         return tuple(s for s in self.survivors if str(s) not in refuted)
 
-    def to_json(self) -> dict:
+    def to_json(self, rows: bool = False) -> dict:
+        """The report.  Each elimination is a {type, rule, detail} dict or,
+        with ``rows``, the ``Elimination`` itself, which ``cli`` writes as
+        that object without building it."""
         return {
             "dim": self.dimension,
             "survivors": [str(s) for s in self.survivors],
-            "eliminated": [{"type": str(e.signature), "rule": e.rule,
-                            "detail": e.detail} for e in self.eliminated],
+            "eliminated": list(self.eliminated) if rows else
+            [e._asdict() for e in self.eliminated],
             "oracle": [{"type": str(sig), **out.to_json()}
                        for sig, out in self.oracle],
             "final": [str(s) for s in self.final_survivors()],
         }
+
+
+def _oracle_requests(oracle_types) -> list[AlgebraTypeSignature] | None:
+    """The named oracle requests, in order, or None for every survivor."""
+    requests = ([oracle_types] if isinstance(oracle_types, str)
+                else list(oracle_types))
+    if "all" in requests:
+        if any(t != "all" for t in requests):
+            raise CensusError("oracle request 'all' cannot be combined with "
+                              "named types")
+        return None
+    return [AlgebraTypeSignature.parse(t) if isinstance(t, str) else t
+            for t in requests]
 
 
 def enumerate_types(dimension: int,
@@ -212,10 +228,12 @@ def enumerate_types(dimension: int,
                     oracle_budget: int = 10 ** 7) -> CensusResult:
     """All type signatures at the given dimension, filtered by the rules.
 
-    ``proper_only`` drops the purely cocommutative signature (n = N, no
-    nonlinear degrees).  ``oracle_types`` requests fusion searches on the
+    Candidates come in ascending order of ``sort_key``, and each is
+    eliminated by the first rule of ``rules``, in their order, that it
+    fails.  ``proper_only`` drops the purely cocommutative signature (n = N,
+    no nonlinear degrees).  ``oracle_types`` requests fusion searches on the
     named survivors, or on every survivor when it is ``"all"``; a request
-    for a non-survivor is ignored.
+    for a non-survivor is ignored, and a repeated one runs once.
     """
     if dimension < 1:
         raise CensusError("dimension must be positive")
@@ -223,38 +241,50 @@ def enumerate_types(dimension: int,
         raise CensusError(f"the degree-1 count {n_filter} is outside "
                           f"1..{dimension}")
     rule_list = parse_rules(rules) if isinstance(rules, str) else tuple(rules)
-    candidates: list[AlgebraTypeSignature] = []
-    degrees = tuple(range(2, math.isqrt(dimension) + 1))
-    memo: dict = {}
-    for n in range(1, dimension + 1):
-        if n_filter is not None and n != n_filter:
-            continue
-        for entries in _partitions_into_squares(dimension - n, degrees, 0, memo):
-            if proper_only and not entries:
-                continue
-            candidates.append(AlgebraTypeSignature(n, entries))
+    requested = _oracle_requests(oracle_types)
+    # Every candidate satisfies R1 by construction, so R1 is not checked.
+    # R2 reads only n: when it comes first among the other rules, it is
+    # decided once per degree-1 count, on the count's first candidate, and
+    # removes all of a failing count's candidates without building them.
+    r1, r2 = RULES_BY_ID["R1"], RULES_BY_ID["R2"]
+    checked = tuple(r for r in rule_list if r is not r1)
+    r2_first = checked[:1] == (r2,)
+    if r2_first:
+        checked = checked[1:]
 
     survivors: list[AlgebraTypeSignature] = []
     eliminated: list[Elimination] = []
-    for sig in candidates:
-        for rule in rule_list:
-            detail = rule.check(dimension, sig)
+    degrees = tuple(range(2, math.isqrt(dimension) + 1))
+    memo: dict = {}
+    for n in range(1, dimension + 1) if n_filter is None else (n_filter,):
+        head = f"1,{n}"
+        ways, texts = _partitions_into_squares(dimension - n, degrees, 0, memo)
+        if r2_first and ways:
+            detail = r2.check(dimension, AlgebraTypeSignature._trusted(
+                n, ways[0], dimension, head + texts[0]))
             if detail is not None:
-                eliminated.append(Elimination(sig, rule.id, detail))
-                break
-        else:
-            survivors.append(sig)
+                eliminated += [Elimination(head + text, r2.id, detail)
+                               for text in texts]
+                continue
+        for entries, text in zip(ways, texts):
+            if proper_only and not entries:
+                continue
+            sig = AlgebraTypeSignature._trusted(n, entries, dimension,
+                                                head + text)
+            for rule in checked:
+                detail = rule.check(dimension, sig)
+                if detail is not None:
+                    eliminated.append(Elimination(sig.text, rule.id, detail))
+                    break
+            else:
+                survivors.append(sig)
 
-    if oracle_types == "all":
-        requested = survivors
-    else:
-        requested = [AlgebraTypeSignature.parse(t) if isinstance(t, str) else t
-                     for t in oracle_types]
     oracle_results = []
-    survivor_keys = {str(s) for s in survivors}
-    for sig in requested:
-        if str(sig) not in survivor_keys:
+    unsearched = {str(s) for s in survivors}
+    for sig in survivors if requested is None else requested:
+        if str(sig) not in unsearched:
             continue
+        unsearched.remove(str(sig))
         try:
             outcome = search_fusion(sig, "hopf", oracle_budget)
         except FusionError as exc:
@@ -281,8 +311,8 @@ def complete_type(dimension: int, n: int,
     if n < 1 or dimension % n != 0:
         raise CensusError(f"n = {n} must be a positive divisor of {dimension}")
     allowed = sorted({d for d in allowed_degrees if d >= 2})
-    solutions = [AlgebraTypeSignature(n, entries) for entries in
-                 _partitions_into_squares(dimension - n, allowed, 0, {})]
+    ways, _ = _partitions_into_squares(dimension - n, allowed, 0, {})
+    solutions = [AlgebraTypeSignature(n, entries) for entries in ways]
     if not solutions:
         raise NoSolutionError(
             f"no signature with n = {n} and degrees in {allowed} at dimension {dimension}")

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from hopfcensus import census as census_mod
 from hopfcensus import fusion, groups, hopfcore
@@ -150,13 +151,11 @@ def _parse_subgroup(spec: str, group_name: str, g: groups.FiniteGroup):
 
 def _cmd_census(args) -> tuple[dict, list[str], int]:
     rules = census_mod.parse_rules(args.rules)
-    oracle_types = list(args.oracle or [])
     result = census_mod.enumerate_types(
         args.dim, rules, proper_only=not args.improper, n_filter=args.n,
-        oracle_types="all" if oracle_types == ["all"] else oracle_types,
-        oracle_budget=args.budget)
+        oracle_types=args.oracle or (), oracle_budget=args.budget)
     citations = [f"{r.id}: {r.citation}" for r in rules]
-    return result.to_json(), citations, 0
+    return result.to_json(rows=True), citations, 0
 
 
 def _cmd_fusion_search(args) -> tuple[dict, list[str], int]:
@@ -343,10 +342,12 @@ def _write_json(value, out, indent: str = "") -> None:
     """Write ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
     indent=2)`` would, a piece at a time.  Dict keys must be strings.
 
-    ``indent`` is the indentation of the line ``value`` starts on.  A list
-    item that is a flat dict of strings, such as a census elimination, is
-    filled into a ``%`` layout built once per key set of the list.
+    ``indent`` is the indentation of the line ``value`` starts on.  A named
+    tuple, such as a census elimination, is written as the dict of its
+    fields, and a list of them through ``_write_rows``.
     """
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
     if isinstance(value, str):
         out.write(encode_basestring_ascii(value))
     elif isinstance(value, dict):
@@ -363,40 +364,48 @@ def _write_json(value, out, indent: str = "") -> None:
     elif isinstance(value, (list, tuple)):
         if not value:
             out.write("[]")
-            return
-        inner = indent + "  "
-        sep, comma = "[\n" + inner, ",\n" + inner
-        layouts: dict[tuple, tuple[list, str]] = {}
-        for item in value:
-            text = None
-            if isinstance(item, dict) and item:
-                shape = tuple(item)
-                if shape not in layouts:
-                    layouts[shape] = _flat_layout(shape, inner)
-                keys, form = layouts[shape]
-                try:
-                    text = form % tuple(
-                        [encode_basestring_ascii(item[k]) for k in keys])
-                except TypeError:   # a value that is not a string
-                    pass
-            if text is None:
-                out.write(sep)
+        elif not _write_rows(value, out, indent):
+            inner = indent + "  "
+            sep = "[\n"
+            for item in value:
+                out.write(sep + inner)
                 _write_json(item, out, inner)
-            else:
-                out.write(sep + text)
-            sep = comma
-        out.write(f"\n{indent}]")
+                sep = ",\n"
+            out.write(f"\n{indent}]")
     else:
         out.write(json.dumps(value))
 
 
-def _flat_layout(keys: tuple, indent: str) -> tuple[list, str]:
-    """The sorted ``keys`` of a dict of strings, and the ``%`` layout that
-    writes the dict at ``indent`` from its encoded values in that order."""
-    ordered = sorted(keys)
-    lines = [f"{indent}  {encode_basestring_ascii(k).replace('%', '%%')}: %s"
-             for k in ordered]
-    return ordered, "{\n" + ",\n".join(lines) + f"\n{indent}}}"
+def _write_rows(rows, out, indent: str) -> bool:
+    """Write ``rows``, if it is a list of named tuples of one type, 16 rows
+    to a write, and say whether it was.  Each row's encoded values fill one
+    ``%`` layout of the sorted field names, so no dict is built; a chunk
+    with a value that is not a string is written dict by dict.
+    """
+    kind = type(rows[0])
+    fields = getattr(kind, "_fields", None)
+    if not fields or any(type(row) is not kind for row in rows):
+        return False
+    inner = indent + "  "
+    keys = sorted(fields)
+    form = "{\n" + ",\n".join(f"{inner}  {encode_basestring_ascii(k)}: %s"
+                               for k in keys) + f"\n{inner}}}"
+    pick = itemgetter(*map(fields.index, keys)) if len(keys) > 1 else tuple
+    sep, comma = "[\n" + inner, ",\n" + inner
+    for start in range(0, len(rows), 16):
+        chunk = rows[start:start + 16]
+        try:
+            out.write(sep + comma.join([
+                form % tuple(map(encode_basestring_ascii, pick(row)))
+                for row in chunk]))
+        except TypeError:   # a value that is not a string
+            for row in chunk:
+                out.write(sep)
+                _write_json(row, out, inner)
+                sep = comma
+        sep = comma
+    out.write(f"\n{indent}]")
+    return True
 
 
 def _render_table(payload: dict, out) -> None:
@@ -406,9 +415,12 @@ def _render_table(payload: dict, out) -> None:
             out.write(f"{pad}{key}:\n")
             for k in sorted(value):
                 write_item(k, value[k], indent + 1)
-        elif isinstance(value, list) and value and isinstance(value[0], dict):
+        elif isinstance(value, list) and value and (
+                isinstance(value[0], dict) or hasattr(value[0], "_asdict")):
             out.write(f"{pad}{key}:\n")
             for entry in value:
+                if not isinstance(entry, dict):     # a named tuple
+                    entry = entry._asdict()
                 out.write(f"{pad}  - " + ", ".join(
                     f"{k}={entry[k]}" for k in sorted(entry)) + "\n")
         elif isinstance(value, list):

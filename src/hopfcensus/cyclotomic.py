@@ -79,31 +79,36 @@ def divisors(n: int) -> list[int]:
 
 
 def _partitions_into_squares(remaining: int, degrees: Sequence[int], i: int,
-                             memo: dict) -> list[tuple[tuple[int, int], ...]]:
+                             memo: dict) -> tuple[list[tuple], list[str]]:
     """All ways to write remaining as sum m * d^2 over distinct d in degrees[i:].
 
     ``degrees`` ascends.  Each way is its (d, m) entries by ascending d; the
     list uses degrees[i] once, twice and so on before it skips it, so it is
     already in ascending order of entries (``AlgebraTypeSignature.sort_key``).
-    ``memo`` holds the list of every (remaining, i) already solved, for one
-    degree sequence, so calls for several remainders share the work, as the
-    census does across its degree-1 counts.
+    A second list holds the text ``";d,m;..."`` of each way, as a type
+    signature writes its entries.  ``memo`` holds both lists of every
+    (remaining, i) already solved, for one degree sequence, so calls for
+    several remainders share the work, as the census does across its
+    degree-1 counts.
     """
     key = (remaining, i)
     if key not in memo:
         if remaining == 0:
-            memo[key] = [()]
+            memo[key] = [()], [""]
         elif i == len(degrees) or degrees[i] ** 2 > remaining:
-            memo[key] = []
+            memo[key] = [], []
         else:
             d = degrees[i]
-            out = []
+            ways, texts = [], []
             for m in range(1, remaining // (d * d) + 1):
-                head = ((d, m),)
-                out += [head + rest for rest in _partitions_into_squares(
-                    remaining - m * d * d, degrees, i + 1, memo)]
-            out += _partitions_into_squares(remaining, degrees, i + 1, memo)
-            memo[key] = out
+                head, text = ((d, m),), f";{d},{m}"
+                rests, tails = _partitions_into_squares(
+                    remaining - m * d * d, degrees, i + 1, memo)
+                ways += [head + rest for rest in rests]
+                texts += [text + tail for tail in tails]
+            rests, tails = _partitions_into_squares(remaining, degrees, i + 1,
+                                                    memo)
+            memo[key] = ways + rests, texts + tails
     return memo[key]
 
 

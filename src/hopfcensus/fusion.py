@@ -50,11 +50,13 @@ class BudgetExhausted(Exception):
 
 @dataclass(frozen=True, slots=True)
 class AlgebraTypeSignature:
-    """A type (1, n; d_1, n_1; ...; d_r, n_r) with its dimension identity."""
+    """A type (1, n; d_1, n_1; ...; d_r, n_r) with its dimension identity
+    and its text ``"1,n;d_1,n_1;..."``."""
 
     n: int
     entries: tuple[tuple[int, int], ...]
     total: int = field(init=False, repr=False, compare=False)
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -72,6 +74,21 @@ class AlgebraTypeSignature:
             total += m * d * d
             prev = d
         object.__setattr__(self, "total", total)
+        object.__setattr__(self, "text", ";".join(
+            [f"1,{self.n}"] + [f"{d},{m}" for d, m in self.entries]))
+
+    @classmethod
+    def _trusted(cls, n: int, entries: tuple, total: int,
+                 text: str) -> "AlgebraTypeSignature":
+        """The signature of entries already known to be valid, to give
+        ``total`` and to read ``text``, built without ``__post_init__``'s
+        checks: the census enumerator makes only such entries."""
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "n", n)
+        object.__setattr__(sig, "entries", entries)
+        object.__setattr__(sig, "total", total)
+        object.__setattr__(sig, "text", text)
+        return sig
 
     @property
     def n2(self) -> int:
@@ -113,7 +130,7 @@ class AlgebraTypeSignature:
             (d, m) for d, m in counts.items() if d != 1)))
 
     def __str__(self) -> str:
-        return ";".join([f"1,{self.n}"] + [f"{d},{m}" for d, m in self.entries])
+        return self.text
 
     def sort_key(self):
         return (self.n, self.entries)

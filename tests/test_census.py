@@ -35,12 +35,12 @@ def test_dimension_two_improper():
 def test_partition_is_exact():
     result = enumerate_types(24, "all", proper_only=False)
     seen = {str(s) for s in result.survivors}
-    seen |= {str(e.signature) for e in result.eliminated}
+    seen |= {e.type for e in result.eliminated}
     # every candidate satisfies the dimension identity
     for s in result.survivors:
         assert s.total == 24
     for e in result.eliminated:
-        assert e.signature.total == 24
+        assert P(e.type).total == 24
     # survivors and eliminated partition the candidate set
     assert len(seen) == len(result.survivors) + len(result.eliminated)
 
@@ -86,8 +86,8 @@ def test_every_elimination_names_an_applicable_rule():
         result = enumerate_types(dim, "all")
         for e in result.eliminated:
             rule = RULES_BY_ID[e.rule]
-            assert rule.applies(dim, e.signature)
-            assert rule.check(dim, e.signature) == e.detail
+            assert rule.applies(dim, P(e.type))
+            assert rule.check(dim, P(e.type)) == e.detail
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,7 +117,7 @@ def test_non_divisor_counts_are_killed_by_r2_only():
     loose = enumerate_types(6, "R1", proper_only=False)
     assert any(s.n == 2 and s.entries == ((2, 1),) for s in loose.survivors)
     strict = enumerate_types(6, "R1,R2", proper_only=False)
-    eliminated_by_r2 = {str(e.signature) for e in strict.eliminated
+    eliminated_by_r2 = {e.type for e in strict.eliminated
                         if e.rule == "R2"}
     assert not eliminated_by_r2  # n = 2 divides 6; R2 has nothing to kill here
     odd = enumerate_types(10, "R1,R2", proper_only=False)

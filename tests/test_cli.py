@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,22 @@ def test_census_oracle_flag():
     assert len(oracle) == 1
     assert oracle[0]["status"] == "infeasible"
     assert "1,2;3,2;4,1" not in report["results"]["final"]
+
+
+def test_repeated_oracle_requests_run_once():
+    """A request repeated in any spelling runs once, in first-request order."""
+    code, report = invoke_json(["census", "--dim", "54", "--rules", "all",
+                                "--oracle", "1,2;4,1;6,1",
+                                "--oracle", "1,2;2,1;4,3",
+                                "--oracle", " 1,2; 4,1 ;6,1"])
+    assert code == 0
+    assert [o["type"] for o in report["results"]["oracle"]] == [
+        "1,2;4,1;6,1", "1,2;2,1;4,3"]
+    _, once = invoke_json(["census", "--dim", "12", "--oracle", "all"])
+    _, twice = invoke_json(["census", "--dim", "12", "--oracle", "all",
+                            "--oracle", "all"])
+    assert twice["results"] == once["results"]
+    assert len(once["results"]["oracle"]) == len(once["results"]["survivors"])
 
 
 def test_fusion_search_exit_codes():
@@ -276,9 +293,14 @@ def test_fusion_verify_rejects_malformed_files(tmp_path, data, reason):
     (["twist", "--group", "D4", "--subgroup", "auto",
       "--bicharacter", '[[{"conductor": true, "coeffs": [1]}, 1], [1, 1]]'],
      "bad bicharacter entry"),
+    (["census", "--dim", "36", "--oracle", "all", "--oracle", "1,2;3,2;4,1"],
+     "'all' cannot be combined with named types"),
+    (["census", "--dim", "36", "--oracle", "1,2;3,2;4,1", "--oracle", "all"],
+     "'all' cannot be combined with named types"),
 ], ids=["open-range", "three-ends", "unknown-end", "number", "null",
         "zero-order-root", "conductor-too-large", "string-root", "empty-object",
-        "bad-coefficient", "boolean-entry", "boolean-conductor"])
+        "bad-coefficient", "boolean-entry", "boolean-conductor",
+        "oracle-all-then-type", "oracle-type-then-all"])
 def test_malformed_option_values_are_usage_errors(argv, reason):
     code, text = invoke(argv)
     assert code == 2
@@ -400,6 +422,33 @@ def test_write_json_matches_json_dumps(tree):
     out = io.StringIO()
     _write_json(tree, out)
     assert out.getvalue() == json.dumps(tree, sort_keys=True, indent=2)
+
+
+_Row = namedtuple("_Row", ["type", "rule", "detail"])
+
+
+def _as_dicts(value):
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {k: _as_dicts(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_dicts(v) for v in value]
+    return value
+
+
+def test_write_json_writes_named_tuples_as_dicts():
+    """Rows of one named tuple type go 16 to a write through one layout; a
+    chunk with a value that is not a string, a lone row and a list mixing
+    rows with other items are written dict by dict."""
+    rows = [_Row(f"1,{i}", "R%s", '"\\ \u2028') for i in range(40)]
+    rows[20] = _Row("x", "y", 3)
+    value = {"rows": rows, "one": _Row("a", "b", "c"),
+             "mixed": [_Row("a", "b", "c"), {"k": "v"}], "empty": []}
+    out = io.StringIO()
+    _write_json(value, out)
+    assert out.getvalue() == json.dumps(_as_dicts(value), sort_keys=True,
+                                        indent=2)
 
 
 class _RecordingStream(io.StringIO):

@@ -4,9 +4,12 @@ The set is ``h8-report`` and, for each built-in group, ``double``,
 ``fusion-verify --group`` under both profiles, and ``twist`` with subgroup
 ``auto`` or ``center`` and the ``trivial`` or ``nondegenerate``
 bicharacter, with ``--check-cocommutative --group-likes``.  Each runs in
-JSON and in table form, in process through ``cli.run``.  A change that
-alters any of these bytes on purpose re-pins the digests and says which
-commands changed and why.
+JSON and in table form, in process through ``cli.run``.  ``PINNED_CENSUS``
+adds the censuses of the benchmark (``--rules all`` at 192, 216 and 240 and
+the nine golden-list censuses), two custom rule orders, ``--improper`` and
+``--n`` at 240, and one census table.  A change that alters any of these
+bytes on purpose re-pins the digests and says which commands changed and
+why.
 """
 
 import hashlib
@@ -160,6 +163,38 @@ PINNED = [
     ("twist --group Z4 --subgroup center --bicharacter nondegenerate --check-cocommutative --group-likes --format table", 2, "0785331808d233af4fc5ae82c857d5897407044df1d1e035a62bb08a0a172b25"),
 ]
 
+PINNED_CENSUS = [
+    ("census --dim 192 --rules all", 0, "4863e4a7a7cb4f5637c02b54715e5d0e34e65ef20036e850a3fdb12bc5989680"),
+    ("census --dim 216 --rules all", 0, "7e47ecf93650a5ce8f3bc15d9fa6d070175a16957bd570df7e6e6652ae9666fd"),
+    ("census --dim 240 --rules all", 0, "2a4cd5660fdb3cf42361d3c978ef54bf5c3da89792cf4afcbbf1a9ecf8a1003a"),
+    ("census --dim 60 --rules R1,R4,R5 --n 1", 0, "c75e619acd5effd04a14059f518adee55f7b5220d40b2cf039467b806b8a2d40"),
+    ("census --dim 24 --rules R1-R5", 0, "2edc0551d0081ee342e1ba075ca021b8919fa800ba9ef37876753449c80fa7f3"),
+    ("census --dim 30 --rules R1-R8", 0, "fe3f072d2c856105e32000bbcb225b01d68ffe293f9e554fa05731c25bdd7de1"),
+    ("census --dim 42 --rules R1-R8", 0, "4a74dd47977646f3fb4f944e5d14db64948466e358f78eb5d9a71871e0279eca"),
+    ("census --dim 40 --rules all", 0, "5bcead02a85736039fe6f7e92a6516ee431c359f55a0e6561a6b5acd0e82e1a3"),
+    ("census --dim 56 --rules all", 0, "8935b62c09eee5380640fbefcc1dc65c63110208cc49c96b8f9c6c3435e340e8"),
+    ("census --dim 54 --rules all", 0, "b20e745f1c4b4b16ed021803e9698f1ce068689f0f985811c2831ca83bb9808e"),
+    ("census --dim 36 --rules all", 0, "ed2eb7a4e142278d23074c457418b1b3e17bf79c8c8d1a159435a4c1480e32e8"),
+    ("census --dim 48 --rules all", 0, "3994918f63eacac2944f356b040c32a753fb17288710769a9533880b705fd2b8"),
+    ("census --dim 240 --rules R2,R1", 0, "32361c7b55b4ae4c28886d18429d60206715c081a9caa8eda09fcbca71cd1549"),
+    ("census --dim 240 --rules R1,R3,R2", 0, "918986849141b1442a00b402ebaed6c816ed38f8e2b04b9566834c52e3e75cec"),
+    ("census --dim 240 --rules all --improper", 0, "70a6d666fef04551714eecd2ef507f1f5a4e77e085ce93f2218e263c25ee27ec"),
+    ("census --dim 240 --rules all --n 7", 0, "6b5e3c24e8ba877d3319c1bcefe0e7418ce944d01663d24d5503949b6e1d8c71"),
+    ("census --dim 60 --rules all --format table", 0, "d4192d81a8b4716ee297019437c386fc98f62ef655f19501c67e84fd8a09401d"),
+]
+
+
+def _changed(pinned):
+    """The commands of ``pinned`` whose exit code or stdout digest moved."""
+    changed = []
+    for argv, code, digest in pinned:
+        buf = io.StringIO()
+        got = run(argv.split(), buf)
+        got_digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        if (got, got_digest) != (code, digest):
+            changed.append(argv)
+    return changed
+
 
 def test_pinned_set_covers_every_builtin_group():
     commands = {argv for argv, _, _ in PINNED}
@@ -169,11 +204,8 @@ def test_pinned_set_covers_every_builtin_group():
 
 
 def test_cli_output_matches_the_pinned_digests():
-    changed = []
-    for argv, code, digest in PINNED:
-        buf = io.StringIO()
-        got = run(argv.split(), buf)
-        got_digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-        if (got, got_digest) != (code, digest):
-            changed.append(argv)
-    assert changed == []
+    assert _changed(PINNED) == []
+
+
+def test_census_output_matches_the_pinned_digests():
+    assert _changed(PINNED_CENSUS) == []
