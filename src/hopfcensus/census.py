@@ -192,15 +192,13 @@ class CensusResult:
                    if out.status == "infeasible"}
         return tuple(s for s in self.survivors if str(s) not in refuted)
 
-    def to_json(self, rows: bool = False) -> dict:
-        """The report.  Each elimination is a {type, rule, detail} dict or,
-        with ``rows``, the ``Elimination`` itself, which ``cli`` writes as
-        that object without building it."""
+    def to_json(self) -> dict:
+        """The report.  The eliminations stay ``Elimination`` named tuples,
+        which ``cli`` writes as {type, rule, detail} objects."""
         return {
             "dim": self.dimension,
             "survivors": [str(s) for s in self.survivors],
-            "eliminated": list(self.eliminated) if rows else
-            [e._asdict() for e in self.eliminated],
+            "eliminated": list(self.eliminated),
             "oracle": [{"type": str(sig), **out.to_json()}
                        for sig, out in self.oracle],
             "final": [str(s) for s in self.final_survivors()],
@@ -256,9 +254,12 @@ def enumerate_types(dimension: int,
     eliminated: list[Elimination] = []
     degrees = tuple(range(2, math.isqrt(dimension) + 1))
     memo: dict = {}
+    text_memo: dict = {}
     for n in range(1, dimension + 1) if n_filter is None else (n_filter,):
-        head = f"1,{n}"
-        ways, texts = _partitions_into_squares(dimension - n, degrees, 0, memo)
+        head = AlgebraTypeSignature._head_text(n)
+        ways = _partitions_into_squares(dimension - n, degrees, 0, memo)
+        texts = _partitions_into_squares(dimension - n, degrees, 0, text_memo,
+                                         AlgebraTypeSignature._entry_text, "")
         if r2_first and ways:
             detail = r2.check(dimension, AlgebraTypeSignature._trusted(
                 n, ways[0], dimension, head + texts[0]))
@@ -311,8 +312,8 @@ def complete_type(dimension: int, n: int,
     if n < 1 or dimension % n != 0:
         raise CensusError(f"n = {n} must be a positive divisor of {dimension}")
     allowed = sorted({d for d in allowed_degrees if d >= 2})
-    ways, _ = _partitions_into_squares(dimension - n, allowed, 0, {})
-    solutions = [AlgebraTypeSignature(n, entries) for entries in ways]
+    solutions = [AlgebraTypeSignature(n, entries) for entries in
+                 _partitions_into_squares(dimension - n, allowed, 0, {})]
     if not solutions:
         raise NoSolutionError(
             f"no signature with n = {n} and degrees in {allowed} at dimension {dimension}")

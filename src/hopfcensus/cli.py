@@ -155,7 +155,7 @@ def _cmd_census(args) -> tuple[dict, list[str], int]:
         args.dim, rules, proper_only=not args.improper, n_filter=args.n,
         oracle_types=args.oracle or (), oracle_budget=args.budget)
     citations = [f"{r.id}: {r.citation}" for r in rules]
-    return result.to_json(rows=True), citations, 0
+    return result.to_json(), citations, 0
 
 
 def _cmd_fusion_search(args) -> tuple[dict, list[str], int]:
@@ -342,12 +342,10 @@ def _write_json(value, out, indent: str = "") -> None:
     """Write ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
     indent=2)`` would, a piece at a time.  Dict keys must be strings.
 
-    ``indent`` is the indentation of the line ``value`` starts on.  A named
-    tuple, such as a census elimination, is written as the dict of its
-    fields, and a list of them through ``_write_rows``.
+    ``indent`` is the indentation of the line ``value`` starts on.  A list
+    of named tuples, such as census eliminations, is written by
+    ``_write_rows`` as the list of their dicts.
     """
-    if isinstance(value, tuple) and hasattr(value, "_asdict"):
-        value = value._asdict()
     if isinstance(value, str):
         out.write(encode_basestring_ascii(value))
     elif isinstance(value, dict):
@@ -364,7 +362,9 @@ def _write_json(value, out, indent: str = "") -> None:
     elif isinstance(value, (list, tuple)):
         if not value:
             out.write("[]")
-        elif not _write_rows(value, out, indent):
+        elif hasattr(value[0], "_fields"):
+            _write_rows(value, out, indent)
+        else:
             inner = indent + "  "
             sep = "[\n"
             for item in value:
@@ -376,36 +376,31 @@ def _write_json(value, out, indent: str = "") -> None:
         out.write(json.dumps(value))
 
 
-def _write_rows(rows, out, indent: str) -> bool:
-    """Write ``rows``, if it is a list of named tuples of one type, 16 rows
-    to a write, and say whether it was.  Each row's encoded values fill one
-    ``%`` layout of the sorted field names, so no dict is built; a chunk
-    with a value that is not a string is written dict by dict.
+def _write_rows(rows, out, indent: str) -> None:
+    """Write ``rows``, named tuples of one type with string fields, as the
+    list of their dicts.  Each row's encoded values fill one ``%`` layout of
+    the sorted field names, so no dict is built, and the rows go out in
+    writes of about 2,048 characters: each write ends with the row that
+    takes it past that size.
     """
-    kind = type(rows[0])
-    fields = getattr(kind, "_fields", None)
-    if not fields or any(type(row) is not kind for row in rows):
-        return False
+    fields = rows[0]._fields
     inner = indent + "  "
     keys = sorted(fields)
     form = "{\n" + ",\n".join(f"{inner}  {encode_basestring_ascii(k)}: %s"
                                for k in keys) + f"\n{inner}}}"
-    pick = itemgetter(*map(fields.index, keys)) if len(keys) > 1 else tuple
+    pick = itemgetter(*map(fields.index, keys))
     sep, comma = "[\n" + inner, ",\n" + inner
-    for start in range(0, len(rows), 16):
-        chunk = rows[start:start + 16]
-        try:
-            out.write(sep + comma.join([
-                form % tuple(map(encode_basestring_ascii, pick(row)))
-                for row in chunk]))
-        except TypeError:   # a value that is not a string
-            for row in chunk:
-                out.write(sep)
-                _write_json(row, out, inner)
-                sep = comma
-        sep = comma
+    chunk, size = [], 0
+    for row in rows:
+        text = form % tuple(map(encode_basestring_ascii, pick(row)))
+        chunk.append(text)
+        size += len(text)
+        if size >= 2048:
+            out.write(sep + comma.join(chunk))
+            sep, chunk, size = comma, [], 0
+    if chunk:
+        out.write(sep + comma.join(chunk))
     out.write(f"\n{indent}]")
-    return True
 
 
 def _render_table(payload: dict, out) -> None:
@@ -416,7 +411,7 @@ def _render_table(payload: dict, out) -> None:
             for k in sorted(value):
                 write_item(k, value[k], indent + 1)
         elif isinstance(value, list) and value and (
-                isinstance(value[0], dict) or hasattr(value[0], "_asdict")):
+                isinstance(value[0], dict) or hasattr(value[0], "_fields")):
             out.write(f"{pad}{key}:\n")
             for entry in value:
                 if not isinstance(entry, dict):     # a named tuple

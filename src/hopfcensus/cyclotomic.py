@@ -79,36 +79,35 @@ def divisors(n: int) -> list[int]:
 
 
 def _partitions_into_squares(remaining: int, degrees: Sequence[int], i: int,
-                             memo: dict) -> tuple[list[tuple], list[str]]:
+                             memo: dict, piece=lambda d, m: ((d, m),),
+                             empty=()) -> list:
     """All ways to write remaining as sum m * d^2 over distinct d in degrees[i:].
 
-    ``degrees`` ascends.  Each way is its (d, m) entries by ascending d; the
-    list uses degrees[i] once, twice and so on before it skips it, so it is
-    already in ascending order of entries (``AlgebraTypeSignature.sort_key``).
-    A second list holds the text ``";d,m;..."`` of each way, as a type
-    signature writes its entries.  ``memo`` holds both lists of every
-    (remaining, i) already solved, for one degree sequence, so calls for
-    several remainders share the work, as the census does across its
-    degree-1 counts.
+    ``degrees`` ascends.  A way is ``empty`` plus ``piece(d, m)`` for each of
+    its entries by ascending d: by default its tuple of (d, m) entries, or
+    with text pieces its text.  The list uses degrees[i] once, twice and so
+    on before it skips it, so it is already in ascending order of entries
+    (``AlgebraTypeSignature.sort_key``), whatever the pieces.  ``memo`` holds
+    the list of every (remaining, i) already solved, for one degree sequence
+    and one kind of piece, so calls for several remainders share the work,
+    as the census does across its degree-1 counts.
     """
     key = (remaining, i)
     if key not in memo:
         if remaining == 0:
-            memo[key] = [()], [""]
+            memo[key] = [empty]
         elif i == len(degrees) or degrees[i] ** 2 > remaining:
-            memo[key] = [], []
+            memo[key] = []
         else:
             d = degrees[i]
-            ways, texts = [], []
+            out = []
             for m in range(1, remaining // (d * d) + 1):
-                head, text = ((d, m),), f";{d},{m}"
-                rests, tails = _partitions_into_squares(
-                    remaining - m * d * d, degrees, i + 1, memo)
-                ways += [head + rest for rest in rests]
-                texts += [text + tail for tail in tails]
-            rests, tails = _partitions_into_squares(remaining, degrees, i + 1,
-                                                    memo)
-            memo[key] = ways + rests, texts + tails
+                head = piece(d, m)
+                out += [head + rest for rest in _partitions_into_squares(
+                    remaining - m * d * d, degrees, i + 1, memo, piece, empty)]
+            out += _partitions_into_squares(remaining, degrees, i + 1, memo,
+                                            piece, empty)
+            memo[key] = out
     return memo[key]
 
 

@@ -74,8 +74,18 @@ class AlgebraTypeSignature:
             total += m * d * d
             prev = d
         object.__setattr__(self, "total", total)
-        object.__setattr__(self, "text", ";".join(
-            [f"1,{self.n}"] + [f"{d},{m}" for d, m in self.entries]))
+        object.__setattr__(self, "text", self._head_text(self.n) + "".join(
+            [self._entry_text(d, m) for d, m in self.entries]))
+
+    @staticmethod
+    def _head_text(n: int) -> str:
+        """The text ``"1,n"`` that a type's text starts with."""
+        return f"1,{n}"
+
+    @staticmethod
+    def _entry_text(d: int, m: int) -> str:
+        """The text ``";d,m"`` of one entry, which follows the head."""
+        return f";{d},{m}"
 
     @classmethod
     def _trusted(cls, n: int, entries: tuple, total: int,

@@ -208,9 +208,9 @@ class FiniteGroup:
         """
         ell = self.order // len(self.commutator_subgroup)
         k = len(self.conjugacy_classes) - ell
-        ways, _ = _partitions_into_squares(
-            self.order - ell, divisors(self.order)[1:], 0, {})
-        solutions = [entries for entries in ways if sum(m for _, m in entries) == k]
+        solutions = [entries for entries in _partitions_into_squares(
+                         self.order - ell, divisors(self.order)[1:], 0, {})
+                     if sum(m for _, m in entries) == k]
         if len(solutions) != 1:
             raise AmbiguousDegreesError(
                 f"{len(solutions)} degree multisets satisfy the constraints "

@@ -184,7 +184,8 @@ def test_census_json_schema():
     data = enumerate_types(30, "all").to_json()
     assert set(data) == {"dim", "survivors", "eliminated", "oracle", "final"}
     assert data["dim"] == 30
-    assert all(set(e) == {"type", "rule", "detail"} for e in data["eliminated"])
+    assert all(set(e._fields) == {"type", "rule", "detail"}
+               for e in data["eliminated"])
     assert data["final"] == data["survivors"]  # no oracle requested
 
 

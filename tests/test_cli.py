@@ -427,28 +427,17 @@ def test_write_json_matches_json_dumps(tree):
 _Row = namedtuple("_Row", ["type", "rule", "detail"])
 
 
-def _as_dicts(value):
-    if isinstance(value, tuple) and hasattr(value, "_asdict"):
-        value = value._asdict()
-    if isinstance(value, dict):
-        return {k: _as_dicts(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_as_dicts(v) for v in value]
-    return value
-
-
-def test_write_json_writes_named_tuples_as_dicts():
-    """Rows of one named tuple type go 16 to a write through one layout; a
-    chunk with a value that is not a string, a lone row and a list mixing
-    rows with other items are written dict by dict."""
-    rows = [_Row(f"1,{i}", "R%s", '"\\ \u2028') for i in range(40)]
-    rows[20] = _Row("x", "y", 3)
-    value = {"rows": rows, "one": _Row("a", "b", "c"),
-             "mixed": [_Row("a", "b", "c"), {"k": "v"}], "empty": []}
-    out = io.StringIO()
-    _write_json(value, out)
-    assert out.getvalue() == json.dumps(_as_dicts(value), sort_keys=True,
-                                        indent=2)
+def test_write_json_writes_rows_as_dicts_in_bounded_pieces():
+    """Rows of one named tuple type with string fields are written as their
+    dicts, in writes that stay within 4,096 characters when rows are long."""
+    rows = [_Row(f"1,{i}", "R%s", '"\\ \u2028' * (i % 7) * 15)
+            for i in range(40)]
+    out = _RecordingStream()
+    _write_json({"rows": rows, "empty": []}, out)
+    assert out.getvalue() == json.dumps(
+        {"rows": [r._asdict() for r in rows], "empty": []},
+        sort_keys=True, indent=2)
+    assert 2048 <= out.longest_write <= 4096
 
 
 class _RecordingStream(io.StringIO):
@@ -468,6 +457,15 @@ def test_report_is_written_in_pieces():
     assert len(text) > 200_000
     assert out.longest_write <= 4096
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_largest_benchmark_census_is_written_in_pieces():
+    """At dimension 240 the R10 details are the longest rows of any
+    benchmark census; the writes still stay within 4,096 characters."""
+    out = _RecordingStream()
+    assert run(["census", "--dim", "240", "--rules", "all"], out) == 0
+    assert len(out.getvalue()) > 9_000_000
+    assert out.longest_write <= 4096
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
