@@ -19,7 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
-from hopfcensus.cyclotomic import _partitions_into_squares, prime_factors
+from hopfcensus.cyclotomic import (_partitions_into_squares, divisors,
+                                   prime_factors)
 from hopfcensus.fusion import (AlgebraTypeSignature, FusionError, SearchOutcome,
                                search_fusion)
 
@@ -69,9 +70,7 @@ def _r10_violation(n_total: int, sig: AlgebraTypeSignature) -> str | None:
     span = _nat_span(max(degrees) ** 2, degrees)
     for d in degrees:
         good = False
-        for s in range(1, math.gcd(sig.n, d * d) + 1):
-            if math.gcd(sig.n, d * d) % s != 0:
-                continue
+        for s in divisors(math.gcd(sig.n, d * d)):
             if any(d % p for p in prime_factors(s)):
                 continue
             if span >> (d * d - s) & 1:
@@ -243,7 +242,8 @@ def enumerate_types(dimension: int,
     # Every candidate satisfies R1 by construction, so R1 is not checked.
     # R2 reads only n: when it comes first among the other rules, it is
     # decided once per degree-1 count, on the count's first candidate, and
-    # removes all of a failing count's candidates without building them.
+    # removes all of a failing count's candidates without building them or
+    # their entries.
     r1, r2 = RULES_BY_ID["R1"], RULES_BY_ID["R2"]
     checked = tuple(r for r in rule_list if r is not r1)
     r2_first = checked[:1] == (r2,)
@@ -257,16 +257,16 @@ def enumerate_types(dimension: int,
     text_memo: dict = {}
     for n in range(1, dimension + 1) if n_filter is None else (n_filter,):
         head = AlgebraTypeSignature._head_text(n)
-        ways = _partitions_into_squares(dimension - n, degrees, 0, memo)
         texts = _partitions_into_squares(dimension - n, degrees, 0, text_memo,
                                          AlgebraTypeSignature._entry_text, "")
-        if r2_first and ways:
-            detail = r2.check(dimension, AlgebraTypeSignature._trusted(
-                n, ways[0], dimension, head + texts[0]))
+        if r2_first and texts:
+            detail = r2.check(dimension,
+                              AlgebraTypeSignature.parse(head + texts[0]))
             if detail is not None:
                 eliminated += [Elimination(head + text, r2.id, detail)
                                for text in texts]
                 continue
+        ways = _partitions_into_squares(dimension - n, degrees, 0, memo)
         for entries, text in zip(ways, texts):
             if proper_only and not entries:
                 continue

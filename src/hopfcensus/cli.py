@@ -138,6 +138,8 @@ def _parse_subgroup(spec: str, group_name: str, g: groups.FiniteGroup):
         subgroup = tuple(sorted(int(x) for x in spec.split(",")))
     except ValueError:
         raise UsageError(f"cannot parse subgroup spec {spec!r}") from None
+    if len(set(subgroup)) < len(subgroup):
+        raise UsageError(f"subgroup spec {spec!r} repeats an index")
     if not all(0 <= x < g.order for x in subgroup):
         raise UsageError(f"subgroup indices {spec!r} are outside "
                          f"0..{g.order - 1} for {group_name}")

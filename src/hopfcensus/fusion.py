@@ -620,6 +620,12 @@ def _dual_patterns(degrees):
 class _Search:
     """One backtracking run for a fixed duality pattern.
 
+    The variable is a Frobenius orbit: the entries that Frobenius
+    reciprocity forces to share one constant.  The orbits partition the r^3
+    entries.  ``_preassign`` fills the unit orbits, whose entries hold an
+    index 0, and ``order`` lists the others.  A node sets one orbit to one
+    value and pushes it onto ``trail``.
+
     ``value[i][j][k]`` is an assigned constant or None.  ``rows[i][j]`` is
     the kernels' view of row (i, j): its nonzero (k, v) once the row is
     complete, None until then.  The shared kernels (``_translation_defect``,
@@ -633,9 +639,9 @@ class _Search:
     its mask, so ``_feasible`` memoizes that answer on the pair for the
     whole run.  ``holders[t]`` lists the complete rows whose support holds
     t, in the order they completed; it is what the associativity trigger
-    reads.  Every change goes through ``_raw_set`` and onto ``trail``, and
-    ``_undo`` reverts it in reverse order, so each row leaves ``holders``
-    by a pop.
+    reads.  ``_undo`` clears each popped orbit's set members in reverse (a
+    failed ``_assign`` sets only some), so each row leaves ``holders`` by a
+    pop.
     """
 
     def __init__(self, degrees, dual, profile, budget):
@@ -656,42 +662,21 @@ class _Search:
         self.rows: list[list[tuple | None]] = [[None] * r for _ in range(r)]
         self.holders: list[list[tuple[int, int]]] = [[] for _ in range(r)]
         self._feasible: dict[tuple[int, int], bool] = {}
-        self.trail: list[tuple[int, int, int]] = []
-        self._orbits: dict[tuple[int, int, int], tuple] = {}
-        self._static_ub: dict[tuple[int, int, int], int] = {}
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    orbit = tuple(self._orbit_of(i, j, k))
-                    self._orbits[(i, j, k)] = orbit
-                    ub = min((degrees[a] * degrees[b]) // degrees[c]
-                             for a, b, c in orbit)
-                    if degrees[k] == 1:
-                        ub = min(ub, 1)
-                    self._static_ub[(i, j, k)] = ub
+        self.trail: list[tuple[tuple[int, int, int], ...]] = []
         self._preassign()
         self.order = self._variable_order()
 
     # -- setup
 
     def _preassign(self):
-        r, dual = self.r, self.dual
-        for j in range(r):
-            for k in range(r):
-                self._raw_set(0, j, k, 1 if j == k else 0)
-                if j != 0:
-                    self._raw_set(j, 0, k, 1 if j == k else 0)
-        for i in range(r):
-            for j in range(r):
-                if (i, j) == (0, 0) or i == 0 or j == 0:
-                    continue
-                self._raw_set(i, j, 0, 1 if j == dual[i] else 0)
-        self.trail.clear()
+        """Fill the unit orbits, each of which holds an entry (0, j, k),
+        with N(0,j,k) = delta_jk."""
+        for j, k in itertools.product(range(self.r), repeat=2):
+            if self.value[0][j][k] is None:
+                for a, b, c in self._orbit_of(0, j, k):
+                    self._set(a, b, c, int(j == k))
 
-    def _raw_set(self, i, j, k, v):
-        if self.value[i][j][k] is not None:
-            assert self.value[i][j][k] == v
-            return
+    def _set(self, i, j, k, v):
         self.value[i][j][k] = v
         self.row_sum[i][j] += v * self.deg[k]
         self.row_mask[i][j] ^= 1 << k
@@ -700,12 +685,14 @@ class _Search:
                                           enumerate(self.value[i][j]) if x)
             for t, _ in row:
                 self.holders[t].append((i, j))
-        self.trail.append((i, j, k))
 
     def _variable_order(self):
-        """Rows in the order: degree-1 group block, then chi * chi-dual rows by
-        ascending degree, then degree-1 translates, then the rest by ascending
-        degree product.  Entries within a row go by ascending index."""
+        """The open orbits as (i, j, k, members, bound), each at its first
+        entry (i, j, k) in the row order: the degree-1 group block, then
+        chi * chi-dual rows by ascending degree, then degree-1 translates,
+        then the rest by ascending degree product, each row by ascending k.
+        The bound is the least d_a d_b // d_c over the members, and at most
+        1 when deg k = 1."""
         r, deg, dual = self.r, self.deg, self.dual
         group_rows = [(g, h) for g in self.ones for h in self.ones
                       if g != 0 and h != 0]
@@ -719,13 +706,17 @@ class _Search:
         rest_rows = sorted(((i, j) for i in range(r) for j in range(r)
                             if deg[i] > 1 and deg[j] > 1),
                            key=lambda p: (deg[p[0]] * deg[p[1]], deg[p[0]], p))
-        order: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for row in group_rows + dual_rows + translate_rows + rest_rows:
-            if row not in seen:
-                seen.add(row)
-                order.append(row)
-        return [(i, j, k) for i, j in order for k in range(r)]
+        order, listed = [], set()
+        for i, j in dict.fromkeys(group_rows + dual_rows + translate_rows
+                                  + rest_rows):
+            for k in range(r):
+                if self.value[i][j][k] is None and (i, j, k) not in listed:
+                    members = tuple(self._orbit_of(i, j, k))
+                    listed.update(members)
+                    bound = min(deg[a] * deg[b] // deg[c] for a, b, c in members)
+                    order.append((i, j, k, members,
+                                  min(bound, 1) if deg[k] == 1 else bound))
+        return order
 
     # -- propagation helpers
 
@@ -739,23 +730,18 @@ class _Search:
             self.first_failure = message
         return False
 
-    def _assign(self, i, j, k, v) -> bool:
-        """Set the Frobenius orbit of (i,j,k) to v; False on contradiction."""
+    def _assign(self, members, v) -> bool:
+        """Set every member of an open orbit to v; False on contradiction."""
         deg = self.deg
-        for (a, b, c) in self._orbits[(i, j, k)]:
-            cur = self.value[a][b][c]
-            if cur is not None:
-                if cur != v:
-                    return self._fail(
-                        f"constant ({a},{b},{c}) already {cur}, needs {v}")
-                continue
+        self.trail.append(members)
+        for a, b, c in members:
             if v * deg[c] > deg[a] * deg[b] - self.row_sum[a][b]:
                 return self._fail(
                     f"row ({a},{b}) budget exceeded at entry {c}")
             if deg[c] == 1 and v > 1:
                 return self._fail(
                     f"degree-1 multiplicity above 1 in row ({a},{b})")
-            self._raw_set(a, b, c, v)
+            self._set(a, b, c, v)
             if not self.row_mask[a][b]:
                 if self.row_sum[a][b] != deg[a] * deg[b]:
                     return self._fail(f"row ({a},{b}) sums wrong")
@@ -868,21 +854,17 @@ class _Search:
         return self._descend(0)
 
     def _descend(self, pos: int) -> FusionDatum | None:
-        while pos < len(self.order) and \
-                self.value[self.order[pos][0]][self.order[pos][1]][self.order[pos][2]] is not None:
-            pos += 1
-        if pos >= len(self.order):
+        if pos == len(self.order):
             return self._leaf()
-        i, j, k = self.order[pos]
+        i, j, k, members, bound = self.order[pos]
         deg = self.deg
-        ub = min(self._static_ub[(i, j, k)],
-                 (deg[i] * deg[j] - self.row_sum[i][j]) // deg[k])
+        ub = min(bound, (deg[i] * deg[j] - self.row_sum[i][j]) // deg[k])
         for v in range(ub + 1):
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExhausted
             mark = len(self.trail)
-            if self._assign(i, j, k, v):
+            if self._assign(members, v):
                 found = self._descend(pos + 1)
                 if found is not None:
                     return found
@@ -891,16 +873,18 @@ class _Search:
 
     def _undo(self, mark: int):
         while len(self.trail) > mark:
-            i, j, k = self.trail.pop()
-            row = self.rows[i][j]
-            if row is not None:
-                # rows complete in trail order, so each is last in its holders
-                for t, _ in row:
-                    self.holders[t].pop()
-                self.rows[i][j] = None
-            self.row_sum[i][j] -= self.value[i][j][k] * self.deg[k]
-            self.value[i][j][k] = None
-            self.row_mask[i][j] |= 1 << k
+            for i, j, k in reversed(self.trail.pop()):
+                if (v := self.value[i][j][k]) is None:
+                    continue
+                row = self.rows[i][j]
+                if row is not None:
+                    # rows complete in trail order, so each is last in its holders
+                    for t, _ in row:
+                        self.holders[t].pop()
+                    self.rows[i][j] = None
+                self.row_sum[i][j] -= v * self.deg[k]
+                self.value[i][j][k] = None
+                self.row_mask[i][j] |= 1 << k
 
     def _leaf(self) -> FusionDatum | None:
         constants = [[[self.value[i][j][k] for k in range(self.r)]

@@ -185,6 +185,7 @@ def test_bad_inputs_exit_2():
     ("0,99", "outside 0..7"),       # index past the order of D4
     ("-1", "outside 0..7"),         # negative index
     ("0,1", "do not form a subgroup"),  # {1, r} is not closed
+    ("0,0", "repeat"),              # a repeated index
 ])
 def test_twist_bad_subgroup_is_a_usage_error(subgroup, reason):
     code, text = invoke(["twist", "--group", "D4", "--subgroup", subgroup,

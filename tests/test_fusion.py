@@ -417,6 +417,28 @@ def test_incremental_search_state_matches_a_fresh_scan(monkeypatch, typestr,
     assert (out.status, out.nodes, out.trace) == (status, nodes, trace)
 
 
+@pytest.mark.parametrize("typestr", [t for t, *_ in PINNED_SEARCHES])
+def test_unit_orbits_are_filled_whole_and_the_rest_are_open(typestr):
+    """The Frobenius orbits partition the entries, ``_preassign`` fills the
+    unit rows with their deltas, and ``order`` lists every other entry once,
+    unassigned: no orbit is ever partly assigned, so ``_assign`` never meets
+    a constant that is already set."""
+    degrees = P(typestr).basis_degrees()
+    r = len(degrees)
+    entries = list(itertools.product(range(r), repeat=3))
+    for dual in fusion._dual_patterns(degrees):
+        search = fusion._Search(degrees, dual, "hopf", 0)
+        orbits = {frozenset(search._orbit_of(*e)) for e in entries}
+        assert sorted(e for orbit in orbits for e in orbit) == entries
+        value = search.value
+        for i, j in itertools.product(range(r), repeat=2):
+            assert value[0][i][j] == value[i][0][j] == int(i == j)
+            assert value[i][j][0] == int(j == dual[i])
+        members = [e for *_, orbit, _ in search.order for e in orbit]
+        assert sorted(members) == [e for e in entries if 0 not in e]
+        assert all(value[i][j][k] is None for i, j, k in members)
+
+
 # -- the verifier on arbitrary well-shaped data ------------------------------------
 
 @st.composite
