@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
-from hopfcensus.cyclotomic import (_partitions_into_squares, divisors,
-                                   prime_factors)
+from hopfcensus.cyclotomic import (_nat_span, _partitions_into_squares,
+                                   divisors, prime_factors)
 from hopfcensus.fusion import (AlgebraTypeSignature, FusionError, SearchOutcome,
                                search_fusion)
 
@@ -51,18 +51,6 @@ class CensusRule:
         if not self.applies(n_total, sig):
             return None
         return self.violation(n_total, sig)
-
-
-def _nat_span(limit: int, degrees: Iterable[int]) -> int:
-    """Bitmask over 0..limit of the sums of nonnegative multiples of degrees."""
-    mask = (1 << (limit + 1)) - 1
-    reachable = 1
-    for d in set(degrees):
-        step = d  # doubling steps reach every multiple count up to limit // d
-        while step <= limit:
-            reachable |= (reachable << step) & mask
-            step *= 2
-    return reachable
 
 
 def _r10_violation(n_total: int, sig: AlgebraTypeSignature) -> str | None:

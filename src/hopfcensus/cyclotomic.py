@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 #: Largest conductor the package will compute with.  Exceeding it raises
 #: ConductorLimitError rather than degrading silently.
@@ -39,16 +39,8 @@ class ConductorLimitError(ValueError):
 
 def euler_phi(n: int) -> int:
     result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in set(prime_factors(n)):
+        result -= result // p
     return result
 
 
@@ -111,6 +103,18 @@ def _partitions_into_squares(remaining: int, degrees: Sequence[int], i: int,
     return memo[key]
 
 
+def _nat_span(limit: int, degrees: Iterable[int]) -> int:
+    """Bitmask over 0..limit of the sums of nonnegative multiples of degrees."""
+    mask = (1 << (limit + 1)) - 1
+    reachable = 1
+    for d in set(degrees):
+        step = d  # doubling steps reach every multiple count up to limit // d
+        while step <= limit:
+            reachable |= (reachable << step) & mask
+            step *= 2
+    return reachable
+
+
 def _canonical_conductor(n: int) -> int:
     """The canonical field label: Q(zeta_2u) = Q(zeta_u) for odd u."""
     return n // 2 if n % 4 == 2 else n
@@ -132,8 +136,9 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (den monic up to sign of lead 1)."""
+def _polydiv_exact(num: list, den: list) -> list:
+    """num / den, ascending, for a monic den dividing num exactly; the
+    coefficients are integers here and CycNumbers in ``hopfcore``."""
     num = list(num)
     out = [0] * (len(num) - len(den) + 1)
     for i in range(len(num) - len(den), -1, -1):
@@ -142,7 +147,7 @@ def _polydiv_exact(num: list[int], den: list[int]) -> list[int]:
         if c:
             for j, dj in enumerate(den):
                 num[i + j] -= c * dj
-    assert all(c == 0 for c in num), "non-exact cyclotomic division"
+    assert all(c == 0 for c in num), "non-exact polynomial division"
     return out
 
 

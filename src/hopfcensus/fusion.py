@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from hopfcensus.cyclotomic import _nat_span
 from hopfcensus.groups import FiniteGroup, _closure, _element_order
 
 
@@ -189,26 +190,21 @@ class FusionDatum:
         """All closed subsets containing the unit, with dimensions sum deg^2.
 
         Every closed subset is the join of the single-element closures of its
-        members, so saturating the atom closures under join enumerates the
-        whole lattice without touching all 2^r subsets.
+        members, so joining each closed subset found with each element, from
+        the unit's closure on, enumerates the whole lattice without touching
+        all 2^r subsets.
         """
         def closure(seed):
             return _closure(self.sparse, self.dual, self.unit, seed)
 
-        found: set[frozenset[int]] = {closure(())}
-        for i in range(self.size):
-            found.add(closure((i,)))
-        changed = True
-        while changed:
-            changed = False
-            for s in list(found):
-                for i in range(self.size):
-                    if i in s:
-                        continue
-                    joined = closure(s | {i})
-                    if joined not in found:
-                        found.add(joined)
-                        changed = True
+        found = {closure(())}
+        work = list(found)
+        while work:
+            s = work.pop()
+            for i in range(self.size):
+                if i not in s and (joined := closure(s | {i})) not in found:
+                    found.add(joined)
+                    work.append(joined)
         out = [(tuple(sorted(s)), sum(self.degrees[i] ** 2 for i in s))
                for s in found]
         out.sort(key=lambda pair: (pair[1], pair[0]))
@@ -487,13 +483,8 @@ def _check_nr_dichotomy(f: FusionDatum) -> AxiomCheck:
                               f"companion psi_{psi} is not self-dual")
         if not has4:
             stab = f.left_stabilizer(psi)
-            prow = f.constants[psi][psi]
-            expected_ok = (len(stab) == 3 and prow[psi] == 2
-                           and all(prow[g] == (1 if g in stab else 0)
-                                   for g in f.one_indices)
-                           and all(prow[k] == 0 for k in range(f.size)
-                                   if deg[k] > 1 and k != psi))
-            if not expected_ok:
+            if len(stab) != 3 or set(f.sparse[psi][psi]) != \
+                    {(g, 1) for g in stab} | {(psi, 2)}:
                 return AxiomCheck(
                     "nr-dichotomy", False,
                     f"psi_{psi} does not satisfy psi^2 = (order-3 group) + 2 psi")
@@ -593,27 +584,15 @@ def _dual_patterns(degrees):
     the number of dual 2-cycles matters; pairs are laid out consecutively.
     The unit (index 0) is always self-dual.
     """
-    classes: dict[int, list[int]] = {}
-    for i, d in enumerate(degrees):
-        classes.setdefault(d, []).append(i)
-    class_list = sorted(classes.items())
-    options = []
-    for d, members in class_list:
-        pool = [i for i in members if i != 0]
-        choices = []
-        for swaps in range(len(pool) // 2 + 1):
-            pairing = {}
-            for s in range(swaps):
-                a, b = pool[2 * s], pool[2 * s + 1]
-                pairing[a] = b
-                pairing[b] = a
-            choices.append(pairing)
-        options.append(choices)
-    for combo in itertools.product(*options):
-        dual = list(range(len(degrees)))
-        for pairing in combo:
-            for a, b in pairing.items():
-                dual[a] = b
+    r = len(degrees)
+    pools = [[i for i in range(1, r) if degrees[i] == d]
+             for d in sorted(set(degrees[1:]))]
+    for swaps in itertools.product(*(range(len(pool) // 2 + 1)
+                                     for pool in pools)):
+        dual = list(range(r))
+        for pool, count in zip(pools, swaps):
+            for a, b in zip(pool[:2 * count:2], pool[1:2 * count:2]):
+                dual[a], dual[b] = b, a
         yield tuple(dual)
 
 
@@ -766,18 +745,12 @@ class _Search:
 
     def _subset_sum(self, budget, mask) -> bool:
         """Whether budget is a sum of deg[k] over the k in mask, each k used
-        at most budget // deg[k] times, or at most once when deg[k] = 1."""
-        if budget < 0:
-            return False
-        reachable = 1  # bitmask of achievable sums
-        for k in range(self.r):
-            if mask >> k & 1:
-                d = self.deg[k]
-                for _ in range(min(budget, 1) if d == 1 else budget // d):
-                    reachable |= reachable << d
-                if reachable >> budget & 1:
-                    return True
-        return bool(reachable >> budget & 1)
+        at most once when deg[k] = 1 and any number of times otherwise: some
+        budget - t with t at most the mask's degree-1 count is in the span
+        of its nonlinear degrees."""
+        masked = [self.deg[k] for k in range(self.r) if mask >> k & 1]
+        span = _nat_span(budget, [d for d in masked if d > 1])
+        return budget >= 0 and span >> max(budget - masked.count(1), 0) != 0
 
     def _row_completed_checks(self, a, b) -> bool:
         deg = self.deg

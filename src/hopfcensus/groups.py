@@ -172,7 +172,7 @@ class FiniteGroup:
 
     def subgroup_as_group(self, subset, name: str = "") -> tuple["FiniteGroup", dict]:
         """The subgroup as a standalone group plus index map child -> parent."""
-        subset = tuple(sorted(subset))
+        subset = tuple(sorted(set(subset)))
         pos = {g: i for i, g in enumerate(subset)}
         table = [[pos[self.table[a][b]] for b in subset] for a in subset]
         return FiniteGroup(table, name=name or f"{self.name}<{len(subset)}",

@@ -9,13 +9,13 @@ Everything here is exact; the axiom verifier reports per-axiom pass/fail
 with the first violating basis triple.
 
 ``LinearBasis`` is the module's one exact elimination: it writes a vector
-of its span in the vectors it accepted, which gives minimal polynomials,
-the word basis of the character search and the inverse of the twist's
-antipode corrector.  ``_legs`` is its one tensor map: it applies a linear
-map to each leg of a sparse tensor in H (x) H, which gives both sides of
-coassociativity, of the counit law and of counit normalization, the inner
-terms of the cocycle identity, the antipode axiom and corrector with one
-product per term, the hit actions and the convolution of characters.
+of its span in the vectors it accepted, which gives minimal polynomials
+and the word basis of the character search.  ``_legs`` is its one tensor
+map: it applies a linear map to each leg of a sparse tensor in H (x) H,
+which gives both sides of coassociativity, of the counit law and of counit
+normalization, the inner terms of the cocycle identity, the antipode axiom,
+the twist's antipode corrector and its inverse with one product per term,
+the hit actions and the convolution of characters.
 
 The module covers: group algebras and duals, the 8-dimensional
 Kac-Paljutkin algebra, multiplicative characters and group-like
@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
-                                   _canonical_conductor, divisors)
+                                   _canonical_conductor, _polydiv_exact,
+                                   divisors)
 from hopfcensus.fusion import AlgebraTypeSignature, AxiomCheck, AxiomReport
 from hopfcensus.groups import (AltBicharacter, FiniteGroup, GroupError,
                                abelian_decomposition)
@@ -227,9 +228,6 @@ class HopfData:
                 _add_scaled(out, a * b, row[j])
         return out
 
-    def _antipode(self, u) -> dict:
-        return _combine(u, self.antipode)
-
     def _comult(self, u) -> dict:
         out: dict = {}
         for i, a in u:
@@ -254,7 +252,7 @@ class HopfData:
         return _evaluate(self.counit, _nonzeros(u))
 
     def antipode_of(self, u):
-        return self._dense(self._antipode(_nonzeros(u)))
+        return self._dense(_combine(_nonzeros(u), self.antipode))
 
     def comult_of(self, u) -> dict:
         return _pruned(self._comult(_nonzeros(u)))
@@ -652,7 +650,7 @@ def _poly_roots_in_field(coeffs) -> list[CycNumber]:
         cand = next((c for c in candidates if not _poly_eval(remaining, c)), None)
         if cand is None:
             break
-        remaining = _synthetic_div(remaining, cand)
+        remaining = _polydiv_exact(remaining, [-cand, ONE])
         roots.append(cand)
     if len(remaining) == 3:
         roots += _quadratic_roots(remaining[0], remaining[1])
@@ -681,18 +679,6 @@ def _quadratic_roots(c: CycNumber, b: CycNumber) -> list[CycNumber]:
             if q * q == value:
                 return [(q * s - b) / 2, (-q * s - b) / 2]
     return []
-
-
-def _synthetic_div(coeffs, root):
-    """coeffs / (t - root) assuming exact divisibility; ascending order."""
-    n = len(coeffs) - 1
-    out = [ZERO] * n
-    acc = coeffs[n]
-    for idx in range(n - 1, -1, -1):
-        out[idx] = acc
-        acc = coeffs[idx] + acc * root
-    assert not acc
-    return out
 
 
 def _words(h: HopfData, generators=None) -> tuple[list, list, LinearBasis]:
@@ -1061,11 +1047,13 @@ def verify_twist(h: HopfData, twist: TwistElement) -> AxiomReport:
 def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfData:
     """Twist the comultiplication: Delta_phi = phi Delta(.) phi^{-1}.
 
-    The antipode becomes U S(.) U^{-1} with U = sum phi^(1) S(phi^(2));
-    multiplication, unit and counit are unchanged.  With ``verify`` the
-    twist is checked first and the full Hopf axiom suite then runs on the
-    result; failures raise.  Without it the caller vouches that the twist
-    passes ``verify_twist``.
+    The antipode becomes U S(.) U^{-1} with U = m(id (x) S)(phi) =
+    sum phi^(1) S(phi^(2)), whose inverse is Drinfeld's
+    U^{-1} = m(S (x) id)(phi^{-1}); multiplication, unit and counit are
+    unchanged.  With ``verify`` the twist is checked first and the full Hopf
+    axiom suite then runs on the result; failures raise.  Without it the
+    caller vouches that the twist passes ``verify_twist``, and so that U is
+    invertible with that inverse: the cocycle identity is what makes it so.
     """
     if h.dim > MAX_TWIST_DIM:
         raise TwistInvalidError(f"twisting capped at dimension {MAX_TWIST_DIM}")
@@ -1080,7 +1068,7 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
               for middle in h.comult]
 
     u = h.multiplied(_legs(phi, None, h.antipode_leg())).items()
-    uinv = _nonzeros(_algebra_inverse(h, u))
+    uinv = h.multiplied(_legs(phi_inv, h.antipode_leg(), None)).items()
     antipode = [h._product(h._product(u, h.antipode[i]).items(), uinv)
                 for i in range(h.dim)]
 
@@ -1092,17 +1080,6 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
                 "twisted algebra fails axioms: " +
                 "; ".join(c.axiom for c in rep.failures()))
     return twisted
-
-
-def _algebra_inverse(h: HopfData, u):
-    # u is sparse.  u is invertible exactly when the u e_j are independent;
-    # the coordinates x of 1 in them give u (sum_j x_j e_j) = 1, a right
-    # inverse, which finite dimension makes two-sided.
-    basis = LinearBasis(h.dim)
-    for j in range(h.dim):
-        if not basis.add(h._dense(h._product(u, [(j, ONE)]))):
-            raise TwistInvalidError("twist antipode corrector is not invertible")
-    return basis.coordinates(h.unit)
 
 
 def surviving_group_likes(g: FiniteGroup, twist: TwistElement) -> tuple[int, ...]:

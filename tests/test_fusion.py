@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcensus import fusion
+from hopfcensus.cyclotomic import _nat_span
 from hopfcensus.fusion import (PROFILES, AlgebraTypeSignature, AxiomReport,
                                FusionDatum, FusionError, UnsupportedGroupError,
                                from_group_characters, search_fusion,
@@ -263,6 +264,64 @@ def test_search_budget_exhaustion():
 def test_search_basis_cap():
     with pytest.raises(FusionError):
         search_fusion(P("1,16;2,4;4,1"), "hopf", 100)
+
+
+def _reachable_sums(limit, caps):
+    """Every sum up to limit of m * d over the (d, cap) pairs, each m in
+    0..cap, by enumerating the multiplicity of each pair in turn."""
+    sums = {0}
+    for d, cap in caps:
+        sums = {s + m * d for s in sums for m in range(cap + 1)
+                if s + m * d <= limit}
+    return sums
+
+
+@pytest.mark.parametrize("degrees", [(1, 1, 2, 2, 3), (1, 1, 1, 2, 4),
+                                     (1, 2, 3, 3), (1, 1, 3, 5, 6)])
+def test_reachable_sums_match_brute_force(degrees):
+    """``_nat_span`` and ``_Search._subset_sum`` on every mask of the basis:
+    a row budget is reachable when the masked entries sum to it, a degree-1
+    entry at most once and a nonlinear one any number of times."""
+    r = len(degrees)
+    search = fusion._Search(degrees, tuple(range(r)), "hopf", 0)
+    for mask in range(1 << r):
+        chosen = [degrees[k] for k in range(r) if mask >> k & 1]
+        nonlinear = [(d, 40 // d) for d in chosen if d > 1]
+        for limit in range(41):
+            assert _nat_span(limit, [d for d, _ in nonlinear]) == sum(
+                1 << s for s in _reachable_sums(limit, nonlinear))
+        reachable = _reachable_sums(40, [(d, 1) for d in chosen if d == 1]
+                                    + nonlinear)
+        for budget in range(41):
+            assert search._subset_sum(budget, mask) == (budget in reachable)
+        assert not search._subset_sum(-1, mask)
+
+
+# The duality involutions ``search_fusion`` tries, in the order it tries them.
+DUAL_PATTERNS = {
+    "1,2;2,7;3,2": [(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+                    (0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9),
+                    (0, 1, 3, 2, 4, 5, 6, 7, 8, 9, 10),
+                    (0, 1, 3, 2, 4, 5, 6, 7, 8, 10, 9),
+                    (0, 1, 3, 2, 5, 4, 6, 7, 8, 9, 10),
+                    (0, 1, 3, 2, 5, 4, 6, 7, 8, 10, 9),
+                    (0, 1, 3, 2, 5, 4, 7, 6, 8, 9, 10),
+                    (0, 1, 3, 2, 5, 4, 7, 6, 8, 10, 9)],
+    "1,4;3,4;4,1": [(0, 1, 2, 3, 4, 5, 6, 7, 8),
+                    (0, 1, 2, 3, 5, 4, 6, 7, 8),
+                    (0, 1, 2, 3, 5, 4, 7, 6, 8),
+                    (0, 2, 1, 3, 4, 5, 6, 7, 8),
+                    (0, 2, 1, 3, 5, 4, 6, 7, 8),
+                    (0, 2, 1, 3, 5, 4, 7, 6, 8)],
+    "1,3;3,3": [(0, 1, 2, 3, 4, 5), (0, 1, 2, 4, 3, 5),
+                (0, 2, 1, 3, 4, 5), (0, 2, 1, 4, 3, 5)],
+}
+
+
+@pytest.mark.parametrize("typestr", sorted(DUAL_PATTERNS))
+def test_dual_patterns_are_pinned(typestr):
+    degrees = P(typestr).basis_degrees()
+    assert list(fusion._dual_patterns(degrees)) == DUAL_PATTERNS[typestr]
 
 
 def test_fusion_datum_json_roundtrip():
@@ -595,3 +654,40 @@ def test_translation_defect_texts():
     for row in (((2, 2),), ((2, 1), (3, 1)), ()):
         rows[3][1] = row
         assert defect(rows, deg, 3, 1) == "degree-1 translate row (3,1) not one-hot"
+
+
+def sl23_ring(psi_squared=None):
+    """The character ring of SL(2, 3): the linear characters 0, 1, 2 form
+    Z3, chi_a = omega^a chi_0 (indices 3-5) has degree 2, dual chi_-a and
+    chi_a chi_b = omega^(a+b) + psi, and psi (index 6) has degree 3 with
+    chi_a psi = psi chi_a = chi_0 + chi_1 + chi_2 and
+    psi^2 = 1 + omega + omega^2 + 2 psi, or the row ``psi_squared``."""
+    products = {}
+    for i, j in itertools.product(range(7), repeat=2):
+        if i == j == 6:
+            row = psi_squared or {0: 1, 1: 1, 2: 1, 6: 2}
+        elif 6 in (i, j):
+            row = {6: 1} if min(i, j) < 3 else {3: 1, 4: 1, 5: 1}
+        elif i > 2 and j > 2:
+            row = {(i + j) % 3: 1, 6: 1}
+        else:  # a product with a linear factor keeps the other's degree
+            row = {(i + j) % 3 + (3 if max(i, j) > 2 else 0): 1}
+        products[(i, j)] = row
+    constants = [[[products[(i, j)].get(k, 0) for k in range(7)]
+                  for j in range(7)] for i in range(7)]
+    return FusionDatum((1, 1, 1, 2, 2, 2, 3), (0, 2, 1, 3, 5, 4, 6), constants)
+
+
+def test_nichols_richmond_dichotomy_on_sl23():
+    """Each chi_a has a trivial stabilizer and chi_a chi_a* = 1 + psi, so
+    psi^2 must be the sum of psi's order-3 stabilizer plus 2 psi."""
+    report = verify_fusion_datum(sl23_ring(), "hopf")
+    assert report.passed, report.failures()
+    assert "nr-dichotomy" in {c.axiom for c in report.checks}
+    for row in ({0: 1, 1: 1, 2: 1, 6: 1, 3: 1}, {0: 1, 1: 1, 6: 2, 5: 1},
+                {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1}, {0: 3, 6: 2},
+                {0: 1, 6: 2}):
+        check = fusion._check_nr_dichotomy(sl23_ring(row))
+        assert not check.passed
+        assert check.detail == \
+            "psi_6 does not satisfy psi^2 = (order-3 group) + 2 psi"

@@ -19,9 +19,11 @@ from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter,
                                build_semidirect, build_symmetric, builtin_group)
 from hopfcensus.hopfcore import (CharacterFunctional,
                                  GeneratorsDoNotSpanError, HopfData,
-                                 LinearBasis, NotNormalError, TwistElement,
-                                 TwistInvalidError, ZERO, ONE, _algebra_inverse,
-                                 _generator_rows, _root_candidates,
+                                 LinearBasis, NotAbelianSubgroupError,
+                                 NotNormalError, TwistElement,
+                                 TwistInvalidError, ZERO, ONE,
+                                 _abelian_subgroup, _generator_rows,
+                                 _root_candidates,
                                  algebra_characters, build_h8, build_lifted_twist,
                                  central_group_likes, character_convolution,
                                  cocommutativity_criterion,
@@ -389,6 +391,16 @@ def test_twist_errors():
     assert not report.passed
     with pytest.raises(TwistInvalidError):
         twist_hopf(from_group(g), bad)
+
+
+@pytest.mark.parametrize("subgroup", [(0, 0), (0, 2, 2)])
+def test_a_repeated_subgroup_index_reads_as_a_set(subgroup):
+    """Both the subgroup test and the standalone subgroup read the indices
+    as a set, so a repeat meets the invariants check, not a broken table."""
+    d4 = builtin_group("D4")
+    assert d4.subgroup_as_group(subgroup)[0].order == len(set(subgroup))
+    with pytest.raises(NotAbelianSubgroupError, match="invariants"):
+        _abelian_subgroup(d4, subgroup, NONDEG2)
 
 
 def klein_in_d4():
@@ -875,19 +887,29 @@ def test_characters_name_the_rank_of_a_non_generating_set(h8, generators, rank):
         f"indices {generators} generate a subalgebra of rank {rank}"
 
 
-def test_algebra_inverse_of_twist_correctors():
-    kz2 = from_group(build_cyclic(2))
-    with pytest.raises(TwistInvalidError) as err:
-        _algebra_inverse(kz2, [(0, ONE), (1, ONE)])  # (e + g)(e - g) = 0
-    assert str(err.value) == "twist antipode corrector is not invertible"
+CORRECTOR_TWISTS = {
+    "D3xD3": (D3D3_A, NONDEG2), "G12": (G12_GAMMA, NONDEG2),
+    "D4": ((0, 2, 4, 6), NONDEG2), "G18": (G18_GAMMA, NONDEG3),
+    "G12-trivial": (G12_GAMMA, AltBicharacter.trivial((2, 2))),
+}
 
-    # U = sum phi^(1) S(phi^(2)) of the G18 twist
-    kg = from_group(builtin_group("G18"))
-    tw = build_lifted_twist(builtin_group("G18"), G18_GAMMA, NONDEG3)
-    u = [ZERO] * kg.dim
-    for (i, j), c in tw.value.items():
-        term = kg.vec_mul(kg.basis_vector(i), kg.antipode_of(kg.basis_vector(j)))
-        u = [x + c * y for x, y in zip(u, term)]
-    assert sum(1 for c in u if c) > 1
-    v = _algebra_inverse(kg, [(k, c) for k, c in enumerate(u) if c])
-    assert kg.vec_mul(tuple(u), v) == kg.vec_mul(v, tuple(u)) == kg.unit
+
+@pytest.mark.parametrize("name", sorted(CORRECTOR_TWISTS))
+def test_twist_corrector_inverse_formula(name):
+    """U = sum phi^(1) S(phi^(2)) and sum S(phi^-(1)) phi^-(2), over the
+    terms of phi and of phi^{-1}, are inverse to each other."""
+    g = builtin_group(name.partition("-")[0])
+    kg = from_group(g)
+    tw = build_lifted_twist(g, *CORRECTOR_TWISTS[name])
+
+    def contract(t, left, right):
+        out = [ZERO] * kg.dim
+        for (i, j), c in t.items():
+            term = kg.vec_mul(left(kg.basis_vector(i)),
+                              right(kg.basis_vector(j)))
+            out = [x + c * y for x, y in zip(out, term)]
+        return tuple(out)
+
+    u = contract(tw.value, lambda v: v, kg.antipode_of)
+    u_inv = contract(tw.inverse, kg.antipode_of, lambda v: v)
+    assert kg.vec_mul(u, u_inv) == kg.vec_mul(u_inv, u) == kg.unit

@@ -1,0 +1,80 @@
+"""Digest the CLI's output on a fixed command set, for differential runs.
+
+Usage: python tools/cli_digests.py SRC OUT
+
+SRC is the ``src`` directory of the tree under test; each command runs in
+process through that tree's ``hopfcensus.cli.run``.  OUT gets one line per
+command: the sha256 of its stdout, its exit code and its argv.  Two trees
+behave the same on the set when ``diff`` of their OUT files is empty.
+
+The set is:
+- the six acceptance determinism commands;
+- ``census --rules all`` at every dimension 1-240;
+- ``fusion-search --budget 5000`` under both profiles for every R1
+  survivor with at most 10 basis elements at dimensions 6-72;
+- ``double``, ``fusion-verify --group`` and four ``twist`` variants
+  (subgroup auto or center, bicharacter trivial or nondegenerate) for each
+  built-in group;
+- ``h8-report``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import shlex
+import sys
+from pathlib import Path
+
+DETERMINISM_COMMANDS = [
+    ["census", "--dim", "54", "--rules", "all", "--oracle", "1,2;2,1;4,3"],
+    ["fusion-search", "--type", "1,2;2,1;4,1"],
+    ["fusion-verify", "--group", "Q8"],
+    ["double", "--group", "D4"],
+    ["h8-report"],
+    ["twist", "--group", "G12", "--subgroup", "auto",
+     "--bicharacter", "nondegenerate", "--check-cocommutative", "--group-likes"],
+]
+
+
+def commands(census, groups) -> list[list[str]]:
+    out = [list(argv) for argv in DETERMINISM_COMMANDS]
+    out += [["census", "--dim", str(d), "--rules", "all"]
+            for d in range(1, 241)]
+    for d in range(6, 73):
+        for sig in census.enumerate_types(d, "R1").survivors:
+            if len(sig.basis_degrees()) <= 10:
+                out += [["fusion-search", "--type", str(sig), "--budget",
+                         "5000", "--profile", profile]
+                        for profile in ("basic", "hopf")]
+    for g in groups.BUILTIN_GROUPS:
+        out.append(["double", "--group", g])
+        out.append(["fusion-verify", "--group", g])
+        out += [["twist", "--group", g, "--subgroup", subgroup,
+                 "--bicharacter", bichar, "--check-cocommutative",
+                 "--group-likes"]
+                for subgroup in ("auto", "center")
+                for bichar in ("trivial", "nondegenerate")]
+    out.append(["h8-report"])
+    return out
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    src, target = argv
+    sys.path.insert(0, str(Path(src).resolve()))
+    from hopfcensus import census, cli, groups
+
+    with open(target, "w", encoding="utf-8") as out:
+        for args in commands(census, groups):
+            buf = io.StringIO()
+            code = cli.run(args, buf)
+            digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            out.write(f"{digest} {code} {shlex.join(args)}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
