@@ -1,12 +1,16 @@
 """CycNumber against sympy's exact arithmetic, and the rational fast path.
 
-Every tested conductor divides 24, so the oracle works in Q(zeta_24): a
+Most tested conductors divide 24, so the oracle works in Q(zeta_24): a
 value sum_j q_j zeta_n^j becomes the sympy polynomial sum_j q_j x^(j*24/n)
 reduced modulo the 24th cyclotomic polynomial.  Sympy computes sums,
 products, inverses and conjugates there without any code of this package.
+The subfield descent is checked at every supported conductor, against
+floating point.
 """
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
 import sympy
@@ -15,7 +19,8 @@ from hypothesis import strategies as st
 
 from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
                                    _canonical_conductor, _dense,
-                                   _from_numerators, _powers, euler_phi)
+                                   _from_numerators, _powers, divisors,
+                                   euler_phi)
 
 N = 24
 X = sympy.Symbol("x")
@@ -147,3 +152,33 @@ def test_roots_of_unity_agree_with_the_descent_path_and_sympy():
                            X, domain=sympy.QQ)
         expected = sympy.Poly(X ** (k * (big // n)), X, domain=sympy.QQ)
         assert value.rem(phi) == expected.rem(phi), (n, k)
+
+
+def _complex(coeffs, n) -> complex:
+    """sum_j coeffs[j] zeta_n^j in floating point."""
+    return sum(float(c) * cmath.exp(2j * math.pi * j / n)
+               for j, c in enumerate(coeffs))
+
+
+def test_values_of_subfields_descend_to_the_same_representation():
+    # A value of Q(zeta_m) written in Q(zeta_n), m | n, as w_j at the
+    # exponents j * n / m: the constructor must find the same canonical
+    # form as from Q(zeta_m) itself.  Dense draws mostly keep conductor m;
+    # sparse ones descend further, so the descent both fails and succeeds.
+    rng = random.Random(19)
+    sizes = [n for n in range(1, 2 * MAX_CONDUCTOR + 1)
+             if _canonical_conductor(n) <= MAX_CONDUCTOR]
+    assert len(sizes) == 30
+    for n in sizes:
+        for m in divisors(n):
+            for support in (m, 2, 1):
+                w = [Fraction(0)] * m
+                for j in rng.sample(range(m), min(support, m)):
+                    w[j] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                spread = [Fraction(0)] * n
+                spread[::n // m] = w
+                small, big = CycNumber(m, w), CycNumber(n, spread)
+                assert (big.conductor, big.num, big.den) == \
+                    (small.conductor, small.num, small.den), (n, m, w)
+                assert abs(_complex(small.coeffs, small.conductor)
+                           - _complex(w, m)) < 1e-9, (n, m, w)
