@@ -7,13 +7,18 @@ that polynomial divided by ``den``, with gcd(den, *num) = 1.  This is the
 representation GAP uses for cyclotomics.  Reduction modulo Phi_n (rather
 than x^n - 1) keeps the ring a field, so every nonzero element is
 invertible; Phi_n is monic with integer coefficients, so the power basis
-tables, lifting, reduction and inversion need no fractions.
+tables and the one substitution kernel ``_spread`` (reduction, the Galois
+action and lifting to a larger field) need no fractions, nor does inversion.
 
 The representative is canonical: the conductor is always the smallest m
 with the value in Q(zeta_m) (and never congruent to 2 mod 4, since
-Q(zeta_2u) = Q(zeta_u) for odd u).  Together with the gcd invariant this
-makes equality of values equality of representations, and values are
-hashable.  ``coeffs`` gives the same value as a tuple of Fractions.
+Q(zeta_2u) = Q(zeta_u) for odd u).  ``_canonicalize`` finds it by descending
+one prime at a time, and each step (``_down``) reads integer coordinates
+over a basis of Z[zeta_n] over the subring.  Together with the gcd invariant
+this makes equality of values equality of representations, and values are
+hashable.  Fraction appears only at the API edges: the constructor,
+``from_rational``, ``coeffs``, ``rational_value``, ``from_json`` and the
+coercion of operands.
 
 Every operation is pure and exact; there is no floating point anywhere.
 The package's number-theory helpers live here too.
@@ -183,18 +188,21 @@ def _dense(terms, phi: int) -> list[int]:
     return out
 
 
-def _reduce_poly(coeffs: list[int], n: int) -> list[int]:
-    """Reduce an integer polynomial in zeta_n of any degree modulo Phi_n."""
-    phi = euler_phi(n)
-    out = list(coeffs[:phi])
-    out += [0] * (phi - len(out))
-    if len(coeffs) > phi:
-        powers = _powers(n)
-        for j in range(phi, len(coeffs)):
-            c = coeffs[j]
-            if c:
-                for t, v in powers[j % n]:
-                    out[t] += c * v
+def _spread(num, n: int, step: int = 1) -> list[int]:
+    """sum_j num[j] zeta_n^(j*step) in the power basis of Q(zeta_n).
+
+    Step 1 reduces an integer polynomial in zeta_n of any length modulo
+    Phi_n.  A step k coprime to n applies the automorphism sigma_k:
+    zeta_n -> zeta_n^k, which maps every Q(zeta_m), m | n, and the lattice
+    Z[zeta_n] onto themselves, so it keeps the minimal conductor and the gcd
+    of the numerators.  Step n/m writes a vector of Q(zeta_m) in Q(zeta_n).
+    """
+    powers = _powers(n)
+    out = [0] * euler_phi(n)
+    for j, c in enumerate(num):
+        if c:
+            for t, v in powers[j * step % n]:
+                out[t] += c * v
     return out
 
 
@@ -206,108 +214,41 @@ def _times(a, b, n: int) -> list[int]:
             for j, y in enumerate(b):
                 if y:
                     prod[i + j] += x * y
-    return _reduce_poly(prod, n)
-
-
-def _galois(num, n: int, k: int) -> list[int]:
-    """sigma_k(num): the image of an integer vector of Q(zeta_n) under the
-    automorphism zeta_n -> zeta_n^k, for k coprime to n.
-
-    sigma_k maps Q(zeta_m) onto itself for every m dividing n, and it maps
-    the integer lattice Z[zeta_n] onto itself, so it keeps both the minimal
-    conductor and the gcd of the numerators.
-    """
-    powers = _powers(n)
-    out = [0] * euler_phi(n)
-    for j, c in enumerate(num):
-        if c:
-            for t, v in powers[j * k % n]:
-                out[t] += c * v
-    return out
-
-
-@lru_cache(maxsize=None)
-def _lift_rows(k: int, n: int):
-    """zeta_k^j for j < phi(k) in the power basis of Q(zeta_n), k | n."""
-    powers, step = _powers(n), n // k
-    return tuple(powers[j * step] for j in range(euler_phi(k)))
+    return _spread(prod, n)
 
 
 def _lifted(x: "CycNumber", n: int):
     """The numerators of x in the power basis of Q(zeta_n); same ``den``."""
     if x.conductor == n:
         return x.num
-    out = [0] * euler_phi(n)
-    for c, row in zip(x.num, _lift_rows(x.conductor, n)):
+    return _spread(x.num, n, n // x.conductor)
+
+
+def _down(num, n: int, p: int):
+    """The numerators of a vector of Q(zeta_n) in Q(zeta_m), m = n/p for a
+    prime p, or None when the value does not lie in Q(zeta_m).
+
+    Both cases are integer reads of a basis of Z[zeta_n] over Z[zeta_m].
+    If p | m, Phi_n(x) = Phi_m(x^p), so that basis is 1, zeta_n, ...,
+    zeta_n^(p-1) and zeta_n^p = zeta_m.  If p does not divide m, Z[zeta_n]
+    = Z[zeta_m] (x) Z[zeta_p] and zeta_n = zeta_m^q zeta_p^r with pq + mr = 1,
+    so the basis is zeta_p^0, ..., zeta_p^(p-2).
+    """
+    m = n // p
+    if m % p == 0:  # every nonzero coefficient must sit at a multiple of p
+        sub = num[::p]
+        return sub if len(num) - num.count(0) == len(sub) - sub.count(0) \
+            else None
+    r = pow(m, -1, p)
+    q = (1 - m * r) // p  # exact: mr = 1 (mod p)
+    below, across, phi = _powers(m), _powers(p), len(num) // (p - 1)
+    out = [0] * len(num)
+    for i, c in enumerate(num):
         if c:
-            for t, v in row:
-                out[t] += c * v
-    return out
-
-
-@lru_cache(maxsize=None)
-def _subfield_solver(n: int, m: int):
-    """Integer data for deciding membership of Q(zeta_n) values in Q(zeta_m).
-
-    Row-reduces the phi(n) x phi(m) matrix whose columns are zeta_m^j in the
-    basis of Q(zeta_n).  Returns ``(checks, solve, scale)``: v lies in
-    Q(zeta_m) exactly when every sparse integer row of ``checks`` has a zero
-    dot product with v, and then its coordinate j there is
-    ``dot(solve[j], v) / scale``.
-    """
-    phi_n, phi_m = euler_phi(n), euler_phi(m)
-    cols = [_dense(row, phi_n) for row in _lift_rows(m, n)]
-    # Gaussian elimination with the identity trick: reduce [cols | I].
-    # zeta_m^0..zeta_m^{phi(m)-1} are independent, so column c has its
-    # pivot in row c, and the rows below phi(m) are the consistency checks.
-    rows = [[Fraction(cols[c][r]) for c in range(phi_m)]
-            + [Fraction(1 if t == r else 0) for t in range(phi_n)]
-            for r in range(phi_n)]
-    for c in range(phi_m):
-        pr = next(i for i in range(c, phi_n) if rows[i][c])
-        rows[c], rows[pr] = rows[pr], rows[c]
-        pv = rows[c][c]
-        rows[c] = [x / pv for x in rows[c]]
-        for i in range(phi_n):
-            if i != c and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    transforms = [row[phi_m:] for row in rows]
-
-    def integer_row(row, scale):
-        return tuple((t, int(x * scale)) for t, x in enumerate(row) if x)
-
-    checks = tuple(integer_row(row, math.lcm(*(x.denominator for x in row)))
-                   for row in transforms[phi_m:])
-    scale = math.lcm(*(x.denominator for row in transforms[:phi_m]
-                       for x in row))
-    solve = tuple(integer_row(row, scale) for row in transforms[:phi_m])
-    return checks, solve, scale
-
-
-@lru_cache(maxsize=None)
-def _descent_targets(n: int) -> tuple[int, ...]:
-    """The proper subfield conductors of Q(zeta_n) to try, smallest first.
-
-    The minimal cyclotomic field containing a value of Q(zeta_n) has
-    conductor dividing n, so the first success is the global minimum.
-    Conductors congruent to 2 mod 4 are never stored (Q(zeta_2u) =
-    Q(zeta_u) for odd u, so the odd divisor u wins).
-    """
-    return tuple(m for m in divisors(n) if m != n and m > 2 and m % 4 != 2)
-
-
-def _try_descend(v, n: int, m: int):
-    """(numerators, scale) of v in Q(zeta_m) if v lies in that subfield.
-
-    The coordinates of v there are the numerators divided by scale; None
-    if v is not in the subfield.
-    """
-    checks, solve, scale = _subfield_solver(n, m)
-    for row in checks:
-        if sum(c * v[t] for t, c in row):
-            return None
-    return [sum(x * v[t] for t, x in row) for row in solve], scale
+            for b, v in across[i * r % p]:
+                for a, u in below[i * q % m]:
+                    out[b * phi + a] += c * u * v
+    return None if any(out[phi:]) else out[:phi]
 
 
 # -- the number type -----------------------------------------------------------
@@ -320,8 +261,8 @@ class CycNumber:
     def __init__(self, conductor: int, coeffs):
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in coeffs))
-        x = _from_numerators(
-            conductor, [c.numerator * (den // c.denominator) for c in coeffs],
+        x = _from_numerators(conductor, _spread(
+            [c.numerator * (den // c.denominator) for c in coeffs], conductor),
             den)
         _set_conductor(self, x.conductor)
         _set_num(self, x.num)
@@ -494,10 +435,10 @@ class CycNumber:
             p, q = self.num[0], self.den
             return _make(1, (q,), p) if p > 0 else _make(1, (-q,), -p)
         n, num, den = self.conductor, self.num, self.den
-        rest = _galois(num, n, n - 1)
+        rest = _spread(num, n, n - 1)
         for k in range(2, n - 1):
             if _gcd(k, n) == 1:
-                rest = _times(rest, _galois(num, n, k), n)
+                rest = _times(rest, _spread(num, n, k), n)
         norm = _times(num, rest, n)[0]
         if norm < 0:
             norm, den = -norm, -den
@@ -529,7 +470,7 @@ class CycNumber:
         n = self.conductor
         if n == 1:
             return self
-        return _make(n, tuple(_galois(self.num, n, n - 1)), self.den)
+        return _make(n, tuple(_spread(self.num, n, n - 1)), self.den)
 
     # -- comparison, hashing, display, serialization ------------------------
 
@@ -623,24 +564,22 @@ def _coerce(x):
 def _canonicalize(n: int, num: list[int], den: int):
     """(conductor, numerators, den) of the minimal-conductor representative.
 
-    The numerators may be of any length; the result is reduced but not
-    yet divided through by its gcd with den.
+    The numerators are reduced, and so is the result, which is not yet
+    divided through by its gcd with den.  The value descends one prime
+    at a time, by ``_down``, to the first Q(zeta_(n/p)) with n/p > 2 that
+    holds it.  Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a, b)), so the
+    conductors of the fields that hold the value are closed under gcd, and
+    the descent stops at the smallest, which is never 2 mod 4.  Conductors
+    1, 3, 4 and the primes have no subfield but Q and never call ``_down``.
     """
-    if len(num) != euler_phi(n):
-        num = _reduce_poly(num, n)
-    if n == 1:
-        return 1, num, den
     if not any(num[1:]):
         return 1, num[:1], den
-    for m in _descent_targets(n):
-        found = _try_descend(num, n, m)
-        if found is not None:
-            sol, scale = found
-            return m, sol, den * scale
-    if n % 4 == 2:
-        # Same field as Q(zeta_{n/2}); the odd divisor was skipped only if
-        # descent failed, which cannot happen here.
-        raise AssertionError(f"descent from conductor {n} must succeed")
+    if n > 4:  # Q(zeta_3) and Q(zeta_4) have no subfield but Q
+        for p in set(prime_factors(n)):
+            if n // p > 2:
+                sub = _down(num, n, p)
+                if sub is not None:
+                    return _canonicalize(n // p, sub, den)
     return n, num, den
 
 

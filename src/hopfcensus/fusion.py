@@ -302,11 +302,13 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> AxiomReport:
         checks.append(AxiomCheck(axiom, passed, detail))
 
     # structural sanity
-    ok = (f.unit in range(r) and deg[f.unit] == 1 and f.dual[f.unit] == f.unit
-          and sorted(f.dual) == list(range(r))
+    bad = next((i for i in range(r) if deg[i] <= 0), None)
+    ok = (bad is None and f.unit in range(r) and deg[f.unit] == 1
+          and f.dual[f.unit] == f.unit and sorted(f.dual) == list(range(r))
           and all(f.dual[f.dual[i]] == i for i in range(r))
           and all(deg[f.dual[i]] == deg[i] for i in range(r)))
-    add("well-formed", ok, "" if ok else "unit/duality data malformed")
+    add("well-formed", ok, "" if ok else "unit/duality data malformed"
+        if bad is None else f"basis element {bad} has degree {deg[bad]} <= 0")
     if not ok:
         return AxiomReport(tuple(checks))
 

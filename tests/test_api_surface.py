@@ -32,7 +32,7 @@ NO_CALLER_NEEDED = {
 SHARED_NAMES = {
     "CensusResult.to_json": "cli._cmd_census",
     "run": "cli.main",
-    "_dense": "cyclotomic._subfield_solver",
+    "_dense": "cyclotomic.CycNumber.root_of_unity",
     "CycNumber.inv": "hopfcore.LinearBasis.add",
     "CycNumber.conjugate": "none: perfbench/tracer.py counts it by name, "
                            "and tests/test_cyclotomic.py requires it",

@@ -130,16 +130,21 @@ def test_h8_report_computes_group_likes_and_characters_once(monkeypatch):
             calls.append((_name, h.labels))
             return _fn(h, *args, **kw)
         monkeypatch.setattr(hopfcore, name, counted)
-    # Empty caches make the command build its roots of unity again.
+    descents = []
+
+    def down(*args, _fn=cyclotomic._down):
+        descents.append(args)
+        return _fn(*args)
+    monkeypatch.setattr(cyclotomic, "_down", down)
+    # An empty cache makes the command build its roots of unity again.
     hopfcore._root_candidates.cache_clear()
-    cyclotomic._subfield_solver.cache_clear()
     code, after = invoke(["h8-report"])
     assert code == 0 and after == before
     h8 = hopfcore.build_h8().labels
     assert calls.count(("group_like_elements", h8)) == 1
     assert calls.count(("algebra_characters", h8)) == 1
     # roots of unity are built in canonical form, without a subfield descent
-    assert cyclotomic._subfield_solver.cache_info().currsize == 0
+    assert descents == []
 
 
 def test_twist_command():
@@ -363,6 +368,19 @@ def test_undecodable_datum_file_is_a_usage_error(tmp_path):
     path.write_bytes(b"\xff\xfe\x00{")
     code, text = invoke(["fusion-verify", "--file", str(path)])
     assert code == 2 and text.startswith("error: ")
+
+
+@pytest.mark.parametrize("degree", [-1, 0])
+def test_fusion_verify_fails_a_nonpositive_degree(tmp_path, degree):
+    # the Z2 ring with its second degree replaced: every other check passed
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"degrees": [1, degree], "dual": [0, 1],
+                                "constants": Z2_CONSTANTS}))
+    code, report = invoke_json(["fusion-verify", "--file", str(path)])
+    assert code == 1
+    assert report["results"]["checks"] == [
+        {"axiom": "well-formed", "passed": False,
+         "detail": f"basis element 1 has degree {degree} <= 0"}]
 
 
 def test_fusion_verify_reports_an_empty_stabilizer(tmp_path):

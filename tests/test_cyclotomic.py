@@ -277,10 +277,9 @@ def test_inverse_and_conjugate_agree_with_sympy(n):
 # -- the Fraction boundary ----------------------------------------------------------
 
 # The only definitions of cyclotomic.py that may name Fraction: the API edges
-# that take or give Fractions, and the subfield solver, which is cached once
-# per pair of fields.  The arithmetic runs on integers.
+# that take or give Fractions.  The arithmetic and the descent run on integers.
 FRACTION_EDGES = {"__init__", "from_rational", "coeffs", "rational_value",
-                  "from_json", "_coerce", "_subfield_solver"}
+                  "from_json", "_coerce"}
 
 
 def test_fraction_is_named_only_at_the_api_edges():

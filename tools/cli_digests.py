@@ -15,6 +15,9 @@ The set is:
 - ``double``, ``fusion-verify --group`` and four ``twist`` variants
   (subgroup auto or center, bicharacter trivial or nondegenerate) for each
   built-in group;
+- ``twist --group G18 --subgroup auto`` with the bicharacter of zeta_3^k,
+  k = 1 or -1, given as JSON objects at conductors 6, 12 and 24: the
+  commands whose input descends to a smaller field;
 - ``h8-report``.
 """
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import shlex
 import sys
 from pathlib import Path
@@ -35,6 +39,16 @@ DETERMINISM_COMMANDS = [
     ["twist", "--group", "G12", "--subgroup", "auto",
      "--bicharacter", "nondegenerate", "--check-cocommutative", "--group-likes"],
 ]
+
+
+def _zeta3(conductor: int, k: int) -> dict:
+    """zeta_3^k, k = 1 or -1, as a CycNumber JSON object at conductor 6, 12
+    or 24.  There Phi(x) = x^(2h) - x^h + 1 with h = conductor / 6, and
+    zeta_3 = x^(2h), so zeta_3 = x^h - 1 and zeta_3^-1 = -x^h."""
+    h = conductor // 6
+    coeffs = [0] * (2 * h)
+    coeffs[0], coeffs[h] = (-1, 1) if k == 1 else (0, -1)
+    return {"conductor": conductor, "coeffs": coeffs}
 
 
 def commands(census, groups) -> list[list[str]]:
@@ -55,6 +69,10 @@ def commands(census, groups) -> list[list[str]]:
                  "--group-likes"]
                 for subgroup in ("auto", "center")
                 for bichar in ("trivial", "nondegenerate")]
+    out += [["twist", "--group", "G18", "--subgroup", "auto", "--bicharacter",
+             json.dumps([[1, _zeta3(c, k)], [_zeta3(c, -k), 1]]),
+             "--check-cocommutative", "--group-likes"]
+            for c in (6, 12, 24) for k in (1, -1)]
     out.append(["h8-report"])
     return out
 
