@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
 from hopfcensus.cyclotomic import (_nat_span, _partitions_into_squares,
@@ -53,12 +54,14 @@ class CensusRule:
         return self.violation(n_total, sig)
 
 
-def _r10_violation(n_total: int, sig: AlgebraTypeSignature) -> str | None:
-    degrees = sig.degrees_present
+@lru_cache(maxsize=None)
+def _r10_violation(n: int, degrees: tuple[int, ...]) -> str | None:
+    """R10's verdict, which reads only n and the nonlinear degrees present,
+    so it is computed once per pair: a census meets each pair many times."""
     span = _nat_span(max(degrees) ** 2, degrees)
     for d in degrees:
         good = False
-        for s in divisors(math.gcd(sig.n, d * d)):
+        for s in divisors(math.gcd(n, d * d)):
             if any(d % p for p in prime_factors(s)):
                 continue
             if span >> (d * d - s) & 1:
@@ -126,7 +129,7 @@ RULES: tuple[CensusRule, ...] = (
                "with every prime of s dividing d, and d^2 - s must decompose "
                "into the nonlinear degrees present",
         lambda N, s: len(s.entries) > 0,
-        _r10_violation),
+        lambda N, s: _r10_violation(s.n, s.degrees_present)),
 )
 
 RULES_BY_ID = {r.id: r for r in RULES}

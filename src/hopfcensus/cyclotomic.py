@@ -162,8 +162,8 @@ def _polydiv_exact(num: list, den: list) -> list:
 def _powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """zeta_n^j for j in [0, n), each as the sparse (index, integer
     coefficient) terms of its reduced vector in the power basis."""
-    phi = euler_phi(n)
     poly = cyclotomic_poly(n)
+    phi = len(poly) - 1
     # x^phi = -(poly[0] + ... + poly[phi-1] x^{phi-1})  (poly is monic)
     vec = [0] * phi
     out = []
@@ -198,7 +198,7 @@ def _spread(num, n: int, step: int = 1) -> list[int]:
     of the numerators.  Step n/m writes a vector of Q(zeta_m) in Q(zeta_n).
     """
     powers = _powers(n)
-    out = [0] * euler_phi(n)
+    out = [0] * (len(cyclotomic_poly(n)) - 1)  # phi(n), from the cached poly
     for j, c in enumerate(num):
         if c:
             for t, v in powers[j * step % n]:
@@ -259,6 +259,9 @@ class CycNumber:
     __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs):
+        if _canonical_conductor(conductor) > MAX_CONDUCTOR:
+            raise ConductorLimitError(
+                f"conductor {_canonical_conductor(conductor)} > {MAX_CONDUCTOR}")
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in coeffs))
         x = _from_numerators(conductor, _spread(

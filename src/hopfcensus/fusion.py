@@ -21,7 +21,9 @@ verifier runs the kernels on a datum's ``sparse`` view and the search runs
 them on each row as it completes.  The kernels are ``_translation_defect``
 (degree-1 translations permute the basis), ``_associativity_defect``, the
 stabilizer kernels, ``_nr_companion``, and the closure and element-order
-kernels of the groups module.
+kernels of the groups module.  ``_associativity_defect`` also reads the
+packed view of the rows, ``packed[i][j]`` = sum_k N[i][j][k] 2^(width k)
+or None, with digits wide enough never to carry.
 """
 
 from __future__ import annotations
@@ -177,6 +179,22 @@ class FusionDatum:
         return tuple(tuple(tuple((k, v) for k, v in enumerate(row) if v)
                            for row in plane) for plane in self.constants)
 
+    @cached_property
+    def width(self) -> int:
+        """Bits per digit of ``packed``: a digit of either side of a triple,
+        e.g. sum_t N_xy^t N_tz^l, is at most r M^2 in absolute value with M
+        the largest |N|, so a difference of two is below 2^width."""
+        top = max((abs(v) for plane in self.constants for row in plane
+                   for v in row), default=0)
+        return (2 * self.size * top * top).bit_length()
+
+    @cached_property
+    def packed(self) -> tuple[tuple[int, ...], ...]:
+        """``packed[i][j]`` = sum_k N[i][j][k] 2^(width k)."""
+        width = self.width
+        return tuple(tuple(sum(v << width * k for k, v in row) for row in plane)
+                     for plane in self.sparse)
+
     def multiply(self, i: int, j: int) -> tuple[int, ...]:
         return self.constants[i][j]
 
@@ -289,8 +307,9 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> AxiomReport:
     """Check the based-ring axioms, and under "hopf" the divisibility facts.
 
     Each failed axiom reports its first failure in a fixed scan order.
-    Associativity applies the search's sparse triple kernel to every
-    (i, j, k) in lexicographic order: r^3 calls over the nonzero constants.
+    Associativity applies the search's triple kernel to every (i, j, k) in
+    lexicographic order, on the ``sparse`` and ``packed`` views: r^3 calls,
+    each a sum over the nonzero constants of two rows.
     """
     if profile not in PROFILES:
         raise FusionError(f"unknown profile {profile!r}")
@@ -351,7 +370,7 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> AxiomReport:
 
     bad = None
     for i, j, k in itertools.product(range(r), repeat=3):
-        l = _associativity_defect(f.sparse, i, j, k)
+        l = _associativity_defect(f.sparse, f.packed, f.width, i, j, k)
         if l is not None:
             bad = (i, j, k, l)
             break
@@ -429,27 +448,33 @@ def _stabilizer_exponent_defect(rows, unit, stab, d) -> int | None:
     return None
 
 
-def _associativity_defect(rows, x, y, z) -> int | None:
+def _associativity_defect(rows, packed, width, x, y, z) -> int | None:
     """The least l at which (x*y)*z and x*(y*z) differ, or None.
 
-    It reads rows x*y, y*z, t*z for t in x*y and x*s for s in y*z, and
-    returns None when any of them is unknown.
+    It reads rows x*y and y*z, and the packed rows t*z for t in x*y and x*s
+    for s in y*z, and returns None when any of them is unknown.  The two
+    sides are sum_t N_xy^t packed[t][z] and sum_s N_yz^s packed[x][s]; their
+    difference is sum_l e_l 2^(width l), where e_l is the defect at l, so
+    with every |e_l| < 2^width its lowest set bit lies in the digit of the
+    least l with e_l != 0.
     """
     xy, yz = rows[x][y], rows[y][z]
     if xy is None or yz is None:
         return None
-    diff: dict[int, int] = {}
+    lhs = rhs = 0
     for t, a in xy:
-        if rows[t][z] is None:
+        p = packed[t][z]
+        if p is None:
             return None
-        for l, b in rows[t][z]:
-            diff[l] = diff.get(l, 0) + a * b
+        lhs += a * p
+    right = packed[x]
     for s, a in yz:
-        if rows[x][s] is None:
+        p = right[s]
+        if p is None:
             return None
-        for l, b in rows[x][s]:
-            diff[l] = diff.get(l, 0) - a * b
-    return min((l for l, v in diff.items() if v), default=None)
+        rhs += a * p
+    diff = lhs - rhs
+    return ((diff & -diff).bit_length() - 1) // width if diff else None
 
 
 def _nr_companion(rows, deg, dual, unit, i) -> int | None:
@@ -605,11 +630,12 @@ class _Search:
     reciprocity forces to share one constant.  The orbits partition the r^3
     entries.  ``_preassign`` fills the unit orbits, whose entries hold an
     index 0, and ``order`` lists the others.  A node sets one orbit to one
-    value and pushes it onto ``trail``.
+    value.
 
     ``value[i][j][k]`` is an assigned constant or None.  ``rows[i][j]`` is
     the kernels' view of row (i, j): its nonzero (k, v) once the row is
-    complete, None until then.  The shared kernels (``_translation_defect``,
+    complete, None until then, and ``packed[i][j]`` is the same row as the
+    integer sum_k v 2^(width k).  The shared kernels (``_translation_defect``,
     the stabilizer kernels, ``_nr_companion``, ``_closure`` and
     ``_associativity_defect``) run on each row as it completes.
 
@@ -617,12 +643,20 @@ class _Search:
     row or the table.  ``row_mask[i][j]`` has bit k set while entry k of row
     (i, j) is unassigned; the row is complete when it is 0.  Whether a row
     can still meet its degree sum depends only on its remaining budget and
-    its mask, so ``_feasible`` memoizes that answer on the pair for the
-    whole run.  ``holders[t]`` lists the complete rows whose support holds
-    t, in the order they completed; it is what the associativity trigger
-    reads.  ``_undo`` clears each popped orbit's set members in reverse (a
-    failed ``_assign`` sets only some), so each row leaves ``holders`` by a
-    pop.
+    its mask, so ``_feasible`` memoizes that answer on the pair, read as
+    budget << r | mask, for the whole run.  ``holders[t]`` lists the
+    complete rows whose support holds t, in the order they completed; it is
+    what the associativity trigger reads.
+
+    ``__init__`` compiles each entry of ``order`` into a plan,
+    ``plans[pos]`` = (row_sum[i], j, d_i d_j, d_k, bound, members): the
+    first four give the value range from the row of the orbit's first
+    entry (i, j, k).  Each member is (a, b, c, d_c, d_a d_b, 1 << c) and
+    the inner lists value[a][b], row_sum[a] and row_mask[a] that setting it
+    writes.  ``_assign`` pushes (members, count) onto ``trail``, count being
+    how many members it set before it stopped: all of them unless it met a
+    contradiction.  ``_undo`` clears exactly those, in reverse, so each row
+    leaves ``holders`` by a pop.
     """
 
     def __init__(self, degrees, dual, profile, budget):
@@ -636,36 +670,48 @@ class _Search:
         r = self.r
         self.total = sum(d * d for d in degrees)
         self.ones = tuple(i for i in range(r) if degrees[i] == 1)
+        # Every complete row meets its degree sum, so digit l of either side
+        # of a triple, e.g. sum_t N_xy^t N_tz^l, is at most d_x d_y d_z / d_l.
+        self.width = (max(degrees) ** 3).bit_length()
         self.value: list[list[list[int | None]]] = \
             [[[None] * r for _ in range(r)] for _ in range(r)]
         self.row_sum = [[0] * r for _ in range(r)]
         self.row_mask = [[(1 << r) - 1] * r for _ in range(r)]
         self.rows: list[list[tuple | None]] = [[None] * r for _ in range(r)]
+        self.packed: list[list[int | None]] = [[None] * r for _ in range(r)]
         self.holders: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-        self._feasible: dict[tuple[int, int], bool] = {}
-        self.trail: list[tuple[tuple[int, int, int], ...]] = []
+        self._feasible: dict[int, bool] = {}
+        self.trail: list[tuple[tuple, int]] = []
         self._preassign()
         self.order = self._variable_order()
+        self.plans = [self._plan(*entry) for entry in self.order]
 
     # -- setup
 
     def _preassign(self):
         """Fill the unit orbits, each of which holds an entry (0, j, k),
-        with N(0,j,k) = delta_jk."""
-        for j, k in itertools.product(range(self.r), repeat=2):
-            if self.value[0][j][k] is None:
-                for a, b, c in self._orbit_of(0, j, k):
-                    self._set(a, b, c, int(j == k))
+        with N(0,j,k) = delta_jk, then read every row's sum and mask and
+        record the rows this completes."""
+        r, deg, value = self.r, self.deg, self.value
+        for j, k in itertools.product(range(r), repeat=2):
+            for a, b, c in self._orbit_of(0, j, k):
+                value[a][b][c] = int(j == k)
+        for a, b in itertools.product(range(r), repeat=2):
+            entries = list(enumerate(value[a][b]))
+            self.row_sum[a][b] = sum(v * deg[c] for c, v in entries if v)
+            self.row_mask[a][b] = sum(1 << c for c, v in entries if v is None)
+            if not self.row_mask[a][b]:
+                self._complete(a, b)
 
-    def _set(self, i, j, k, v):
-        self.value[i][j][k] = v
-        self.row_sum[i][j] += v * self.deg[k]
-        self.row_mask[i][j] ^= 1 << k
-        if not self.row_mask[i][j]:
-            row = self.rows[i][j] = tuple((t, x) for t, x in
-                                          enumerate(self.value[i][j]) if x)
-            for t, _ in row:
-                self.holders[t].append((i, j))
+    def _complete(self, a, b):
+        """Record the complete row (a, b) in ``rows``, ``packed`` and
+        ``holders``."""
+        width = self.width
+        row = self.rows[a][b] = tuple(
+            [(t, x) for t, x in enumerate(self.value[a][b]) if x])
+        self.packed[a][b] = sum([x << width * t for t, x in row])
+        for t, _ in row:
+            self.holders[t].append((a, b))
 
     def _variable_order(self):
         """The open orbits as (i, j, k, members, bound), each at its first
@@ -699,6 +745,13 @@ class _Search:
                                   min(bound, 1) if deg[k] == 1 else bound))
         return order
 
+    def _plan(self, i, j, k, members, bound):
+        """The plan of one entry of ``order`` (see the class docstring)."""
+        deg = self.deg
+        return (self.row_sum[i], j, deg[i] * deg[j], deg[k], bound, tuple(
+            (a, b, c, deg[c], deg[a] * deg[b], 1 << c, self.value[a][b],
+             self.row_sum[a], self.row_mask[a]) for a, b, c in members))
+
     # -- propagation helpers
 
     def _orbit_of(self, i, j, k):
@@ -712,38 +765,44 @@ class _Search:
         return False
 
     def _assign(self, members, v) -> bool:
-        """Set every member of an open orbit to v; False on contradiction."""
-        deg = self.deg
-        self.trail.append(members)
-        for a, b, c in members:
-            if v * deg[c] > deg[a] * deg[b] - self.row_sum[a][b]:
-                return self._fail(
-                    f"row ({a},{b}) budget exceeded at entry {c}")
-            if deg[c] == 1 and v > 1:
-                return self._fail(
-                    f"degree-1 multiplicity above 1 in row ({a},{b})")
-            self._set(a, b, c, v)
-            if not self.row_mask[a][b]:
-                if self.row_sum[a][b] != deg[a] * deg[b]:
-                    return self._fail(f"row ({a},{b}) sums wrong")
+        """Set the members of an open orbit to v in turn; False on
+        contradiction, with the members set so far left for ``_undo``."""
+        r, feasible = self.r, self._feasible
+        count, message = 0, None
+        for a, b, c, dc, dadb, bit, values, sums, masks in members:
+            total = sums[b] + v * dc
+            if total > dadb:
+                message = f"row ({a},{b}) budget exceeded at entry {c}"
+                break
+            if v > 1 and dc == 1:
+                message = f"degree-1 multiplicity above 1 in row ({a},{b})"
+                break
+            values[c] = v
+            sums[b] = total
+            mask = masks[b] = masks[b] ^ bit
+            count += 1
+            if mask:
+                key = (dadb - total) << r | mask
+                ok = feasible.get(key)
+                if ok is None:
+                    ok = feasible[key] = self._subset_sum(dadb - total, mask)
+                if not ok:
+                    message = f"row ({a},{b}) can no longer meet its degree sum"
+                    break
+            else:
+                self._complete(a, b)
+                if total != dadb:
+                    message = f"row ({a},{b}) sums wrong"
+                    break
                 if not self._row_completed_checks(a, b):
-                    return False
-            elif not self._row_feasible(a, b):
-                return self._fail(f"row ({a},{b}) can no longer meet its degree sum")
-        return True
-
-    def _row_feasible(self, a, b) -> bool:
-        """Whether the unassigned entries of row (a, b) can fill its budget.
-
-        The answer depends only on the remaining budget and the row's mask,
-        so it is memoized on that pair.
-        """
-        key = (self.deg[a] * self.deg[b] - self.row_sum[a][b],
-               self.row_mask[a][b])
-        feasible = self._feasible.get(key)
-        if feasible is None:
-            feasible = self._feasible[key] = self._subset_sum(*key)
-        return feasible
+                    break
+        else:
+            self.trail.append((members, count))
+            return True
+        self.trail.append((members, count))
+        if message is not None:
+            self._fail(message)
+        return False
 
     def _subset_sum(self, budget, mask) -> bool:
         """Whether budget is a sum of deg[k] over the k in mask, each k used
@@ -809,7 +868,7 @@ class _Search:
         (x, s) with s in the support of y*z.  A full pass still runs at
         every leaf, so this trigger only needs to prune, not to be complete.
         """
-        r = self.r
+        r, rows, packed, width = self.r, self.rows, self.packed, self.width
         candidates = {(a, b, z) for z in range(r)}
         candidates |= {(x, a, b) for x in range(r)}
         # row-major, as a scan of the table would add them: the set's
@@ -819,7 +878,9 @@ class _Search:
         for y, z in sorted(self.holders[b]):
             candidates.add((a, y, z))
         for x, y, z in candidates:
-            if _associativity_defect(self.rows, x, y, z) is not None:
+            if rows[x][y] is None or rows[y][z] is None:
+                continue  # the kernel would return None at once
+            if _associativity_defect(rows, packed, width, x, y, z) is not None:
                 return self._fail(f"associativity fails on triple ({x},{y},{z})")
         return True
 
@@ -829,12 +890,10 @@ class _Search:
         return self._descend(0)
 
     def _descend(self, pos: int) -> FusionDatum | None:
-        if pos == len(self.order):
+        if pos == len(self.plans):
             return self._leaf()
-        i, j, k, members, bound = self.order[pos]
-        deg = self.deg
-        ub = min(bound, (deg[i] * deg[j] - self.row_sum[i][j]) // deg[k])
-        for v in range(ub + 1):
+        sums, j, dij, dk, bound, members = self.plans[pos]
+        for v in range(min(bound, (dij - sums[j]) // dk) + 1):
             self.nodes += 1
             if self.nodes > self.budget:
                 raise BudgetExhausted
@@ -847,19 +906,19 @@ class _Search:
         return None
 
     def _undo(self, mark: int):
-        while len(self.trail) > mark:
-            for i, j, k in reversed(self.trail.pop()):
-                if (v := self.value[i][j][k]) is None:
-                    continue
-                row = self.rows[i][j]
-                if row is not None:
+        trail = self.trail
+        while len(trail) > mark:
+            members, count = trail.pop()
+            for a, b, c, dc, _, bit, values, sums, masks in \
+                    reversed(members[:count]):
+                if not masks[b]:
                     # rows complete in trail order, so each is last in its holders
-                    for t, _ in row:
+                    for t, _ in self.rows[a][b]:
                         self.holders[t].pop()
-                    self.rows[i][j] = None
-                self.row_sum[i][j] -= v * self.deg[k]
-                self.value[i][j][k] = None
-                self.row_mask[i][j] |= 1 << k
+                    self.rows[a][b] = self.packed[a][b] = None
+                sums[b] -= values[c] * dc
+                values[c] = None
+                masks[b] |= bit
 
     def _leaf(self) -> FusionDatum | None:
         constants = [[[self.value[i][j][k] for k in range(self.r)]

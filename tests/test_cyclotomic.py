@@ -95,6 +95,16 @@ def test_conductor_limit_is_enforced():
         zeta(8, 1) * zeta(9, 1) * zeta(5, 1)  # lcm 360
 
 
+def test_constructor_enforces_the_conductor_limit():
+    with pytest.raises(ConductorLimitError, match="conductor 25 > 24"):
+        CycNumber(25, [0, 1])
+    with pytest.raises(ConductorLimitError, match="conductor 25 > 24"):
+        CycNumber(50, [0, 1])   # Q(zeta_50) = Q(zeta_25)
+    x = CycNumber(24, [0, 1])
+    assert (x.conductor, x * x) == (24, zeta(12, 1))
+    assert CycNumber(46, [0, 1]).conductor == 23
+
+
 def test_minimal_conductor_is_canonical():
     # i lives at conductor 4 even when built inside Q(zeta_12)
     v = zeta(12, 3)

@@ -386,6 +386,71 @@ def test_associativity_detail_matches_dense_reference(group):
                                     else f"associativity fails at {expected}")
 
 
+# -- the packed associativity kernel against the dict-based one -------------------
+
+def _dict_associativity_defect(rows, x, y, z):
+    """The least l at which (x*y)*z and x*(y*z) differ, or None when a row it
+    reads is unknown, by summing both sides into a dict: the kernel that the
+    packed one replaced."""
+    xy, yz = rows[x][y], rows[y][z]
+    if xy is None or yz is None:
+        return None
+    diff = {}
+    for t, a in xy:
+        if rows[t][z] is None:
+            return None
+        for l, b in rows[t][z]:
+            diff[l] = diff.get(l, 0) + a * b
+    for s, a in yz:
+        if rows[x][s] is None:
+            return None
+        for l, b in rows[x][s]:
+            diff[l] = diff.get(l, 0) - a * b
+    return min((l for l, v in diff.items() if v), default=None)
+
+
+@st.composite
+def kernel_tables(draw, top):
+    """Tables of rank <= 5 with constants in 0..top, and a set of rows to
+    mark unknown.  Half are drawn entry by entry; the rest are c times the
+    group ring of Z_r, which is associative, with up to two entries redrawn."""
+    r = draw(st.integers(1, 5))
+    cube = list(itertools.product(range(r), repeat=3))
+    if draw(st.booleans()):
+        values = dict(zip(cube, draw(st.lists(
+            st.integers(0, top), min_size=r ** 3, max_size=r ** 3))))
+    else:
+        c = draw(st.integers(0, top))
+        values = {(i, j, k): c * (k == (i + j) % r) for i, j, k in cube}
+        for _ in range(draw(st.integers(0, 2))):
+            values[draw(st.sampled_from(cube))] = draw(st.integers(0, top))
+    constants = [[[values[i, j, k] for k in range(r)] for j in range(r)]
+                 for i in range(r)]
+    pairs = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1))
+    return constants, draw(st.sets(pairs))
+
+
+@pytest.mark.parametrize("top", [2, 10 ** 6])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_associativity_kernel_matches_the_dict_kernel(top, data):
+    """On a datum's ``packed`` view, with some rows unknown, the packed
+    kernel gives the dict kernel's None or least l on every triple.
+    Constants up to 10^6 make digits of about 2^42, which would overflow a
+    fixed 16-bit digit; the datum's ``width`` grows with them."""
+    constants, unknown = data.draw(kernel_tables(top))
+    r = len(constants)
+    datum = FusionDatum([1] * r, list(range(r)), constants)
+    rows = [list(plane) for plane in datum.sparse]
+    packed = [list(plane) for plane in datum.packed]
+    for x, y in unknown:
+        rows[x][y] = packed[x][y] = None
+    for x, y, z in itertools.product(range(r), repeat=3):
+        assert fusion._associativity_defect(rows, packed, datum.width,
+                                            x, y, z) == \
+            _dict_associativity_defect(rows, x, y, z), (x, y, z)
+
+
 PINNED_SEARCHES = [
     ("1,2;2,1;4,1", "infeasible", 13, "row (1,2) can no longer meet its degree sum"),
     ("1,2;2,1;4,2", "infeasible", 183, "row (1,2) can no longer meet its degree sum"),
@@ -432,11 +497,22 @@ class _CheckedSearch(fusion._Search):
     def __init__(self, *args):
         super().__init__(*args)
         self.initial = self._state()
+        deg = self.deg
+        for (i, j, k, orbit, bound), plan in zip(self.order, self.plans):
+            assert plan[:5] == (self.row_sum[i], j, deg[i] * deg[j], deg[k],
+                                bound)
+            assert plan[0] is self.row_sum[i]
+            for (a, b, c), member in zip(orbit, plan[5], strict=True):
+                assert member[:6] == (a, b, c, deg[c], deg[a] * deg[b], 1 << c)
+                assert member[6] is self.value[a][b]
+                assert member[7] is self.row_sum[a]
+                assert member[8] is self.row_mask[a]
 
     def _state(self):
         return (copy.deepcopy(self.value), copy.deepcopy(self.row_sum),
                 copy.deepcopy(self.row_mask), copy.deepcopy(self.rows),
-                copy.deepcopy(self.holders), list(self.trail))
+                copy.deepcopy(self.packed), copy.deepcopy(self.holders),
+                list(self.trail))
 
     def _check_state(self):
         r, value = self.r, self.value
@@ -444,18 +520,26 @@ class _CheckedSearch(fusion._Search):
         for x, y in itertools.product(range(r), repeat=2):
             row = value[x][y]
             unassigned = [k for k in range(r) if row[k] is None]
-            assert self.row_mask[x][y] == sum(1 << k for k in unassigned)
+            mask = sum(1 << k for k in unassigned)
+            assert self.row_mask[x][y] == mask
             if unassigned:
-                assert self.rows[x][y] is None
+                assert self.rows[x][y] is None and self.packed[x][y] is None
                 budget = self.deg[x] * self.deg[y] - self.row_sum[x][y]
                 expected = budget >= 0 and _fills(
                     budget, [self.deg[k] for k in unassigned])
-                assert super()._row_feasible(x, y) == expected
+                assert self._subset_sum(budget, mask) == expected
+                if budget >= 0:
+                    assert self._feasible.get(budget << r | mask,
+                                              expected) == expected
             else:
                 assert self.rows[x][y] == tuple((k, v) for k, v in enumerate(row) if v)
+                assert self.packed[x][y] == sum(
+                    v << self.width * k for k, v in self.rows[x][y])
                 for k, v in self.rows[x][y]:
                     fresh_holders[k].append((x, y))
         assert [sorted(h) for h in self.holders] == fresh_holders
+        # a node is entered only after whole orbits were set
+        assert all(count == len(members) for members, count in self.trail)
 
     def _descend(self, pos):
         self._check_state()
@@ -474,6 +558,72 @@ def test_incremental_search_state_matches_a_fresh_scan(monkeypatch, typestr,
     monkeypatch.setattr(fusion, "_Search", _CheckedSearch)
     out = search_fusion(P(typestr), "hopf", 10 ** 6)
     assert (out.status, out.nodes, out.trace) == (status, nodes, trace)
+
+
+def _largest_digit(rows, x, y, z):
+    """The largest coefficient of (x*y)*z and of x*(y*z), or None when a row
+    they read is unknown."""
+    xy, yz = rows[x][y], rows[y][z]
+    if xy is None or yz is None:
+        return None
+    sides = [[(a, rows[t][z]) for t, a in xy], [(a, rows[x][s]) for s, a in yz]]
+    if any(row is None for side in sides for _, row in side):
+        return None
+    sums = [Counter() for _ in sides]
+    for total, side in zip(sums, sides):
+        for a, row in side:
+            for l, b in row:
+                total[l] += a * b
+    return max(max(total.values(), default=0) for total in sums)
+
+
+class _NamedFailureSearch(fusion._Search):
+    """A search that, at each associativity trigger, names a failing triple
+    as if it were the run's first failure, and checks the verdict and the
+    triple against the trigger's candidate set scanned in its iteration
+    order by the dict kernel on ``rows`` alone.  It also checks that no
+    coefficient of either side of a candidate reaches 2^width, the bound
+    the search's packed rows rely on."""
+
+    failures = 0
+
+    def _associativity_around(self, a, b):
+        kept, self.first_failure = self.first_failure, None
+        passed = super()._associativity_around(a, b)
+        named = self.first_failure
+        self.first_failure = named if kept is None else kept
+        r = self.r
+        candidates = {(a, b, z) for z in range(r)}
+        candidates |= {(x, a, b) for x in range(r)}
+        for x, y in sorted(self.holders[a]):
+            candidates.add((x, y, b))
+        for y, z in sorted(self.holders[b]):
+            candidates.add((a, y, z))
+        expected = next((f"associativity fails on triple ({x},{y},{z})"
+                         for x, y, z in candidates
+                         if _dict_associativity_defect(self.rows, x, y, z)
+                         is not None), None)
+        assert (passed, named) == (expected is None, expected)
+        assert all(digit is None or digit < 1 << self.width
+                   for digit in (_largest_digit(self.rows, *t)
+                                 for t in candidates))
+        _NamedFailureSearch.failures += not passed
+        return passed
+
+
+@pytest.mark.parametrize("typestr,status,nodes,failures", [
+    ("1,4;3,4;4,1", "infeasible", 5472, 126),
+    ("1,7;7,1", "feasible", 1545, 12),   # coefficients up to 43
+])
+def test_associativity_trigger_names_the_dict_kernels_triple(
+        monkeypatch, typestr, status, nodes, failures):
+    """Associativity is never the first failure of a pinned search, so the
+    triple a trace would name is checked here, on every prune."""
+    monkeypatch.setattr(fusion, "_Search", _NamedFailureSearch)
+    monkeypatch.setattr(_NamedFailureSearch, "failures", 0)
+    out = search_fusion(P(typestr), "hopf", 10 ** 6)
+    assert (out.status, out.nodes) == (status, nodes)
+    assert _NamedFailureSearch.failures == failures
 
 
 @pytest.mark.parametrize("typestr", [t for t, *_ in PINNED_SEARCHES])
