@@ -21,7 +21,8 @@ hashable.  Fraction appears only at the API edges: the constructor,
 coercion of operands.
 
 Every operation is pure and exact; there is no floating point anywhere.
-The package's number-theory helpers live here too.
+phi(n) is read one way, as the degree len(cyclotomic_poly(n)) - 1 of the
+cached Phi_n.  The package's number-theory helpers live here too.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ _gcd = math.gcd
 
 class ConductorLimitError(ValueError):
     """A requested value does not fit in Q(zeta_m) for any supported m."""
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    for p in set(prime_factors(n)):
-        result -= result // p
-    return result
 
 
 def prime_factors(n: int) -> list[int]:
@@ -198,7 +192,7 @@ def _spread(num, n: int, step: int = 1) -> list[int]:
     of the numerators.  Step n/m writes a vector of Q(zeta_m) in Q(zeta_n).
     """
     powers = _powers(n)
-    out = [0] * (len(cyclotomic_poly(n)) - 1)  # phi(n), from the cached poly
+    out = [0] * (len(cyclotomic_poly(n)) - 1)  # phi(n)
     for j, c in enumerate(num):
         if c:
             for t, v in powers[j * step % n]:
@@ -241,7 +235,7 @@ def _down(num, n: int, p: int):
             else None
     r = pow(m, -1, p)
     q = (1 - m * r) // p  # exact: mr = 1 (mod p)
-    below, across, phi = _powers(m), _powers(p), len(num) // (p - 1)
+    below, across, phi = _powers(m), _powers(p), len(cyclotomic_poly(m)) - 1
     out = [0] * len(num)
     for i, c in enumerate(num):
         if c:
@@ -259,6 +253,8 @@ class CycNumber:
     __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs):
+        if conductor < 1:
+            raise ValueError("conductor must be positive")
         if _canonical_conductor(conductor) > MAX_CONDUCTOR:
             raise ConductorLimitError(
                 f"conductor {_canonical_conductor(conductor)} > {MAX_CONDUCTOR}")
@@ -313,12 +309,13 @@ class CycNumber:
             raise ConductorLimitError(
                 f"a primitive {d}-th root of unity needs conductor "
                 f"{conductor} > {MAX_CONDUCTOR}")
+        phi = len(cyclotomic_poly(conductor)) - 1
         if conductor == d:
-            return _make(d, tuple(_dense(_powers(d)[j], euler_phi(d))), 1)
+            return _make(d, tuple(_dense(_powers(d)[j], phi)), 1)
         # j is coprime to the even d, so odd: the sign (-1)^j is -1.
         u = conductor
         terms = _powers(u)[j * (u + 1) // 2 % u]
-        return _make(u, tuple(-c for c in _dense(terms, euler_phi(u))), 1)
+        return _make(u, tuple(-c for c in _dense(terms, phi)), 1)
 
     # -- basic queries -----------------------------------------------------
 

@@ -38,7 +38,7 @@ from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
                                    divisors)
 from hopfcensus.fusion import AlgebraTypeSignature, AxiomCheck, AxiomReport
 from hopfcensus.groups import (AltBicharacter, FiniteGroup, GroupError,
-                               abelian_decomposition)
+                               _closure, abelian_decomposition)
 
 ZERO = CycNumber.zero()
 ONE = CycNumber.one()
@@ -251,9 +251,6 @@ class HopfData:
     def counit_of(self, u) -> CycNumber:
         return _evaluate(self.counit, _nonzeros(u))
 
-    def antipode_of(self, u):
-        return self._dense(_combine(_nonzeros(u), self.antipode))
-
     def comult_of(self, u) -> dict:
         return _pruned(self._comult(_nonzeros(u)))
 
@@ -285,43 +282,6 @@ class HopfData:
                         out[key] = out[key] + t if key in out else t
         return _pruned(out)
 
-    # -- serialization
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "labels": list(self.labels),
-            "mult": [[i, j, k, c.to_json()]
-                     for i in range(self.dim) for j in range(self.dim)
-                     for k, c in self.mult[i][j]],
-            "comult": [[i, j, k, c.to_json()]
-                       for i in range(self.dim)
-                       for (j, k), c in sorted(self.comult[i].items())],
-            "unit": [c.to_json() for c in self.unit],
-            "counit": [c.to_json() for c in self.counit],
-            "antipode": [[i, k, c.to_json()]
-                         for i in range(self.dim)
-                         for k, c in self.antipode[i]],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "HopfData":
-        dim = int(data["dim"])
-        mult = [[{} for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, c in data["mult"]:
-            mult[i][j][k] = CycNumber.from_json(c)
-        comult = [dict() for _ in range(dim)]
-        for i, j, k, c in data["comult"]:
-            comult[i][(j, k)] = CycNumber.from_json(c)
-        antipode = [{} for _ in range(dim)]
-        for i, k, c in data["antipode"]:
-            antipode[i][k] = CycNumber.from_json(c)
-        return HopfData(data["labels"], mult,
-                        [CycNumber.from_json(c) for c in data["unit"]],
-                        comult,
-                        [CycNumber.from_json(c) for c in data["counit"]],
-                        antipode)
-
 
 # -- axiom verification -----------------------------------------------------------
 
@@ -330,27 +290,18 @@ def _generator_rows(h: HopfData) -> list[int]:
 
     Indices are taken in order: one joins when it is not yet reached, and
     the reached set is then closed under products e_a e_b = c e_k with a
-    single nonzero term (so e_k = e_a e_b / c).  Every index not chosen is
-    reached from chosen indices below it.
+    single nonzero term (so e_k = e_a e_b / c), by the shared kernel
+    ``groups._closure`` with every index its own dual.  Every index not
+    chosen is reached from chosen indices below it.
     """
-    mult = h.mult
-    reached = [False] * h.dim
-    closed: list[int] = []
+    one_term = [[row if len(row) == 1 else () for row in plane]
+                for plane in h.mult]
+    reached: frozenset[int] = frozenset()
     chosen = []
     for i in range(h.dim):
-        if reached[i]:
-            continue
-        chosen.append(i)
-        reached[i] = True
-        queue = [i]
-        while queue:
-            k = queue.pop()
-            closed.append(k)
-            for a in closed:
-                for row in (mult[a][k], mult[k][a]):
-                    if len(row) == 1 and not reached[row[0][0]]:
-                        reached[row[0][0]] = True
-                        queue.append(row[0][0])
+        if i not in reached:
+            chosen.append(i)
+            reached = _closure(one_term, range(h.dim), i, reached)
     return chosen
 
 
@@ -363,19 +314,21 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
 
     Associativity, counit multiplicativity, bialgebra compatibility and
     coassociativity scan only the triples, pairs and rows whose first index
-    is a generator row (see ``_generator_rows``); every other index k is
-    reached from generator rows below it by products e_a e_b = c e_k with
-    c != 0.  The x with (xy)z = x(yz) for all y, z form a subspace closed
-    under products, so it holds e_k once it holds e_a and e_b.  Once H is
-    associative the same is true of the x with eps(xy) = eps(x) eps(y) for
-    all y, and of those with Delta(xy) = Delta(x) Delta(y); until then those
-    two scans take every row.  Once H is also a bialgebra, Delta and
-    Delta (x) id are algebra maps, so (Delta (x) id) Delta and
-    (id (x) Delta) Delta are too, and the x they agree on (their equalizer)
-    form a subalgebra; until then coassociativity takes every row.  So a row
-    that is not a generator row passes when the rows below it pass: the
-    first failing row is a generator row, and the reduced scan reports the
-    full scan's first failure without a second scan.
+    is a generator row (see ``_generator_rows``, which closes the reached
+    indices with the shared closure kernel ``groups._closure``); every other
+    index k is reached from generator rows below it by products
+    e_a e_b = c e_k with c != 0.  The x with (xy)z = x(yz) for all y, z
+    form a subspace closed under products, so it holds e_k once it holds e_a
+    and e_b.  Once H is associative the same is true of the x with
+    eps(xy) = eps(x) eps(y) for all y, and of those with
+    Delta(xy) = Delta(x) Delta(y); until then those two scans take every
+    row.  Once H is also a bialgebra, Delta and Delta (x) id are algebra
+    maps, so (Delta (x) id) Delta and (id (x) Delta) Delta are too, and the
+    x they agree on (their equalizer) form a subalgebra; until then
+    coassociativity takes every row.  So a row that
+    is not a generator row passes when the rows below it pass: the first
+    failing row is a generator row, and the reduced scan reports the full
+    scan's first failure without a second scan.
     Associativity costs O(|G| * dim^2) products for |G| generator rows.
     """
     checks: list[AxiomCheck] = []

@@ -22,7 +22,6 @@ NO_CALLER_NEEDED = {
     "FusionDatum.multiply": "the acceptance suite reads products through it",
     "tensor_type": "the acceptance suite checks product types with it",
     "complete_type": "the acceptance suite builds the residual types with it",
-    "HopfData.antipode_of": "the reference test compares the antipode with it",
     "_Parser.error": "argparse calls it on a malformed command line",
 }
 
@@ -37,7 +36,8 @@ SHARED_NAMES = {
     "CycNumber.conjugate": "none: perfbench/tracer.py counts it by name, "
                            "and tests/test_cyclotomic.py requires it",
     "CycNumber.sort_key": "hopfcore._root_candidates",
-    "CycNumber.to_json": "hopfcore.HopfData.to_json",
+    "CycNumber.to_json": "none: perfbench/tracer.py wraps it by name, and "
+                         "tests/test_cyclotomic.py round-trips it",
     "CycNumber.from_json": "cli._bicharacter_entry",
     "AlgebraTypeSignature.sort_key": "none: it defines the order the census "
                                      "emits its types in, which "
@@ -50,10 +50,6 @@ SHARED_NAMES = {
     "FiniteGroup.inv": "hopfcore.from_group",
     "FiniteGroup.conjugate": "groups.FiniteGroup.conjugacy_classes",
     "HopfData._dense": "hopfcore.HopfData.vec_mul",
-    "HopfData.to_json": "none: tests/test_hopfcore_reference.py reads the "
-                        "structure constants through it",
-    "HopfData.from_json": "none: tests/test_hopfcore_reference.py rebuilds "
-                          "corrupted algebras with it",
     "CharacterFunctional.sort_key": "hopfcore.algebra_characters",
 }
 

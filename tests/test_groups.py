@@ -197,3 +197,100 @@ def test_orders_and_closures_match_brute_force(name):
         assert g.subgroup_closure([a]) == brute_force_closure(g, [a])
         for b in range(a):
             assert g.subgroup_closure([a, b]) == brute_force_closure(g, [a, b])
+
+
+# -- index encodings against independent models -------------------------------
+#
+# The twist digests and the canonical twist subgroups name elements by index,
+# so each constructor's encoding is pinned here: the table must equal the
+# product of a model built without the group layer, read back through the
+# encoding.
+
+def assert_table_models(g: FiniteGroup, elements, product):
+    """g.table[a][b] is the index of product(elements[a], elements[b])."""
+    index = {x: i for i, x in enumerate(elements)}
+    assert len(index) == g.order == len(elements)
+    assert [list(row) for row in g.table] == [
+        [index[product(x, y)] for y in elements] for x in elements]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dihedral_encoding_is_affine_maps(n):
+    # index d*n + i is x -> (-1)^d x + i on Z_n, as (sign, shift mod n),
+    # composed by evaluating both maps on integers.
+    def compose(f, g):
+        def value(x):
+            return f[0] * (g[0] * x + g[1]) + f[1]
+        return value(1) - value(0), value(0) % n
+
+    maps = [((-1) ** d, i) for d in range(2) for i in range(n)]
+    assert_table_models(build_dihedral(n), maps, compose)
+
+
+def test_quaternion_encoding_is_unit_quaternions():
+    # index d*4 + i is a^i b^d with a = i and b = j, as (w, x, y, z).
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+    def power(q, k):
+        out = (1, 0, 0, 0)
+        for _ in range(k):
+            out = hamilton(out, q)
+        return out
+
+    units = [hamilton(power((0, 1, 0, 0), i), power((0, 0, 1, 0), d))
+             for d in range(2) for i in range(4)]
+    assert_table_models(build_quaternion(), units, hamilton)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_symmetric_encoding_is_permutation_composition(n):
+    # index t is the t-th permutation in lexicographic order; (pq)(x) = p(q(x))
+    perms = sorted(itertools.permutations(range(n)))
+    assert_table_models(build_symmetric(n), perms,
+                        lambda p, q: tuple(p[x] for x in q))
+
+
+@pytest.mark.parametrize("g, h", [
+    (build_symmetric(3), build_cyclic(4)),
+    (build_quaternion(), build_dihedral(3)),
+    (build_cyclic(2), build_symmetric(3)),
+], ids=["S3xZ4", "Q8xD3", "Z2xS3"])
+def test_product_encoding_is_pairs(g, h):
+    # index a*|H| + b is the pair (a, b), multiplied componentwise
+    pairs = [(a, b) for a in range(g.order) for b in range(h.order)]
+    assert_table_models(build_product(g, h), pairs, lambda x, y: (
+        g.table[x[0]][y[0]], h.table[x[1]][y[1]]))
+
+
+def _semidirect_factors(name):
+    """(N, Q, action table) of G12, G18 and A4 = (Z2 x Z2) x| Z3."""
+    z2, z3 = build_cyclic(2), build_cyclic(3)
+    if name == "G12":
+        klein = build_product(z2, z2)
+        return z3, klein, action_from_generator_images(
+            klein, z3, {1: [0, 2, 1], 2: [0, 2, 1]})
+    if name == "G18":
+        gamma = build_product(z3, z3)
+        perm = [3 * ((3 - s) % 3) + t for s in range(3) for t in range(3)]
+        return gamma, z2, action_from_generator_images(z2, gamma, {1: perm})
+    klein = build_product(z2, z2)
+    return klein, z3, action_from_generator_images(
+        z3, klein, {1: [0, 3, 1, 2]})
+
+
+@pytest.mark.parametrize("name", ["G12", "G18", "A4"])
+def test_semidirect_encoding_is_twisted_pairs(name):
+    # index a*|Q| + b is the pair (a, b); (n, q)(n', q') = (n (q.n'), q q')
+    n, q, act = _semidirect_factors(name)
+    g = build_semidirect(n, q, act)
+    pairs = [(a, b) for a in range(n.order) for b in range(q.order)]
+    assert_table_models(g, pairs, lambda x, y: (
+        n.table[x[0]][act[x[1]][y[0]]], q.table[x[1]][y[1]]))
+    if name in BUILTIN_GROUPS:
+        assert builtin_group(name).table == g.table

@@ -8,7 +8,8 @@ command: the sha256 of its stdout, its exit code and its argv.  Two trees
 behave the same on the set when ``diff`` of their OUT files is empty.
 
 The set is:
-- the six acceptance determinism commands;
+- the six acceptance determinism commands, as JSON and under
+  ``--format table``;
 - ``census --rules all`` at every dimension 1-240;
 - ``fusion-search --budget 5000`` under both profiles for every R1
   survivor with at most 10 basis elements at dimensions 6-72;
@@ -18,7 +19,11 @@ The set is:
 - ``twist --group G18 --subgroup auto`` with the bicharacter of zeta_3^k,
   k = 1 or -1, given as JSON objects at conductors 6, 12 and 24: the
   commands whose input descends to a smaller field;
-- ``h8-report``.
+- ``h8-report``;
+- one argv for each usage-error family that ``tests/test_cli.py`` pins: an
+  unknown group, an unparsable type, unparsable bicharacter JSON, a
+  repeated ``--subgroup`` index, indices that are not a subgroup,
+  ``--dim 0`` and ``--budget 0``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,16 @@ DETERMINISM_COMMANDS = [
      "--bicharacter", "nondegenerate", "--check-cocommutative", "--group-likes"],
 ]
 
+USAGE_ERRORS = [
+    ["double", "--group", "nope"],
+    ["fusion-search", "--type", "1,2;2,x"],
+    ["twist", "--group", "D4", "--subgroup", "auto", "--bicharacter", "{"],
+    ["twist", "--group", "D4", "--subgroup", "0,0", "--bicharacter", "trivial"],
+    ["twist", "--group", "D4", "--subgroup", "0,1", "--bicharacter", "trivial"],
+    ["census", "--dim", "0"],
+    ["fusion-search", "--type", "1,2;2,1", "--budget", "0"],
+]
+
 
 def _zeta3(conductor: int, k: int) -> dict:
     """zeta_3^k, k = 1 or -1, as a CycNumber JSON object at conductor 6, 12
@@ -53,6 +68,7 @@ def _zeta3(conductor: int, k: int) -> dict:
 
 def commands(census, groups) -> list[list[str]]:
     out = [list(argv) for argv in DETERMINISM_COMMANDS]
+    out += [argv + ["--format", "table"] for argv in DETERMINISM_COMMANDS]
     out += [["census", "--dim", str(d), "--rules", "all"]
             for d in range(1, 241)]
     for d in range(6, 73):
@@ -74,6 +90,7 @@ def commands(census, groups) -> list[list[str]]:
              "--check-cocommutative", "--group-likes"]
             for c in (6, 12, 24) for k in (1, -1)]
     out.append(["h8-report"])
+    out += [list(argv) for argv in USAGE_ERRORS]
     return out
 
 
