@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from hopfcensus.cyclotomic import (_nat_span, _partitions_into_squares,
-                                   divisors, prime_factors)
+from hopfcensus.cyclotomic import _nat_span, _partitions_into_squares, divisors
 from hopfcensus.fusion import (AlgebraTypeSignature, FusionError, SearchOutcome,
                                search_fusion)
 
@@ -57,17 +56,12 @@ class CensusRule:
 @lru_cache(maxsize=None)
 def _r10_violation(n: int, degrees: tuple[int, ...]) -> str | None:
     """R10's verdict, which reads only n and the nonlinear degrees present,
-    so it is computed once per pair: a census meets each pair many times."""
+    so it is computed once per pair: a census meets each pair many times.
+    Each s divides d^2, so every prime of s divides d without a test."""
     span = _nat_span(max(degrees) ** 2, degrees)
     for d in degrees:
-        good = False
-        for s in divisors(math.gcd(n, d * d)):
-            if any(d % p for p in prime_factors(s)):
-                continue
-            if span >> (d * d - s) & 1:
-                good = True
-                break
-        if not good:
+        if not any(span >> (d * d - s) & 1
+                   for s in divisors(math.gcd(n, d * d))):
             return (f"no admissible stabilizer order s for degree {d}: "
                     f"d^2 - s never decomposes into degrees {list(degrees)}")
     return None
@@ -135,24 +129,21 @@ RULES: tuple[CensusRule, ...] = (
 RULES_BY_ID = {r.id: r for r in RULES}
 
 
-def parse_rules(spec: str | Iterable[str]) -> tuple[CensusRule, ...]:
-    """Rule set from "all", "R1-R8", "R1..R8", "R1,R4,R5", or id iterables."""
-    if isinstance(spec, str):
-        text = spec.strip().replace("..", "-")
-        if text.lower() == "all":
-            return RULES
-        ids: list[str] = []
-        for part in text.replace(" ", "").split(","):
-            if "-" in part[1:]:
-                ends = part.split("-")
-                if len(ends) != 2 or not all(e in RULES_BY_ID for e in ends):
-                    raise CensusError(f"cannot parse rule range {part!r}")
-                lo, hi = (int(e[1:]) for e in ends)
-                ids.extend(f"R{k}" for k in range(lo, hi + 1))
-            elif part:
-                ids.append(part)
-    else:
-        ids = list(spec)
+def parse_rules(spec: str) -> tuple[CensusRule, ...]:
+    """Rule set from "all", "R1-R8", "R1..R8" or "R1,R4,R5"."""
+    text = spec.strip().replace("..", "-")
+    if text.lower() == "all":
+        return RULES
+    ids: list[str] = []
+    for part in text.replace(" ", "").split(","):
+        if "-" in part[1:]:
+            ends = part.split("-")
+            if len(ends) != 2 or not all(e in RULES_BY_ID for e in ends):
+                raise CensusError(f"cannot parse rule range {part!r}")
+            lo, hi = (int(e[1:]) for e in ends)
+            ids.extend(f"R{k}" for k in range(lo, hi + 1))
+        elif part:
+            ids.append(part)
     try:
         rules = tuple(RULES_BY_ID[i] for i in ids)
     except KeyError as exc:
@@ -197,22 +188,20 @@ class CensusResult:
 
 def _oracle_requests(oracle_types) -> list[AlgebraTypeSignature] | None:
     """The named oracle requests, in order, or None for every survivor."""
-    requests = ([oracle_types] if isinstance(oracle_types, str)
-                else list(oracle_types))
+    requests = list(oracle_types)
     if "all" in requests:
         if any(t != "all" for t in requests):
             raise CensusError("oracle request 'all' cannot be combined with "
                               "named types")
         return None
-    return [AlgebraTypeSignature.parse(t) if isinstance(t, str) else t
-            for t in requests]
+    return [AlgebraTypeSignature.parse(t) for t in requests]
 
 
 def enumerate_types(dimension: int,
                     rules: Iterable[CensusRule] | str = "all",
                     proper_only: bool = True,
                     n_filter: int | None = None,
-                    oracle_types: Iterable[AlgebraTypeSignature | str] | str = (),
+                    oracle_types: Iterable[str] = (),
                     oracle_budget: int = 10 ** 7) -> CensusResult:
     """All type signatures at the given dimension, filtered by the rules.
 
@@ -220,7 +209,7 @@ def enumerate_types(dimension: int,
     eliminated by the first rule of ``rules``, in their order, that it
     fails.  ``proper_only`` drops the purely cocommutative signature (n = N,
     no nonlinear degrees).  ``oracle_types`` requests fusion searches on the
-    named survivors, or on every survivor when it is ``"all"``; a request
+    named survivors, or on every survivor when it holds ``"all"``; a request
     for a non-survivor is ignored, and a repeated one runs once.
     """
     if dimension < 1:

@@ -18,7 +18,7 @@ from operator import itemgetter
 
 from hopfcensus import census as census_mod
 from hopfcensus import fusion, groups, hopfcore
-from hopfcensus.cyclotomic import MAX_CONDUCTOR, ConductorLimitError, CycNumber
+from hopfcensus.cyclotomic import CycNumber
 
 FUSION_AXIOM_CITATIONS = {
     "degree-homomorphism": "degrees are multiplicative on products of characters",
@@ -116,10 +116,7 @@ def _bicharacter_entry(entry) -> CycNumber:
         if isinstance(entry, list) and len(entry) == 2 \
                 and all(type(x) is int for x in entry):
             return CycNumber.root_of_unity(entry[0], entry[1])
-        if isinstance(entry, dict) and type(entry.get("conductor")) is int \
-                and 1 <= entry["conductor"] <= MAX_CONDUCTOR \
-                and isinstance(entry.get("coeffs"), list) \
-                and all(type(c) in (int, str) for c in entry["coeffs"]):
+        if isinstance(entry, dict):
             return CycNumber.from_json(entry)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad bicharacter entry {entry!r}: {exc}") from None
@@ -173,15 +170,13 @@ def _cmd_fusion_search(args) -> tuple[dict, list[str], int]:
 
 
 def _cmd_fusion_verify(args) -> tuple[dict, list[str], int]:
-    if args.file:
+    if args.file is not None:
         with open(args.file, "r", encoding="utf-8") as fh:
             datum = fusion.FusionDatum.from_json(json.load(fh))
         source = args.file
-    elif args.group:
+    else:
         datum = fusion.from_group_characters(groups.builtin_group(args.group))
         source = args.group
-    else:
-        raise UsageError("fusion-verify needs --file or --group")
     report = fusion.verify_fusion_datum(datum, args.profile)
     payload = {"source": source, "profile": args.profile, **report.to_json()}
     citations = [f"{c.axiom}: {FUSION_AXIOM_CITATIONS[c.axiom]}"
@@ -204,8 +199,7 @@ def _cmd_h8_report(args) -> tuple[dict, list[str], int]:
     h8 = hopfcore.build_h8()
     report = hopfcore.verify_hopf_axioms(h8)
     glikes = hopfcore.group_like_elements(h8)
-    # The characters are one sorted list whatever the generating set.
-    chars = hopfcore.algebra_characters(h8, generators=[1, 2, 4])
+    chars = hopfcore.algebra_characters(h8)
     yd = hopfcore.yd_one_dim_pairs(h8, glikes, chars)
     central = hopfcore.central_group_likes(h8, glikes)
 
@@ -314,8 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fusion_search)
 
     p = add_parser("fusion-verify", help="verify a fusion datum")
-    p.add_argument("--file", help="path to a fusion datum JSON file")
-    p.add_argument("--group", help="verify the character ring of a built-in group")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--file", help="path to a fusion datum JSON file")
+    source.add_argument("--group",
+                        help="verify the character ring of a built-in group")
     p.add_argument("--profile", choices=fusion.PROFILES, default="hopf")
     p.set_defaults(func=_cmd_fusion_verify)
 
@@ -436,9 +432,7 @@ def run(argv, out=None) -> int:
         payload, citations, code = args.func(args)
     except SystemExit as exc:   # --help
         return 2 if exc.code else 0
-    except (UsageError, fusion.FusionError, census_mod.CensusError,
-            groups.GroupError, hopfcore.HopfError, ConductorLimitError, OSError,
-            UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         out.write(f"error: {exc}\n")
         return 2
     flags = {k: v for k, v in sorted(vars(args).items())

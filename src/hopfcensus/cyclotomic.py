@@ -514,8 +514,16 @@ class CycNumber:
 
     @staticmethod
     def from_json(data: dict) -> "CycNumber":
-        return CycNumber(int(data["conductor"]),
-                         [Fraction(s) for s in data["coeffs"]])
+        """The number of ``to_json`` output; a malformed object raises
+        ValueError.  ``type`` keeps out ``true`` and ``false``."""
+        conductor, coeffs = data.get("conductor"), data.get("coeffs")
+        if not (type(conductor) is int and 1 <= conductor <= MAX_CONDUCTOR
+                and isinstance(coeffs, list)
+                and all(type(c) in (int, str) for c in coeffs)):
+            raise ValueError(f"a CycNumber object needs an integer conductor "
+                             f"in 1..{MAX_CONDUCTOR} and a list of integer or "
+                             f"string coeffs")
+        return CycNumber(conductor, [Fraction(c) for c in coeffs])
 
 
 _new_instance = object.__new__

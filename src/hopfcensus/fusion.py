@@ -718,8 +718,9 @@ class _Search:
         entry (i, j, k) in the row order: the degree-1 group block, then
         chi * chi-dual rows by ascending degree, then degree-1 translates,
         then the rest by ascending degree product, each row by ascending k.
-        The bound is the least d_a d_b // d_c over the members, and at most
-        1 when deg k = 1."""
+        The bound is the least d_a d_b // d_c over the members, so it is at
+        most 1 when some deg c = 1: then one of i, j, k has degree 1, and the
+        members give both d_y // d_z and d_z // d_y for the other two."""
         r, deg, dual = self.r, self.deg, self.dual
         group_rows = [(g, h) for g in self.ones for h in self.ones
                       if g != 0 and h != 0]
@@ -740,9 +741,8 @@ class _Search:
                 if self.value[i][j][k] is None and (i, j, k) not in listed:
                     members = tuple(self._orbit_of(i, j, k))
                     listed.update(members)
-                    bound = min(deg[a] * deg[b] // deg[c] for a, b, c in members)
-                    order.append((i, j, k, members,
-                                  min(bound, 1) if deg[k] == 1 else bound))
+                    order.append((i, j, k, members, min(
+                        deg[a] * deg[b] // deg[c] for a, b, c in members)))
         return order
 
     def _plan(self, i, j, k, members, bound):
@@ -773,9 +773,6 @@ class _Search:
             total = sums[b] + v * dc
             if total > dadb:
                 message = f"row ({a},{b}) budget exceeded at entry {c}"
-                break
-            if v > 1 and dc == 1:
-                message = f"degree-1 multiplicity above 1 in row ({a},{b})"
                 break
             values[c] = v
             sums[b] = total
@@ -865,8 +862,11 @@ class _Search:
 
         Row (a, b) can appear in the constraint for (x, y, z) as (x, y),
         as (y, z), as some (t, z) with t in the support of x*y, or as some
-        (x, s) with s in the support of y*z.  A full pass still runs at
-        every leaf, so this trigger only needs to prune, not to be complete.
+        (x, s) with s in the support of y*z.  The candidates (a, b, .),
+        (., a, b) and those read off ``holders[a]`` and ``holders[b]``
+        cover the four, so each triple is checked when the last row it reads
+        completes; a triple of rows complete from the start has two unit
+        indices.  So associativity never rejects a leaf.
         """
         r, rows, packed, width = self.r, self.rows, self.packed, self.width
         candidates = {(a, b, z) for z in range(r)}

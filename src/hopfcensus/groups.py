@@ -85,9 +85,6 @@ class FiniteGroup:
 
     # -- basic operations ---------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def inv(self, a: int) -> int:
         return self._inv[a]
 
@@ -96,8 +93,6 @@ class FiniteGroup:
         return self.table[self.table[g][x]][self._inv[g]]
 
     def power(self, g: int, k: int) -> int:
-        if k < 0:
-            return self.power(self._inv[g], -k)
         result = self.identity
         base = g
         while k:
@@ -109,9 +104,6 @@ class FiniteGroup:
 
     def element_order(self, g: int) -> int:
         return _element_order(self._sparse, self.identity, g)
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -172,21 +164,22 @@ class FiniteGroup:
         return self.is_subgroup(s) and all(
             self.conjugate(g, x) in s for g in range(self.order) for x in s)
 
-    def subgroup_as_group(self, subset, name: str = "") -> tuple["FiniteGroup", dict]:
+    def subgroup_as_group(self, subset) -> tuple["FiniteGroup", dict]:
         """The subgroup as a standalone group plus index map child -> parent."""
         subset = tuple(sorted(set(subset)))
         pos = {g: i for i, g in enumerate(subset)}
         table = [[pos[self.table[a][b]] for b in subset] for a in subset]
-        return FiniteGroup(table, name=name or f"{self.name}<{len(subset)}",
+        return FiniteGroup(table, name=f"{self.name}<{len(subset)}",
                            validate=False), dict(enumerate(subset))
 
     def quotient(self, normal_subset) -> tuple["FiniteGroup", list[int]]:
-        """Quotient modulo a normal subgroup, plus the projection index list."""
+        """Quotient modulo a normal subgroup, plus the projection index list.
+        The identity's coset is index 0, as ``FusionDatum`` needs its unit."""
         if not self.is_normal(normal_subset):
             raise GroupError("subset is not a normal subgroup")
         cosets: list[tuple[int, ...]] = []
         proj = [-1] * self.order
-        for g in range(self.order):
+        for g in (self.identity, *range(self.order)):
             if proj[g] >= 0:
                 continue
             coset = tuple(sorted(self.table[g][x] for x in normal_subset))
@@ -293,14 +286,14 @@ def abelian_decomposition(a: FiniteGroup) -> AbelianDecomposition:
         """Extract a maximal-order generator, recurse on the quotient."""
         if grp.order == 1:
             return
-        g = max(grp.elements(), key=lambda x: (grp.element_order(x), -x))
+        g = max(range(grp.order), key=lambda x: (grp.element_order(x), -x))
         m = grp.element_order(g)
         gens_desc.append(lift_to_parent(g))
         orders_desc.append(m)
         q, proj = grp.quotient(grp.subgroup_closure([g]))
 
         def lift_from_quotient(qe: int) -> int:
-            candidates = [h for h in grp.elements() if proj[h] == qe]
+            candidates = [h for h in range(grp.order) if proj[h] == qe]
             mq = q.element_order(qe)
             # Correct a lift h so that its order in grp equals its order in
             # the quotient: h^mq lands in <g>, say g^t, with mq | t, and
@@ -310,11 +303,11 @@ def abelian_decomposition(a: FiniteGroup) -> AbelianDecomposition:
             t = 0
             x = grp.identity
             while x != hm:
-                x = grp.mul(x, g)
+                x = grp.table[x][g]
                 t += 1
                 if t > m:
                     raise GroupError("power of lift escaped the cyclic kernel")
-            corrected = grp.mul(h, grp.power(grp.inv(g), t // mq))
+            corrected = grp.table[h][grp.power(grp.inv(g), t // mq)]
             return lift_to_parent(corrected)
 
         peel(q, lift_from_quotient)
@@ -328,7 +321,7 @@ def abelian_decomposition(a: FiniteGroup) -> AbelianDecomposition:
     for exps in itertools.product(*ranges):
         g = a.identity
         for e, x in zip(generators, exps):
-            g = a.mul(g, a.power(e, x))
+            g = a.table[g][a.power(e, x)]
         if g in coords:
             raise GroupError("basis enumeration is not injective")
         coords[g] = exps

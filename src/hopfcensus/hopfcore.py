@@ -838,11 +838,8 @@ def yd_one_dim_pairs(h: HopfData, glikes=None, chars=None) -> YDPairReport:
     return YDPairReport(tuple(pairs), group, factors)
 
 
-def central_group_likes(h: HopfData, glikes=None) -> list[tuple]:
-    """Group-like elements commuting with every basis element; ``glikes``
-    is ``group_like_elements(h)`` when the caller already holds it."""
-    if glikes is None:
-        glikes = group_like_elements(h)
+def central_group_likes(h: HopfData, glikes) -> list[tuple]:
+    """The members of ``glikes``, the group-likes of h, central in h."""
     out = []
     for g in glikes:
         if all(h.vec_mul(g, h.basis_vector(i)) == h.vec_mul(h.basis_vector(i), g)

@@ -95,7 +95,7 @@ def test_every_elimination_names_an_applicable_rule():
        st.sets(st.integers(min_value=2, max_value=10), max_size=6))
 def test_rule_monotonicity(dim, extra_ids):
     small = parse_rules("R1")
-    big = parse_rules(["R1"] + sorted(f"R{i}" for i in extra_ids))
+    big = parse_rules(",".join(["R1"] + sorted(f"R{i}" for i in extra_ids)))
     survivors_small = {str(s) for s in enumerate_types(dim, small).survivors}
     survivors_big = {str(s) for s in enumerate_types(dim, big).survivors}
     assert survivors_big <= survivors_small
@@ -136,7 +136,7 @@ def test_oracle_hook_runs_only_on_requested_survivors():
 
 def test_oracle_all_requests_every_survivor():
     explicit = enumerate_types(36, "all")
-    everything = enumerate_types(36, "all", oracle_types="all",
+    everything = enumerate_types(36, "all", oracle_types=["all"],
                                  oracle_budget=2000)
     listed = enumerate_types(36, "all", oracle_budget=2000,
                              oracle_types=[str(s) for s in explicit.survivors])

@@ -345,8 +345,13 @@ def test_out_of_range_numeric_flags_are_usage_errors(argv, reason):
     (["--threads", "x", "h8-report"], "invalid int value: 'x'"),
     (["nope"], "argument command: invalid choice: 'nope'"),
     ([], "the following arguments are required: command"),
+    (["fusion-verify", "--file", "f.json", "--group", "Q8"],
+     "argument --group: not allowed with argument --file"),
+    (["fusion-verify", "--profile", "basic"],
+     "one of the arguments --file --group is required"),
 ], ids=["missing-option", "unknown-flag", "wrong-type", "wrong-type-common",
-        "unknown-command", "no-command"])
+        "unknown-command", "no-command", "verify-both-sources",
+        "verify-no-source"])
 def test_argparse_errors_share_the_stdout_error_channel(argv, reason):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):

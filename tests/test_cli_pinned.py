@@ -16,6 +16,7 @@ import hashlib
 import io
 
 from hopfcensus.cli import run
+from hopfcensus.fusion import PROFILES
 from hopfcensus.groups import BUILTIN_GROUPS
 
 PINNED = [
@@ -25,8 +26,8 @@ PINNED = [
     ("double --group D3xD3 --format table", 0, "1904b9c0804243fdcffd3da7437206a0d21cde27f9c93cca4ed193598c74b2e5"),
     ("fusion-verify --group D3xD3 --profile hopf --format json", 2, "5a88f736ddb3902884e8d48ab6c5bd8b1beff04e3da84b533d4a3b8107312268"),
     ("fusion-verify --group D3xD3 --profile hopf --format table", 2, "5a88f736ddb3902884e8d48ab6c5bd8b1beff04e3da84b533d4a3b8107312268"),
-    ("fusion-verify --group D3xD3 --profile fusion --format json", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
-    ("fusion-verify --group D3xD3 --profile fusion --format table", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
+    ("fusion-verify --group D3xD3 --profile basic --format json", 2, "5a88f736ddb3902884e8d48ab6c5bd8b1beff04e3da84b533d4a3b8107312268"),
+    ("fusion-verify --group D3xD3 --profile basic --format table", 2, "5a88f736ddb3902884e8d48ab6c5bd8b1beff04e3da84b533d4a3b8107312268"),
     ("twist --group D3xD3 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 0, "b76bc8e1d008332817b79054e9ba973db58632eb93a9420388f28005cafe0c32"),
     ("twist --group D3xD3 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 0, "5b4e02593b7397b02c2501b9cf32f7baead0abbce0c8548bf4055929664603a5"),
     ("twist --group D3xD3 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 0, "fdf3aa7423933f8eb12e53d025382e3b753e7f21db1a885aa6948d0d42b78751"),
@@ -39,8 +40,8 @@ PINNED = [
     ("double --group D4 --format table", 0, "14540890f62c6552723bf6c77b717754409a7f24436bcfb5392be29f2385a6eb"),
     ("fusion-verify --group D4 --profile hopf --format json", 0, "e138a558d08aaa0173c70777b666ee9d41eaa5a7b8e52bf2d5532b547275bdab"),
     ("fusion-verify --group D4 --profile hopf --format table", 0, "8fbfdca8038881f5ba61632cdd3801e1aabffc555e9a5cde185705f8a4287127"),
-    ("fusion-verify --group D4 --profile fusion --format json", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
-    ("fusion-verify --group D4 --profile fusion --format table", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
+    ("fusion-verify --group D4 --profile basic --format json", 0, "496086c8d7d5b2ab35fe6aed8de60eb493bf95e945b8ca9ad391570bc2d9a1d5"),
+    ("fusion-verify --group D4 --profile basic --format table", 0, "b70c017ff5b8e787670fd7a9accd5ce42c9ef9332bd8ac12f206a10eb611bca8"),
     ("twist --group D4 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 0, "3a92ac6c3c190f4aa0d674de5090c523239b97a5c1e66551f96b365298cc80ea"),
     ("twist --group D4 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 0, "6d657f6200f742613ee92b8399a8a869315a4e2d891ed0ce9af3d4c3beedc9ef"),
     ("twist --group D4 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 0, "db32587e2b1fa7803710788112e276559ea753f262d871bb82e604b1b6ca7cc8"),
@@ -53,8 +54,8 @@ PINNED = [
     ("double --group G12 --format table", 0, "fa013b7b023c83333e3deb17d16ee8f08dc5f04b582dba03c9ecab02ad749394"),
     ("fusion-verify --group G12 --profile hopf --format json", 2, "8547880b6bb9eb985dcb5c9a534297695095d922a0afbe68ae57907b5c3df8ff"),
     ("fusion-verify --group G12 --profile hopf --format table", 2, "8547880b6bb9eb985dcb5c9a534297695095d922a0afbe68ae57907b5c3df8ff"),
-    ("fusion-verify --group G12 --profile fusion --format json", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
-    ("fusion-verify --group G12 --profile fusion --format table", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
+    ("fusion-verify --group G12 --profile basic --format json", 2, "8547880b6bb9eb985dcb5c9a534297695095d922a0afbe68ae57907b5c3df8ff"),
+    ("fusion-verify --group G12 --profile basic --format table", 2, "8547880b6bb9eb985dcb5c9a534297695095d922a0afbe68ae57907b5c3df8ff"),
     ("twist --group G12 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 0, "6c3ddfd392e3e23c7a4c950eee9c6320bf8f588a5c7d88e8f2022ccebeb5db8b"),
     ("twist --group G12 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 0, "2b7ac4871dcbe0bc042753772e3b8349d640cab4dc2a689e0041a2b9a889a4a8"),
     ("twist --group G12 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 0, "d43aefbfeaf5677af035619eb912cb29b5b74526be944c90f53a4c8ba0fda3dd"),
@@ -67,8 +68,8 @@ PINNED = [
     ("double --group G18 --format table", 0, "acf701be6871ab91cd7dc87c45dd1e55867085582c039b44d8ee3d3f2a021ac8"),
     ("fusion-verify --group G18 --profile hopf --format json", 2, "4ceb86d932e3b3c418ea3e78892fbd8b104e3c9c46f48503c441824a867170dc"),
     ("fusion-verify --group G18 --profile hopf --format table", 2, "4ceb86d932e3b3c418ea3e78892fbd8b104e3c9c46f48503c441824a867170dc"),
-    ("fusion-verify --group G18 --profile fusion --format json", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
-    ("fusion-verify --group G18 --profile fusion --format table", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
+    ("fusion-verify --group G18 --profile basic --format json", 2, "4ceb86d932e3b3c418ea3e78892fbd8b104e3c9c46f48503c441824a867170dc"),
+    ("fusion-verify --group G18 --profile basic --format table", 2, "4ceb86d932e3b3c418ea3e78892fbd8b104e3c9c46f48503c441824a867170dc"),
     ("twist --group G18 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 0, "b8b42fab28667020b1a388c611f50b45288f1484816bdc21c8c0738adaee4a12"),
     ("twist --group G18 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 0, "ceb0cf667d382fba5c49467520898c7d03ec624837c4cba6a51faaec7e8af08b"),
     ("twist --group G18 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 0, "4c20915c378876d60e471f3e0000e4f8fe19ffc352baa6ab5382dfbe1befc48c"),
@@ -81,8 +82,8 @@ PINNED = [
     ("double --group Q8 --format table", 0, "ce916879c057a745b5cd2f27fdd5e527a79730f63fbf5aa707e1456be88e5e58"),
     ("fusion-verify --group Q8 --profile hopf --format json", 0, "e8b1c163281feb28f9b413b7504f5003f30f29e2f19c6fd6e5749519a0744b96"),
     ("fusion-verify --group Q8 --profile hopf --format table", 0, "9ecb69d886d0825eeec4cc8813c0db8c8f99563e13e5215c3c77940d56d4c02b"),
-    ("fusion-verify --group Q8 --profile fusion --format json", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
-    ("fusion-verify --group Q8 --profile fusion --format table", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
+    ("fusion-verify --group Q8 --profile basic --format json", 0, "f091d58c92a4bb424f577ea94473e783b6193410929d94993ecf13845a42eaca"),
+    ("fusion-verify --group Q8 --profile basic --format table", 0, "e6f823b0da07594d962609d3eea13d20af63c5e317a322963a5603f28e807462"),
     ("twist --group Q8 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 2, "3d452c345aeb00a614a7e376bd96f4bdce71d98dfc7906b66fc28fadbf17dcad"),
     ("twist --group Q8 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 2, "3d452c345aeb00a614a7e376bd96f4bdce71d98dfc7906b66fc28fadbf17dcad"),
     ("twist --group Q8 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 2, "3d452c345aeb00a614a7e376bd96f4bdce71d98dfc7906b66fc28fadbf17dcad"),
@@ -95,8 +96,8 @@ PINNED = [
     ("double --group S3 --format table", 0, "7dd94ed243f1a6cc652d2d20c7d2f7182154d2065c9673d1c34d11e55140ae87"),
     ("fusion-verify --group S3 --profile hopf --format json", 0, "345c5f5ac4716540a7ca38a15b8fb200c46fdbd54c17dff2cdc31663235abbc4"),
     ("fusion-verify --group S3 --profile hopf --format table", 0, "0304339790de0ce8cd6011a65cfba45078e6de094e25967500e6e08ee4886e8b"),
-    ("fusion-verify --group S3 --profile fusion --format json", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
-    ("fusion-verify --group S3 --profile fusion --format table", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
+    ("fusion-verify --group S3 --profile basic --format json", 0, "24be5c5cfa87000cbe7bd39867ed46d907b70984570cdd1a317f8186a22d8b10"),
+    ("fusion-verify --group S3 --profile basic --format table", 0, "a281cb599073aa351cff2a0f9dc57d710277c7c97040d446c38b119d2b363ffc"),
     ("twist --group S3 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 2, "4fc528e63bfc5cec31a357fbe694c1a8c2f795cd05761af6530027e73c430510"),
     ("twist --group S3 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 2, "4fc528e63bfc5cec31a357fbe694c1a8c2f795cd05761af6530027e73c430510"),
     ("twist --group S3 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 2, "4fc528e63bfc5cec31a357fbe694c1a8c2f795cd05761af6530027e73c430510"),
@@ -109,8 +110,8 @@ PINNED = [
     ("double --group Z2 --format table", 0, "4c9fcacbbf66880b45f9ff9a7cb4bd0d142cb842c8cb81b841e0d6a9ed270f6d"),
     ("fusion-verify --group Z2 --profile hopf --format json", 0, "493098ff73b1661618d63beb5c48353dd93770985cc560f568e05dba6834f044"),
     ("fusion-verify --group Z2 --profile hopf --format table", 0, "96913b1e125ba969ac77efaaeaa0625379ef0ee7d67ed96e3aa7462db06408f0"),
-    ("fusion-verify --group Z2 --profile fusion --format json", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
-    ("fusion-verify --group Z2 --profile fusion --format table", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
+    ("fusion-verify --group Z2 --profile basic --format json", 0, "804208a9da8b76229dc59f5d639fde6f4b8359e26400632d5b28298e6e7206b4"),
+    ("fusion-verify --group Z2 --profile basic --format table", 0, "5768790da8804888d09e7cd848d805b6d1f78e9241db5ef48d6adb79472f9bc5"),
     ("twist --group Z2 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 2, "aaa4f0281ae7896249ef7423da3e618a2a54e9281455ac5535a8d6796521672c"),
     ("twist --group Z2 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 2, "aaa4f0281ae7896249ef7423da3e618a2a54e9281455ac5535a8d6796521672c"),
     ("twist --group Z2 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 2, "aaa4f0281ae7896249ef7423da3e618a2a54e9281455ac5535a8d6796521672c"),
@@ -123,8 +124,8 @@ PINNED = [
     ("double --group Z2xZ2 --format table", 0, "36d0f73d79bf7b6e7eac7fb2ffd82d56f5c1ff2f896a3e3701e8a3ec6c6f685b"),
     ("fusion-verify --group Z2xZ2 --profile hopf --format json", 0, "fd0bd3ed95a015805977ea11af077b6148d9ec87e250924526d6d1feceb22d55"),
     ("fusion-verify --group Z2xZ2 --profile hopf --format table", 0, "b122937d6ef6c8522944458dee5a72e1fdaa53b659c83a0a363eb6e8a24e7ea8"),
-    ("fusion-verify --group Z2xZ2 --profile fusion --format json", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
-    ("fusion-verify --group Z2xZ2 --profile fusion --format table", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
+    ("fusion-verify --group Z2xZ2 --profile basic --format json", 0, "1e91c370cebc6e2be72045612dbe8f23afdaaeddcdd56db9079192ad06ddc6ee"),
+    ("fusion-verify --group Z2xZ2 --profile basic --format table", 0, "0f215e388fa8f6c424fd87e4be60a3329fd5de3900b6d5908ea265112034306b"),
     ("twist --group Z2xZ2 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 0, "7366e681168c599e73dd6bc8121c8a3bc636f1f55e1313aeae5237c6eb3af448"),
     ("twist --group Z2xZ2 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 0, "a1a111840079d1391b5ae696275fc2bd1e524850724e05a2a362c0751a31a0f4"),
     ("twist --group Z2xZ2 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 0, "9f93217dc49cedb3fde0d5dba248e980fe25412f5395fedf0a77cb53e8de92ec"),
@@ -137,8 +138,8 @@ PINNED = [
     ("double --group Z3 --format table", 0, "16a83f94f5dab3e99f3f5cc6ffe280e45d907dcf05b38078e6489ab0a70cba69"),
     ("fusion-verify --group Z3 --profile hopf --format json", 0, "885da6f357eac80bf12c0567ce9ae2ea478b5a5aab2198d93615f6b234b28fa3"),
     ("fusion-verify --group Z3 --profile hopf --format table", 0, "f858e2293b306fc4e96db08052b2bd31af459a1e2ba026a72ed5819b293ef5f4"),
-    ("fusion-verify --group Z3 --profile fusion --format json", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
-    ("fusion-verify --group Z3 --profile fusion --format table", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
+    ("fusion-verify --group Z3 --profile basic --format json", 0, "5826e5660dd8d1772473a0280263904505c82aa4a92641174bbb4f8d442050ce"),
+    ("fusion-verify --group Z3 --profile basic --format table", 0, "38c8115c02256298810dadbbd452348940f6776ce0763daa0e27323da6d7b4c4"),
     ("twist --group Z3 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 2, "7c82a66a0d84bcb7ff88de7428c768c95c7fbc65ad039c180ee3b18ba6cc8ffd"),
     ("twist --group Z3 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 2, "7c82a66a0d84bcb7ff88de7428c768c95c7fbc65ad039c180ee3b18ba6cc8ffd"),
     ("twist --group Z3 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 2, "7c82a66a0d84bcb7ff88de7428c768c95c7fbc65ad039c180ee3b18ba6cc8ffd"),
@@ -151,8 +152,8 @@ PINNED = [
     ("double --group Z4 --format table", 0, "e13af61b48c172415afa28c2b8f0720a782f343efbd15de0e6250dcb00296b8b"),
     ("fusion-verify --group Z4 --profile hopf --format json", 0, "68f89753aa2bd843c1a1b859131ff7c61d3fade108ece08af0f01f2f7dba116a"),
     ("fusion-verify --group Z4 --profile hopf --format table", 0, "5b04b014d8a7e00b207d5373e4d03b02fa384fb83e203fc990d61a3ca44ef61e"),
-    ("fusion-verify --group Z4 --profile fusion --format json", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
-    ("fusion-verify --group Z4 --profile fusion --format table", 2, "ba5fac30c6ebac0ffd848f97803452a2e59522fac84a94adaef835944b6d9e83"),
+    ("fusion-verify --group Z4 --profile basic --format json", 0, "b6451701072d60df0038333b37864e9228a16c3f3d968a55677e38af274287fe"),
+    ("fusion-verify --group Z4 --profile basic --format table", 0, "a71b4de1bf9e932c42e162df1bc9fdfbed900fa4c589b2fb17fd1c18110d6e41"),
     ("twist --group Z4 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 2, "30d5696b9c8e440dc114fc7ac8c4dd2693368952fe8c362814aa34beb8a4b95e"),
     ("twist --group Z4 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 2, "30d5696b9c8e440dc114fc7ac8c4dd2693368952fe8c362814aa34beb8a4b95e"),
     ("twist --group Z4 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 2, "30d5696b9c8e440dc114fc7ac8c4dd2693368952fe8c362814aa34beb8a4b95e"),
@@ -200,6 +201,9 @@ def test_pinned_set_covers_every_builtin_group():
     commands = {argv for argv, _, _ in PINNED}
     for name in BUILTIN_GROUPS:
         assert f"double --group {name} --format table" in commands
+    profiles = {words[i + 1] for words in map(str.split, commands)
+                for i, word in enumerate(words) if word == "--profile"}
+    assert profiles == set(PROFILES)
     assert len(commands) == len(PINNED) == 2 * (1 + 7 * len(BUILTIN_GROUPS))
 
 

@@ -137,6 +137,20 @@ def test_json_roundtrip():
     assert CycNumber.from_json(data) == v
 
 
+@pytest.mark.parametrize("data", [
+    {"conductor": True, "coeffs": "12"},            # read as Cyc(3)
+    {"conductor": 4.9, "coeffs": ["1", "2", 9]},    # read as Cyc(-8 + 2*z4)
+    {"conductor": 0, "coeffs": ["1"]},
+    {"conductor": MAX_CONDUCTOR + 1, "coeffs": ["1"]},
+    {"conductor": 3, "coeffs": [1.5]},
+    {"coeffs": ["1"]},
+], ids=["boolean-conductor", "float-conductor", "zero-conductor",
+        "conductor-too-large", "float-coefficient", "no-conductor"])
+def test_from_json_rejects_malformed_objects(data):
+    with pytest.raises(ValueError, match="CycNumber object needs"):
+        CycNumber.from_json(data)
+
+
 small_cyclo = st.builds(
     lambda n, k, p, q: zeta(n, k) * rat(Fraction(p, q)),
     st.sampled_from([1, 3, 4, 8, 12]),

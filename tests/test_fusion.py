@@ -17,9 +17,10 @@ from hopfcensus.fusion import (PROFILES, AlgebraTypeSignature, AxiomReport,
                                FusionDatum, FusionError, UnsupportedGroupError,
                                from_group_characters, search_fusion,
                                verify_fusion_datum)
-from hopfcensus.groups import (action_from_generator_images, build_cyclic,
-                               build_dihedral, build_product, build_quaternion,
-                               build_semidirect, build_symmetric)
+from hopfcensus.groups import (FiniteGroup, action_from_generator_images,
+                               build_cyclic, build_dihedral, build_product,
+                               build_quaternion, build_semidirect,
+                               build_symmetric, builtin_group)
 
 P = AlgebraTypeSignature.parse
 
@@ -139,11 +140,25 @@ def test_d4_character_ring_matches_table_oracle():
             [4, 4, 0, 1], [4, 4, 1, 1], [4, 4, 2, 1], [4, 4, 3, 1]]}
 
 
+def relabelled(g: FiniteGroup, rng: random.Random) -> FiniteGroup:
+    """g with its indices shuffled, so that the identity is rarely 0."""
+    perm = list(range(g.order))
+    rng.shuffle(perm)
+    table = [[0] * g.order for _ in range(g.order)]
+    for a, b in itertools.product(range(g.order), repeat=2):
+        table[perm[a]][perm[b]] = perm[g.table[a][b]]
+    return FiniteGroup(table, name=f"relabelled {g.name}")
+
+
 def test_hopf_profile_passes_on_shipped_data():
     groups = [build_cyclic(n) for n in (1, 2, 3, 4, 5, 8, 12, 16)]
     groups += [build_product(build_cyclic(2), build_cyclic(2)),
                build_product(build_cyclic(4), build_cyclic(4)),
                build_symmetric(3), build_dihedral(4), build_quaternion()]
+    # the character ring's unit is index 0 wherever the group's identity is
+    groups += [relabelled(builtin_group(name), random.Random(1))
+               for name in ("Z2", "Z3", "Z4", "Z2xZ2", "S3", "D4", "Q8")]
+    assert [g.identity for g in groups[-7:]] == [1, 1, 3, 3, 2, 3, 3]
     for g in groups:
         report = verify_fusion_datum(from_group_characters(g), "hopf")
         assert report.passed, (g.name, report.failures())
@@ -631,7 +646,8 @@ def test_unit_orbits_are_filled_whole_and_the_rest_are_open(typestr):
     """The Frobenius orbits partition the entries, ``_preassign`` fills the
     unit rows with their deltas, and ``order`` lists every other entry once,
     unassigned: no orbit is ever partly assigned, so ``_assign`` never meets
-    a constant that is already set."""
+    a constant that is already set.  An open orbit with a degree-1 index
+    has a bound of at most 1, so no degree-1 constant is offered 2."""
     degrees = P(typestr).basis_degrees()
     r = len(degrees)
     entries = list(itertools.product(range(r), repeat=3))
@@ -646,6 +662,8 @@ def test_unit_orbits_are_filled_whole_and_the_rest_are_open(typestr):
         members = [e for *_, orbit, _ in search.order for e in orbit]
         assert sorted(members) == [e for e in entries if 0 not in e]
         assert all(value[i][j][k] is None for i, j, k in members)
+        assert all(bound <= 1 for *_, orbit, bound in search.order
+                   if any(degrees[x] == 1 for e in orbit for x in e))
 
 
 # -- the verifier on arbitrary well-shaped data ------------------------------------

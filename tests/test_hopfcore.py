@@ -160,7 +160,7 @@ def test_h8_broken_comultiplication_fails_bialgebra(h8):
 
 
 def test_h8_central_group_likes(h8):
-    central = central_group_likes(h8)
+    central = central_group_likes(h8, group_like_elements(h8))
     expected = [basis_vec(8, 0), basis_vec(8, 3)]  # 1 and xy
     assert sorted(central, key=vec_key) == sorted(expected, key=vec_key)
 
@@ -359,7 +359,7 @@ def test_central_group_likes_survive_twisting():
     g = builtin_group("G12")
     tw = build_lifted_twist(g, G12_GAMMA, NONDEG2)
     twisted = twist_hopf(from_group(g), tw, verify=False)
-    central = central_group_likes(twisted)
+    central = central_group_likes(twisted, group_like_elements(twisted))
     names = {next(i for i, c in enumerate(v) if c) for v in central}
     assert set(g.center) <= names
     # the center also survives as group-likes of the twist
@@ -369,7 +369,7 @@ def test_central_group_likes_survive_twisting():
 def test_central_group_likes_of_group_algebra():
     for g in (build_dihedral(4), build_quaternion(), builtin_group("G18")):
         h = from_group(g)
-        central = central_group_likes(h)
+        central = central_group_likes(h, group_like_elements(h))
         names = sorted(next(i for i, c in enumerate(v) if c) for v in central)
         assert tuple(names) == g.center
 
@@ -415,6 +415,27 @@ def build_a4():
         tuple(sorted(i * 3 for i in range(4)))
 
 
+def build_z2z2z4_z2():
+    """(Z2 x Z2 x Z4) x| Z2 of order 32, Z2 acting by (a, b, c) -> (b, a,
+    c + 2a + 2b), with its normal subgroup Z2 x Z2 x Z4 (the even indices).
+    The action mixes the order-2 and order-4 factors, so the criterion's
+    m_j / m_i scaling changes its verdict here."""
+    n = build_product(build_product(build_cyclic(2), build_cyclic(2)),
+                      build_cyclic(4))
+    swap = (0, 1, 2, 3, 10, 11, 8, 9, 6, 7, 4, 5, 12, 13, 14, 15)
+    return build_semidirect(n, build_cyclic(2), (tuple(range(16)), swap)), \
+        tuple(range(0, 32, 2))
+
+
+def signs_224(b01, b02, b12):
+    """The bicharacter on Z2 x Z2 x Z4 with the given values +-1 above the
+    diagonal."""
+    v = {1: ONE, -1: -ONE}
+    return AltBicharacter((2, 2, 4), ((ONE, v[b01], v[b02]),
+                                      (v[b01], ONE, v[b12]),
+                                      (v[b02], v[b12], ONE)))
+
+
 CROSS_VALIDATION_TRIPLES = [
     ("Z2xZ2 itself", lambda: (builtin_group("Z2xZ2"), (0, 1, 2, 3), NONDEG2)),
     ("D4 Klein", lambda: (build_dihedral(4), klein_in_d4(), NONDEG2)),
@@ -426,6 +447,9 @@ CROSS_VALIDATION_TRIPLES = [
     ("G18 Gamma", lambda: (builtin_group("G18"), G18_GAMMA, NONDEG3)),
     ("G18 Gamma trivial", lambda: (builtin_group("G18"), G18_GAMMA,
                                    AltBicharacter.trivial((3, 3)))),
+    ("Z2xZ2xZ4:Z2 B01", lambda: (*build_z2z2z4_z2(), signs_224(-1, 1, 1))),
+    ("Z2xZ2xZ4:Z2 B01 B12", lambda: (*build_z2z2z4_z2(),
+                                     signs_224(-1, 1, -1))),
 ]
 
 
@@ -451,7 +475,7 @@ def normal_abelian_subgroups(g):
         frontier += [g.subgroup_closure(sub + (x,)) for x in range(g.order)
                      if x not in sub]
     return sorted(s for s in found if g.is_normal(s)
-                  and all(g.mul(a, b) == g.mul(b, a) for a in s for b in s))
+                  and all(g.table[a][b] == g.table[b][a] for a in s for b in s))
 
 
 def alternating_bicharacters(orders):

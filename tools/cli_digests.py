@@ -13,9 +13,9 @@ The set is:
 - ``census --rules all`` at every dimension 1-240;
 - ``fusion-search --budget 5000`` under both profiles for every R1
   survivor with at most 10 basis elements at dimensions 6-72;
-- ``double``, ``fusion-verify --group`` and four ``twist`` variants
-  (subgroup auto or center, bicharacter trivial or nondegenerate) for each
-  built-in group;
+- ``double``, ``fusion-verify --group`` under both profiles and four
+  ``twist`` variants (subgroup auto or center, bicharacter trivial or
+  nondegenerate) for each built-in group;
 - ``twist --group G18 --subgroup auto`` with the bicharacter of zeta_3^k,
   k = 1 or -1, given as JSON objects at conductors 6, 12 and 24: the
   commands whose input descends to a smaller field;
@@ -23,7 +23,8 @@ The set is:
 - one argv for each usage-error family that ``tests/test_cli.py`` pins: an
   unknown group, an unparsable type, unparsable bicharacter JSON, a
   repeated ``--subgroup`` index, indices that are not a subgroup,
-  ``--dim 0`` and ``--budget 0``.
+  ``--dim 0``, ``--budget 0``, a malformed bicharacter object, and
+  ``fusion-verify`` with both ``--file`` and ``--group`` or with neither.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ USAGE_ERRORS = [
     ["twist", "--group", "D4", "--subgroup", "0,1", "--bicharacter", "trivial"],
     ["census", "--dim", "0"],
     ["fusion-search", "--type", "1,2;2,1", "--budget", "0"],
+    ["twist", "--group", "D4", "--subgroup", "auto", "--bicharacter",
+     '[[{"conductor": 4.9, "coeffs": ["1", "2", 9]}, 1], [1, 1]]'],
+    ["fusion-verify", "--file", "datum.json", "--group", "Q8"],
+    ["fusion-verify"],
 ]
 
 
@@ -79,7 +84,8 @@ def commands(census, groups) -> list[list[str]]:
                         for profile in ("basic", "hopf")]
     for g in groups.BUILTIN_GROUPS:
         out.append(["double", "--group", g])
-        out.append(["fusion-verify", "--group", g])
+        out += [["fusion-verify", "--group", g, "--profile", profile]
+                for profile in ("basic", "hopf")]
         out += [["twist", "--group", g, "--subgroup", subgroup,
                  "--bicharacter", bichar, "--check-cocommutative",
                  "--group-likes"]
