@@ -2,8 +2,9 @@
 
 Submodules:
 
-* ``cyclotomic`` -- exact arithmetic in cyclotomic fields Q(zeta_n), the scalar
-  type used by every tensor in the package.
+* ``cyclotomic`` -- exact arithmetic in cyclotomic fields Q(zeta_n): the scalar
+  type of every value the package returns, and the integer numerators in
+  Z[zeta_n] that the Hopf kernels run on.
 * ``groups``     -- finite groups by multiplication table, with the derived
   invariants (center, classes, centralizers, bicharacters).
 * ``fusion``     -- based rings of irreducible characters: axiom verification,

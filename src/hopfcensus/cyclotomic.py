@@ -20,6 +20,11 @@ hashable.  Fraction appears only at the API edges: the constructor,
 ``from_rational``, ``coeffs``, ``rational_value``, ``from_json`` and the
 coercion of operands.
 
+``CycInt`` is the same lattice without the normal form: the integer
+coordinates of an element of Z[zeta_n] at a conductor its holder fixes, for
+numerators over a denominator the holder keeps.  Both types multiply through
+the one product ``_times``.
+
 Every operation is pure and exact; there is no floating point anywhere.
 phi(n) is read one way, as the degree len(cyclotomic_poly(n)) - 1 of the
 cached Phi_n.  The package's number-theory helpers live here too.
@@ -201,14 +206,27 @@ def _spread(num, n: int, step: int = 1) -> list[int]:
 
 
 def _times(a, b, n: int) -> list[int]:
-    """The product of two integer vectors of Q(zeta_n), reduced modulo Phi_n."""
-    prod = [0] * (len(a) + len(b) - 1)
+    """The product of two integer vectors of Q(zeta_n), reduced modulo Phi_n:
+    Z[zeta_n]'s one product, for ``CycNumber`` and ``CycInt`` alike.
+
+    The schoolbook product has degree below 2 phi(n) - 1, so only its
+    coefficients at phi(n) and above need the table of reduced powers.
+    """
+    phi = len(a)
+    prod = [0] * (2 * phi - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in enumerate(b, i):
                 if y:
-                    prod[i + j] += x * y
-    return _spread(prod, n)
+                    prod[j] += x * y
+    powers = _powers(n)
+    for k in range(phi, 2 * phi - 1):
+        c = prod[k]
+        if c:
+            for t, v in powers[k % n]:
+                prod[t] += c * v
+    del prod[phi:]
+    return prod
 
 
 def _lifted(x: "CycNumber", n: int):
@@ -593,3 +611,58 @@ def _canonicalize(n: int, num: list[int], den: int):
 
 _ZERO = _make(1, (0,), 1)
 _ONE = _make(1, (1,), 1)
+
+
+# -- cyclotomic integers at a fixed conductor ------------------------------------
+
+_new_tuple = tuple.__new__
+
+
+class CycInt(tuple):
+    """An element of Z[zeta_n] as its integer coordinates in the power basis
+    of Q(zeta_n): a numerator over a denominator its holder keeps.
+
+    Nothing is normalized, so a sum or product costs no gcd and no descent.
+    Operands share one conductor n, which each subclass ``CycInt.of(n)``
+    carries for the product ``_times``.  A Python int k stands for the vector
+    (k, 0, ..., 0) wherever the two meet.  The power basis is a basis, so
+    equality is coordinate equality.
+    """
+
+    __slots__ = ()
+    n: int
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def of(n: int) -> type:
+        return type(f"CycInt{n}", (CycInt,), {"__slots__": (), "n": n})
+
+    def __add__(self, other):
+        if type(other) is int:
+            return _new_tuple(type(self), (self[0] + other, *self[1:]))
+        return _new_tuple(type(self), map(int.__add__, self, other))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is int:
+            if other == 1:
+                return self
+            return _new_tuple(type(self), map(other.__mul__, self)) \
+                if other else 0
+        return _new_tuple(type(self), _times(self, other, self.n))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if type(other) is int:
+            return self[0] == other and not any(self[1:])
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = None
+
+    def __bool__(self) -> bool:
+        return any(self)

@@ -1,12 +1,28 @@
 """Structure-constant Hopf algebras over exact cyclotomic scalars.
 
-A HopfData stores the five structure tensors (multiplication, unit,
-comultiplication, counit, antipode) over CycNumber.  Multiplication,
-comultiplication and antipode keep only their nonzero structure
-constants, and every kernel walks those alone; unit and counit are dense
-vectors, as are the vectors the public API takes and returns.
-Everything here is exact; the axiom verifier reports per-axiom pass/fail
-with the first violating basis triple.
+A HopfData holds the five structure tensors (multiplication, unit,
+comultiplication, counit, antipode) over CycNumber, the type of every value
+that leaves the module.  Multiplication, comultiplication and antipode keep
+only their nonzero structure constants, and every kernel walks those alone;
+unit and counit are dense vectors, as are the vectors the public API takes
+and returns.
+
+The axiom verifier, the twist checks, the twist itself and the lifted
+cocycle run on an integral form instead (``_Integral``, and
+``_IntegralTwist`` for a twist): one conductor n, the lcm of the constants'
+conductors, and per tensor one positive integer denominator over which the
+constants become numerators in Z[zeta_n].  A numerator is a Python int when
+its value is rational and otherwise a ``CycInt``, its integer coordinates in
+the power basis, so sums and products need no gcd and no descent, and
+equality is coordinate equality.  An axiom scales each side by the
+denominators the other side carries, so verdicts and first failures are
+those of the field values.  A HopfData builds its form once, on first use;
+a twisted algebra is handed the form its products gave, and its CycNumber
+tensors are built exactly from it.  Characters, group-likes, minimal
+polynomials and ``LinearBasis`` divide, so they stay on CycNumber.
+
+Everything is exact; the axiom verifier reports per-axiom pass/fail with
+the first violating basis triple.
 
 ``LinearBasis`` is the module's one exact elimination: it writes a vector
 of its span in the vectors it accepted, which gives minimal polynomials
@@ -15,7 +31,8 @@ map: it applies a linear map to each leg of a sparse tensor in H (x) H,
 which gives both sides of coassociativity, of the counit law and of counit
 normalization, the inner terms of the cocycle identity, the antipode axiom,
 the twist's antipode corrector and its inverse with one product per term,
-the hit actions and the convolution of characters.
+the hit actions and the convolution of characters.  It and the sparse
+kernels of ``_Tensors`` serve both scalar types.
 
 The module covers: group algebras and duals, the 8-dimensional
 Kac-Paljutkin algebra, multiplicative characters and group-like
@@ -26,16 +43,19 @@ twists by 2-cocycles lifted from abelian subgroups.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
-                                   _canonical_conductor, _polydiv_exact,
-                                   divisors)
+from hopfcensus.cyclotomic import (MAX_CONDUCTOR, ConductorLimitError, CycInt,
+                                   CycNumber, _canonical_conductor,
+                                   _from_numerators, _lifted, _normalized,
+                                   _polydiv_exact, divisors)
 from hopfcensus.fusion import AlgebraTypeSignature, AxiomCheck, AxiomReport
 from hopfcensus.groups import (AltBicharacter, FiniteGroup, GroupError,
                                _closure, abelian_decomposition)
@@ -160,9 +180,9 @@ def _outer(u, v) -> dict:
     return {(i, j): a * b for i, a in _nonzeros(u) for j, b in v}
 
 
-def _evaluate(values, terms) -> CycNumber:
-    """A functional given by its basis values, applied to sparse terms."""
-    total = ZERO
+def _evaluate(values, terms, total=ZERO):
+    """A functional given by its basis values, applied to sparse terms; an
+    integral form passes the numerator 0 as ``total``."""
     for k, c in terms:
         total = total + c * values[k]
     return total
@@ -196,28 +216,15 @@ def _functional(values) -> list:
     return [{(): v} for v in values]
 
 
-class HopfData:
-    """A finite-dimensional Hopf algebra by structure constants.
+class _Tensors:
+    """The sparse kernels over the structure tensors ``mult``, ``comult`` and
+    ``antipode`` (laid out as in HopfData), whatever their scalars: CycNumber
+    in a HopfData, numerators in its ``_Integral`` form.
 
-    ``mult[i][j]`` (the product e_i e_j) and ``antipode[i]`` (S(e_i)) are
-    tuples of their nonzero ``(k, c)`` entries, sorted by k; ``comult[i]``
-    maps (j, k) to the coefficient of e_j (x) e_k in Delta(e_i).  The
-    constructor accepts a mapping or pairs for each of them.  ``unit`` and
-    ``counit`` are dense, as are the vectors the public methods take and
-    return.
+    Operands are nonzero (index, coeff) pairs or sparse tensors; ``_product``
+    and ``_comult`` return {index: coeff} dicts that may keep entries which
+    cancelled to zero.
     """
-
-    def __init__(self, labels, mult, unit, comult, counit, antipode):
-        self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        self.mult = tuple(tuple(_entries(row) for row in plane) for plane in mult)
-        self.unit = tuple(unit)
-        self.comult = tuple(dict(d) for d in comult)
-        self.counit = tuple(counit)
-        self.antipode = tuple(_entries(row) for row in antipode)
-
-    # -- sparse kernels: operands are nonzero (index, coeff) pairs; results
-    #    are {index: coeff} dicts that may keep entries which cancelled to zero
 
     def _product(self, u, v) -> dict:
         out: dict = {}
@@ -233,26 +240,6 @@ class HopfData:
         for i, a in u:
             _add_scaled(out, a, self.comult[i].items())
         return out
-
-    def _dense(self, out: dict) -> tuple:
-        vec = [ZERO] * self.dim
-        for k, c in out.items():
-            vec[k] = c
-        return tuple(vec)
-
-    # -- vector-level operations
-
-    def basis_vector(self, i: int):
-        return tuple(ONE if t == i else ZERO for t in range(self.dim))
-
-    def vec_mul(self, u, v):
-        return self._dense(self._product(_nonzeros(u), _nonzeros(v)))
-
-    def counit_of(self, u) -> CycNumber:
-        return _evaluate(self.counit, _nonzeros(u))
-
-    def comult_of(self, u) -> dict:
-        return _pruned(self._comult(_nonzeros(u)))
 
     # -- tensor helpers (elements of H (x) H as sparse {(i,j): scalar})
 
@@ -281,6 +268,130 @@ class HopfData:
                         key, t = (p, q), cx * y
                         out[key] = out[key] + t if key in out else t
         return _pruned(out)
+
+
+class HopfData(_Tensors):
+    """A finite-dimensional Hopf algebra by structure constants.
+
+    ``mult[i][j]`` (the product e_i e_j) and ``antipode[i]`` (S(e_i)) are
+    tuples of their nonzero ``(k, c)`` entries, sorted by k; ``comult[i]``
+    maps (j, k) to the coefficient of e_j (x) e_k in Delta(e_i).  The
+    constructor accepts a mapping or pairs for each of them.  ``unit`` and
+    ``counit`` are dense, as are the vectors the public methods take and
+    return.  The verifier and the twist read the ``_Integral`` form, which
+    ``_integral`` builds on first use and keeps.  The tensors are not
+    changed after construction, so the kept form stays valid.
+    """
+
+    def __init__(self, labels, mult, unit, comult, counit, antipode):
+        self.labels = tuple(labels)
+        self.dim = len(self.labels)
+        self.mult = tuple(tuple(_entries(row) for row in plane) for plane in mult)
+        self.unit = tuple(unit)
+        self.comult = tuple(dict(d) for d in comult)
+        self.counit = tuple(counit)
+        self.antipode = tuple(_entries(row) for row in antipode)
+        self._form: _Integral | None = None
+
+    def _dense(self, out: dict) -> tuple:
+        vec = [ZERO] * self.dim
+        for k, c in out.items():
+            vec[k] = c
+        return tuple(vec)
+
+    # -- vector-level operations
+
+    def basis_vector(self, i: int):
+        return tuple(ONE if t == i else ZERO for t in range(self.dim))
+
+    def vec_mul(self, u, v):
+        return self._dense(self._product(_nonzeros(u), _nonzeros(v)))
+
+    def counit_of(self, u) -> CycNumber:
+        return _evaluate(self.counit, _nonzeros(u))
+
+    def comult_of(self, u) -> dict:
+        return _pruned(self._comult(_nonzeros(u)))
+
+
+# -- the integral form ------------------------------------------------------------
+
+def _common_conductor(*conductors: int) -> int:
+    """The lcm of the conductors; ConductorLimitError beyond MAX_CONDUCTOR."""
+    n = math.lcm(*conductors)
+    if _canonical_conductor(n) > MAX_CONDUCTOR:
+        raise ConductorLimitError(
+            f"operation needs conductor {n} > {MAX_CONDUCTOR}")
+    return n
+
+
+def _numerators(rows, n: int) -> tuple[list, int]:
+    """Sparse rows of CycNumbers over their least common denominator d, as
+    (rows of the numerators c * d, d).  A numerator is an int when c is
+    rational and a CycInt at conductor n otherwise; n is a multiple of
+    every conductor."""
+    den = math.lcm(*(c.den for row in rows for _, c in row))
+    ring = CycInt.of(n)
+    return [tuple((k, c.num[0] * (den // c.den)) if c.conductor == 1 else
+                  (k, ring(_lifted(c, n)) * (den // c.den)) for k, c in row)
+            for row in rows], den
+
+
+def _plain(c):
+    """A numerator whose value is rational as an int, so that products with
+    it scale rather than multiply vectors."""
+    return c if type(c) is int or any(c[1:]) else c[0]
+
+
+def _number(c, den: int) -> CycNumber:
+    """The CycNumber c / den of a numerator c, built exactly."""
+    if type(c) is int:
+        return _normalized(1, [c], den)
+    return _from_numerators(c.n, list(c), den)
+
+
+class _Integral(_Tensors):
+    """A HopfData's five tensors over Z[zeta_n], n a multiple of the lcm of
+    its constants' conductors: each tensor is its numerators over one
+    positive integer denominator, kept in ``dens`` as (mult, unit, comult,
+    counit, antipode).  Numerators multiply with no gcd and no descent, and
+    compare coordinatewise; a comparison scales each side by the
+    denominators the other side carries and it lacks.
+    """
+
+    def __init__(self, h: HopfData, n: int):
+        m = self.dim = h.dim
+        self.n = n
+        rows, dm = _numerators([row for plane in h.mult for row in plane], n)
+        self.mult = tuple(tuple(rows[i * m:(i + 1) * m]) for i in range(m))
+        (unit,), du = _numerators([tuple(enumerate(h.unit))], n)
+        self.unit = tuple(c for _, c in unit)
+        rows, dc = _numerators([tuple(d.items()) for d in h.comult], n)
+        self.comult = tuple(dict(row) for row in rows)
+        (counit,), de = _numerators([tuple(enumerate(h.counit))], n)
+        self.counit = tuple(c for _, c in counit)
+        self.antipode, ds = _numerators(h.antipode, n)
+        self.dens = (dm, du, dc, de, ds)
+
+
+def _integral(h: HopfData, n: int | None = None) -> _Integral:
+    """h's integral form, built on first use at the lcm of h's conductors.
+    A caller that needs vectors at conductor n, a multiple of those, gets a
+    form at n, which replaces the kept one unless that one is rational."""
+    form = h._form
+    if form is None or n is not None and form.n not in (1, n):
+        h._form = form = _Integral(h, n or _common_conductor(*(
+            c.conductor for c in itertools.chain(
+                h.unit, h.counit,
+                (c for plane in h.mult for row in plane for _, c in row),
+                (c for d in h.comult for c in d.values()),
+                (c for row in h.antipode for _, c in row)))))
+    return form
+
+
+def _scaled(t: dict, k: int) -> dict:
+    """k t for a sparse tensor t and a positive integer k."""
+    return t if k == 1 else {key: c * k for key, c in t.items()}
 
 
 # -- axiom verification -----------------------------------------------------------
@@ -330,18 +441,27 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
     failing row is a generator row, and the reduced scan reports the full
     scan's first failure without a second scan.
     Associativity costs O(|G| * dim^2) products for |G| generator rows.
+
+    The scans read the ``_Integral`` form: each side of an axiom is scaled
+    by the tensor denominators the other side carries and it lacks, so
+    every verdict and first failure is that of the field values.
     """
+    f = _integral(h)
+    dm, du, dc, de, ds = f.dens
     checks: list[AxiomCheck] = []
-    m = h.dim
-    mult = h.mult
+    m = f.dim
+    mult, comult, counit = f.mult, f.comult, f.counit
     columns = [[mult[p][k] for p in range(m)] for k in range(m)]  # e_p e_k
-    unit = _nonzeros(h.unit)
+    unit = _nonzeros(f.unit)
 
     def add(axiom, bad, failure):
         checks.append(AxiomCheck(axiom, bad is None,
                                  "" if bad is None else f"{failure}{bad}"))
 
     def combination(terms, rows) -> dict:
+        if len(terms) == 1:  # c times a row of nonzeros: nothing cancels
+            (p, c), = terms
+            return {k: c * x for k, x in rows[p]}
         return _pruned(_combine(terms, rows))
 
     def first(fails, *ranges):
@@ -349,7 +469,7 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
         return next((t for t in itertools.product(*ranges) if fails(*t)), None)
 
     every = range(m)
-    generators = _generator_rows(h)
+    generators = _generator_rows(f)
 
     # (e_i e_j) e_k against e_i (e_j e_k)
     bad = first(lambda i, j, k: combination(mult[i][j], columns[k]) !=
@@ -357,47 +477,54 @@ def verify_hopf_axioms(h: HopfData) -> AxiomReport:
     add("associativity", bad, "first failure at ")
     rows = generators if bad is None else every
 
+    one = du * dm
     bad = next((i for i in range(m)
-                if combination(unit, columns[i]) != {i: ONE}
-                or combination(unit, mult[i]) != {i: ONE}), None)
+                if combination(unit, columns[i]) != {i: one}
+                or combination(unit, mult[i]) != {i: one}), None)
     add("unit", bad, "unit law fails at basis element ")
 
     # Bialgebra compatibility is decided first, as it can shorten the
     # coassociativity scan; the report keeps the axioms' order.
     compatible = None
-    if h.comult_of(h.unit) != _outer(h.unit, h.unit):
+    if _scaled(_pruned(f._comult(unit)), du) != \
+            _scaled(_outer(f.unit, f.unit), dc):
         compatible = "unit"
-    if compatible is None and h.counit_of(h.unit) != ONE:
+    if compatible is None and _evaluate(counit, unit, 0) != de * du:
         compatible = "counit(1)"
     if compatible is None:
-        compatible = first(lambda i, j: _evaluate(h.counit, mult[i][j]) !=
-                           h.counit[i] * h.counit[j], rows, every)
+        compatible = first(lambda i, j: de * _evaluate(counit, mult[i][j], 0) !=
+                           dm * counit[i] * counit[j], rows, every)
     if compatible is None:
-        compatible = first(lambda i, j: _pruned(h._comult(mult[i][j])) !=
-                           h.tensor_mul(h.comult[i], h.comult[j]), rows, every)
+        compatible = first(lambda i, j: _scaled(_pruned(f._comult(mult[i][j])),
+                                                dc * dm) !=
+                           f.tensor_mul(comult[i], comult[j]), rows, every)
 
     bad = next((i for i in (rows if compatible is None else every)
-                if _legs(h.comult[i], h.comult, None) !=
-                _legs(h.comult[i], None, h.comult)), None)
+                if _legs(comult[i], comult, None) !=
+                _legs(comult[i], None, comult)), None)
     add("coassociativity", bad, "fails on basis element ")
 
-    counit = _functional(h.counit)
-    bad = next((i for i in range(m) if not _legs(h.comult[i], counit, None) ==
-                _legs(h.comult[i], None, counit) == {(i,): ONE}), None)
+    eps = _functional(counit)
+    bad = next((i for i in range(m) if not _legs(comult[i], eps, None) ==
+                _legs(comult[i], None, eps) == {(i,): dc * de}), None)
     add("counit", bad, "counit law fails at basis element ")
 
     add("bialgebra-compatibility", compatible, "fails at ")
 
     # m (S (x) id) Delta (e_i) and m (id (x) S) Delta (e_i) against eps(e_i) 1
-    antipode = h.antipode_leg()
+    antipode = f.antipode_leg()
+    lacks = dc * ds * dm
     bad = next((i for i in range(m)
-                if not h.multiplied(_legs(h.comult[i], antipode, None)) ==
-                h.multiplied(_legs(h.comult[i], None, antipode)) ==
-                _pruned({k: h.counit[i] * u for k, u in unit})), None)
+                if not _scaled(f.multiplied(_legs(comult[i], antipode, None)),
+                               de * du) ==
+                _scaled(f.multiplied(_legs(comult[i], None, antipode)),
+                        de * du) ==
+                _pruned({k: counit[i] * u * lacks for k, u in unit})), None)
     add("antipode", bad, "antipode axiom fails at basis element ")
 
     bad = next((i for i in range(m)
-                if combination(h.antipode[i], h.antipode) != {i: ONE}), None)
+                if combination(f.antipode[i], f.antipode) != {i: ds * ds}),
+               None)
     add("antipode-squared-identity", bad, "S^2 differs from id at ")
 
     return AxiomReport(tuple(checks))
@@ -808,27 +935,21 @@ def yd_one_dim_pairs(h: HopfData, glikes=None, chars=None) -> YDPairReport:
         glikes = group_like_elements(h)
     if chars is None:
         chars = algebra_characters(h)
-    pairs = []
-    for g in glikes:
-        for eta in chars:
-            ok = True
-            for i in range(h.dim):
-                v = h.basis_vector(i)
-                left = h.vec_mul(hit_left(eta, v, h), g)
-                right = h.vec_mul(g, hit_right(v, eta, h))
-                if left != right:
-                    ok = False
-                    break
-            if ok:
-                pairs.append((g, eta))
+    # Each hit action, group-like product and convolution is built once,
+    # keyed by what it reads: a character and a basis index, or two
+    # group-likes, or two characters.
+    hits = [[(hit_left(eta, v, h), hit_right(v, eta, h))
+             for v in map(h.basis_vector, range(h.dim))] for eta in chars]
+    found = [(a, b) for a, g in enumerate(glikes) for b in range(len(chars))
+             if all(h.vec_mul(left, g) == h.vec_mul(g, right)
+                    for left, right in hits[b])]
+    pairs = [(glikes[a], chars[b]) for a, b in found]
     index = {pair: t for t, pair in enumerate(pairs)}
-    table = []
-    for g, eta in pairs:
-        row = []
-        for g2, eta2 in pairs:
-            prod = (h.vec_mul(g, g2), character_convolution(h, eta, eta2))
-            row.append(index[prod])
-        table.append(row)
+    times = functools.cache(lambda a, c: h.vec_mul(glikes[a], glikes[c]))
+    convolution = functools.cache(
+        lambda b, d: character_convolution(h, chars[b], chars[d]))
+    table = [[index[times(a, c), convolution(b, d)] for c, d in found]
+             for a, b in found]
     group = FiniteGroup(table, name="YDpairs")
     factors: tuple[int, ...] | None
     try:
@@ -872,13 +993,43 @@ def drinfeld_double_group_type(g: FiniteGroup) -> AlgebraTypeSignature:
 
 # -- cocycle twists -----------------------------------------------------------------
 
+class _IntegralTwist(NamedTuple):
+    """phi and phi^{-1} over Z[zeta_n], as ``_Integral`` holds a HopfData's
+    tensors: ``dens`` is (phi's denominator, phi^{-1}'s)."""
+    n: int
+    value: dict
+    inverse: dict
+    dens: tuple[int, int]
+
+
 @dataclass(frozen=True)
 class TwistElement:
     """An invertible normalized 2-cocycle in H (x) H, stored sparsely as
-    {(i, j): coefficient} in ascending key order."""
+    {(i, j): coefficient} in ascending key order.  ``form`` is its
+    ``_IntegralTwist`` when the builder computed one."""
     dim: int
     value: dict[tuple[int, int], CycNumber]
     inverse: dict[tuple[int, int], CycNumber]
+    form: _IntegralTwist | None = field(default=None, compare=False,
+                                        repr=False)
+
+
+def _twist_form(twist: TwistElement, n: int) -> _IntegralTwist:
+    """The twist's integral form at conductor n: its own when that one is
+    rational or at n."""
+    if twist.form is not None and twist.form.n in (1, n):
+        return twist.form
+    (value,), dp = _numerators([tuple(twist.value.items())], n)
+    (inverse,), dq = _numerators([tuple(twist.inverse.items())], n)
+    return _IntegralTwist(n, dict(value), dict(inverse), (dp, dq))
+
+
+def _aligned(h: HopfData, twist: TwistElement):
+    """(n, the integral forms of h and of the twist at conductor n)."""
+    own = twist.form.n if twist.form is not None else math.lcm(*(
+        c.conductor for t in (twist.value, twist.inverse) for c in t.values()))
+    n = _common_conductor(_integral(h).n, own)
+    return n, _integral(h, n), _twist_form(twist, n)
 
 
 def _abelian_subgroup(g: FiniteGroup, subgroup, bichar: AltBicharacter):
@@ -906,53 +1057,77 @@ def build_lifted_twist(g: FiniteGroup, subgroup,
     bicharacter by the upper-triangular splitting on coordinates of the
     character group of A.  Different splittings give cohomologous cocycles
     and gauge-equivalent twists, so the canonical one is used.
+
+    Every root of unity below is an integer vector over denominator 1, so
+    the sums run on numerators: delta_x over |A|, phi and phi^{-1} over
+    |A|^2.  A bicharacter value v has order dividing g = gcd(m_i, m_j), so
+    v^e is read from its powers v^0, ..., v^(g-1).
     """
     a_group, to_parent, decomp = _abelian_subgroup(g, subgroup, bichar)
-    tuples = list(itertools.product(*[range(m) for m in decomp.orders]))
-    k = len(decomp.orders)
+    orders = decomp.orders
+    tuples = list(itertools.product(*[range(m) for m in orders]))
+    k = len(orders)
+    roots = {m: [CycNumber.root_of_unity(m, e) for e in range(m)]
+             for m in set(orders)}
+    powers = [[[v ** e for e in range(math.gcd(m_i, m_j))]
+               for v, m_j in zip(row, orders)]
+              for row, m_i in zip(bichar.values, orders)]
+    n = _common_conductor(*(c.conductor for table in roots.values()
+                            for c in table),
+                          *(v.conductor for row in bichar.values for v in row))
 
-    def omega(x, y) -> CycNumber:
-        total = ONE
+    def numerators(values) -> list:  # of roots of unity, over denominator 1
+        (row,), _ = _numerators([tuple(enumerate(values))], n)
+        return [c for _, c in row]
+
+    roots = {m: numerators(table) for m, table in roots.items()}
+    powers = [[numerators(table) for table in row] for row in powers]
+
+    def omega(x, y, sign: int):
+        """omega(x, y) ** sign."""
+        total = 1
         for i in range(k):
             if not x[i]:
                 continue
             for j in range(i + 1, k):
                 if y[j]:
-                    total = total * bichar.values[i][j] ** (x[i] * y[j])
+                    table = powers[i][j]
+                    total = total * table[sign * x[i] * y[j] % len(table)]
         return total
 
-    inv_order = CycNumber.from_rational(Fraction(1, a_group.order))
-
-    # delta_x = (1/|A|) sum x(a) a, with x(a) from the coordinate pairing
-    delta: dict[tuple, dict[int, CycNumber]] = {}
+    # |A| delta_x = sum x(a) a, with x(a) from the coordinate pairing
+    delta: dict[tuple, dict] = {}
     for x in tuples:
         entry = {}
         for a in range(a_group.order):
-            coeff = ONE
-            for xi, m, ai in zip(x, decomp.orders, decomp.coords[a]):
+            coeff = 1
+            for xi, m, ai in zip(x, orders, decomp.coords[a]):
                 if xi and ai:
-                    coeff = coeff * CycNumber.root_of_unity(m, xi * ai)
-            entry[to_parent[a]] = coeff * inv_order
+                    coeff = coeff * roots[m][xi * ai % m]
+            entry[to_parent[a]] = coeff
         delta[x] = entry
 
     # sum_x delta_x (x) (sum_y omega(x, y)^(+-1) delta_y): the inner sum is
     # formed once per x, so the cost is O(|A|^3) rather than O(|A|^4)
-    value: dict[tuple[int, int], CycNumber] = {}
-    inverse: dict[tuple[int, int], CycNumber] = {}
+    value: dict[tuple[int, int], object] = {}
+    inverse: dict[tuple[int, int], object] = {}
     for x in tuples:
         right: dict = {}
         right_inv: dict = {}
         for y in tuples:
-            w = omega(x, y)
-            _add_scaled(right, w, delta[y].items())
-            _add_scaled(right_inv, w.inv(), delta[y].items())
+            _add_scaled(right, omega(x, y, 1), delta[y].items())
+            _add_scaled(right_inv, omega(x, y, -1), delta[y].items())
         for a, ca in delta[x].items():
             _add_scaled(value, ca, (((a, b), c) for b, c in right.items()))
             _add_scaled(inverse, ca,
                         (((a, b), c) for b, c in right_inv.items()))
+    value = {key: _plain(c) for key, c in sorted(value.items()) if c}
+    inverse = {key: _plain(c) for key, c in sorted(inverse.items()) if c}
+    den = a_group.order ** 2
     return TwistElement(g.order,
-                        {key: c for key, c in sorted(value.items()) if c},
-                        {key: c for key, c in sorted(inverse.items()) if c})
+                        {key: _number(c, den) for key, c in value.items()},
+                        {key: _number(c, den) for key, c in inverse.items()},
+                        _IntegralTwist(n, value, inverse, (den, den)))
 
 
 def verify_twist(h: HopfData, twist: TwistElement) -> AxiomReport:
@@ -961,34 +1136,38 @@ def verify_twist(h: HopfData, twist: TwistElement) -> AxiomReport:
     As 1 is the unit, the cocycle identity's left side is
     sum_s (phi X_s) (x) e_s for (Delta (x) id)(phi) = sum_s X_s (x) e_s, and
     its right side sum_p e_p (x) (phi Y_p) for (id (x) Delta)(phi) =
-    sum_p e_p (x) Y_p.
+    sum_p e_p (x) Y_p.  The checks read the integral forms of h and of the
+    twist, scaled as in ``verify_hopf_axioms``.
     """
+    _, f, t = _aligned(h, twist)
+    dm, du, _, de, _ = f.dens
+    dp, dq = t.dens
+    phi, phi_inv = t.value, t.inverse
     checks = []
-    phi, phi_inv = twist.value, twist.inverse
 
-    counit = _functional(h.counit)
-    ok = (_legs(phi, counit, None) == _legs(phi, None, counit) ==
-          {(k,): u for k, u in _nonzeros(h.unit)})
+    eps = _functional(f.counit)
+    ok = (_scaled(_legs(phi, eps, None), du) ==
+          _scaled(_legs(phi, None, eps), du) ==
+          {(k,): u * dp * de for k, u in _nonzeros(f.unit)})
     checks.append(AxiomCheck("counit-normalization", ok,
                              "" if ok else "(eps (x) id) phi is not 1"))
 
-    prod = h.tensor_mul(phi, phi_inv)
-    prod2 = h.tensor_mul(phi_inv, phi)
-    unit_t = _outer(h.unit, h.unit)
-    ok = prod == unit_t and prod2 == unit_t
+    one = _scaled(_outer(f.unit, f.unit), dp * dq * dm * dm)
+    ok = (_scaled(f.tensor_mul(phi, phi_inv), du * du) == one and
+          _scaled(f.tensor_mul(phi_inv, phi), du * du) == one)
     checks.append(AxiomCheck("invertibility", ok,
                              "" if ok else "phi * phi^{-1} differs from 1 (x) 1"))
 
     left: dict = {}
-    for (p, q, s), c in _legs(phi, h.comult, None).items():
+    for (p, q, s), c in _legs(phi, f.comult, None).items():
         left.setdefault(s, {})[(p, q)] = c
     right: dict = {}
-    for (p, q, r), c in _legs(phi, None, h.comult).items():
+    for (p, q, r), c in _legs(phi, None, f.comult).items():
         right.setdefault(p, {})[(q, r)] = c
     ok = ({(a, b, s): c for s, x in left.items()
-           for (a, b), c in h.tensor_mul(phi, x).items()} ==
+           for (a, b), c in f.tensor_mul(phi, x).items()} ==
           {(p, a, b): c for p, y in right.items()
-           for (a, b), c in h.tensor_mul(phi, y).items()})
+           for (a, b), c in f.tensor_mul(phi, y).items()})
     checks.append(AxiomCheck("cocycle-identity", ok,
                              "" if ok else "the two cocycle sides differ"))
     return AxiomReport(tuple(checks))
@@ -1004,6 +1183,10 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
     axiom suite then runs on the result; failures raise.  Without it the
     caller vouches that the twist passes ``verify_twist``, and so that U is
     invertible with that inverse: the cocycle identity is what makes it so.
+
+    The products run on the integral forms.  The result keeps the form they
+    give, so verifying it converts nothing, and its CycNumber tensors are
+    built exactly from that form's numerators.
     """
     if h.dim > MAX_TWIST_DIM:
         raise TwistInvalidError(f"twisting capped at dimension {MAX_TWIST_DIM}")
@@ -1013,16 +1196,34 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
             raise TwistInvalidError(
                 "twist verification failed: " +
                 "; ".join(c.axiom for c in report.failures()))
-    phi, phi_inv = twist.value, twist.inverse
-    comult = [h.tensor_mul(h.tensor_mul(phi, middle), phi_inv)
-              for middle in h.comult]
-
-    u = h.multiplied(_legs(phi, None, h.antipode_leg())).items()
-    uinv = h.multiplied(_legs(phi_inv, h.antipode_leg(), None)).items()
-    antipode = [h._product(h._product(u, h.antipode[i]).items(), uinv)
-                for i in range(h.dim)]
-
-    twisted = HopfData(h.labels, h.mult, h.unit, comult, h.counit, antipode)
+    n, f, t = _aligned(h, twist)
+    dm, du, dc, de, ds = f.dens
+    dp, dq = t.dens
+    phi, phi_inv = t.value, t.inverse
+    form = copy.copy(f)
+    form.n = n
+    form.comult = tuple(
+        {key: _plain(c) for key, c in
+         f.tensor_mul(f.tensor_mul(phi, middle), phi_inv).items()}
+        for middle in f.comult)
+    u = f.multiplied(_legs(phi, None, f.antipode_leg())).items()
+    uinv = f.multiplied(_legs(phi_inv, f.antipode_leg(), None)).items()
+    form.antipode = tuple(
+        tuple((k, _plain(c)) for k, c in
+              _entries(f._product(f._product(u, row).items(), uinv)))
+        for row in f.antipode)
+    # phi Delta phi^{-1} takes two tensor products, four mult constants; U
+    # carries dp ds dm, U^{-1} dq ds dm, and U S U^{-1} two more products
+    d_comult = dp * dq * dc * dm ** 4
+    d_antipode = dp * dq * ds ** 3 * dm ** 4
+    form.dens = (dm, du, d_comult, de, d_antipode)
+    twisted = HopfData(
+        h.labels, h.mult, h.unit,
+        [{key: _number(c, d_comult) for key, c in d.items()}
+         for d in form.comult],
+        h.counit,
+        [[(k, _number(c, d_antipode)) for k, c in row] for row in form.antipode])
+    twisted._form = form
     if verify:
         rep = verify_hopf_axioms(twisted)
         if not rep.passed:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcensus import cyclotomic
-from hopfcensus.cyclotomic import (MAX_CONDUCTOR, ConductorLimitError,
+from hopfcensus.cyclotomic import (MAX_CONDUCTOR, ConductorLimitError, CycInt,
                                    CycNumber, cyclotomic_poly)
 
 zeta = CycNumber.root_of_unity
@@ -251,6 +251,36 @@ def test_integer_numerators_keep_their_invariant(a, b):
     if b:
         _check_representation(a / b)
         assert (a / b) * b == a
+
+
+# -- cyclotomic integers at a fixed conductor -------------------------------------
+
+def _at_24(x):
+    """(x's numerators as a CycInt at conductor 24, x's denominator)."""
+    return CycInt.of(24)(cyclotomic._lifted(x, 24)), x.den
+
+
+def _value(c, den):
+    """The CycNumber c / den of a CycInt or int numerator at conductor 24."""
+    num = list(c) if isinstance(c, CycInt) else [c] + [0] * 7
+    return cyclotomic._from_numerators(24, num, den)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(big_denominator_values(), big_denominator_values(),
+       st.integers(-3, 3))
+def test_cyc_ints_compute_what_cyc_numbers_do(a, b, k):
+    (u, du), (v, dv) = _at_24(a), _at_24(b)
+    assert _value(u * v, du * dv) == a * b
+    assert _value(u * dv + v * du, du * dv) == a + b
+    assert _value(k * u, du) == _value(u * k, du) == a * k
+    assert _value(u + k, du) == _value(k + u, du) == a + rat(Fraction(k, du))
+    # an int k is the vector (k, 0, ..., 0), from either side
+    is_k = a == rat(Fraction(k, du))
+    assert (u == k) is (k == u) is is_k
+    assert (u != k) is (k != u) is (not is_k)
+    assert bool(u) is bool(a)
+    assert (u == v) is (du == dv and a == b)
 
 
 def test_every_traced_operation_is_defined_on_the_class(monkeypatch):

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycNumber,
-                                   _canonical_conductor, _dense,
+from hopfcensus.cyclotomic import (MAX_CONDUCTOR, ConductorLimitError,
+                                   CycNumber, _canonical_conductor, _dense,
                                    _from_numerators, _powers)
 from hopfcensus.fusion import AlgebraTypeSignature
 from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter,
@@ -310,6 +310,7 @@ NONDEG3 = AltBicharacter.nondegenerate_rank2(3)
 G12_GAMMA = (0, 1, 2, 3)
 G18_GAMMA = tuple(2 * i for i in range(9))
 D3D3_A = (0, 3, 18, 21)
+D3D3_A9 = (0, 1, 2, 6, 7, 8, 12, 13, 14)  # Z3 x Z3
 
 
 def test_trivial_twist_is_identity():
@@ -372,6 +373,41 @@ def test_central_group_likes_of_group_algebra():
         central = central_group_likes(h, group_like_elements(h))
         names = sorted(next(i for i, c in enumerate(v) if c) for v in central)
         assert tuple(names) == g.center
+
+
+def _rescaled(h, s):
+    """h on the basis e'_k = s e_k: the same Hopf algebra, with products
+    s m, unit u / s, coproducts Delta / s, counit s eps and the antipode
+    unchanged."""
+    return HopfData(h.labels,
+                    [[{k: s * c for k, c in row} for row in plane]
+                     for plane in h.mult],
+                    [c / s for c in h.unit],
+                    [{key: c / s for key, c in entry.items()}
+                     for entry in h.comult],
+                    [s * c for c in h.counit], h.antipode)
+
+
+def test_twist_forms_meet_at_the_common_conductor():
+    # kG18 on e'_k = s e_k, s = 2i/3, and its zeta_3 twist at conductor 3.
+    # The constants of the first have conductor 4, and products and counit
+    # carry the denominator 3, unit and coproducts the denominator 2, so
+    # each scaled comparison multiplies in a denominator.  Both integral
+    # forms are built again at conductor 12.  As e_a (x) e_b is
+    # e'_a (x) e'_b / s^2, the twist and its inverse are divided by s^2.
+    g = builtin_group("G18")
+    s = CycNumber.root_of_unity(4, 1) * Fraction(2, 3)
+    h = _rescaled(from_group(g), s)
+    built = build_lifted_twist(g, G18_GAMMA, NONDEG3)
+    tw = TwistElement(built.dim,
+                      {key: c / (s * s) for key, c in built.value.items()},
+                      {key: c / (s * s) for key, c in built.inverse.items()})
+    assert verify_hopf_axioms(h).passed and verify_twist(h, tw).passed
+    twisted = twist_hopf(h, tw)  # verifies the result's axioms
+    assert list(twisted.comult) == [
+        h.tensor_mul(h.tensor_mul(tw.value, middle), tw.inverse)
+        for middle in h.comult]
+    assert not is_cocommutative(twisted)
 
 
 def test_twist_errors():
@@ -628,6 +664,8 @@ GENERATOR_ROW_ALGEBRAS = {
     # products with several terms: seven generator rows would reach all 12
     "dual-twisted-kG12": lambda: dual(_twisted("G12", G12_GAMMA, NONDEG2)),
     "twisted-kG18": lambda: _twisted("G18", G18_GAMMA, NONDEG3),
+    # the dimension-36 twist at conductor 3
+    "zeta3-twisted-kD3xD3": lambda: _twisted("D3xD3", D3D3_A9, NONDEG3),
 }
 
 
@@ -755,24 +793,33 @@ def _full_scan_report(h):
 
 
 CORRUPTION_VALUES = [ONE, -ONE, CycNumber.from_rational(3),
-                     CycNumber.root_of_unity(3, 1), ZERO]
+                     CycNumber.from_rational(Fraction(1, 2)),
+                     CycNumber.root_of_unity(3, 1),
+                     CycNumber.root_of_unity(4, 1), ZERO]
 
 
 def _corrupted(h, rng):
-    """h with one structure constant of mult, comult or antipode changed."""
+    """h with one structure constant of mult, unit, comult, counit or
+    antipode changed.  A unit or counit entry changes its tensor's
+    denominator alone, which the verifier's scaled comparisons must carry."""
     mult = [[dict(row) for row in plane] for plane in h.mult]
     comult = [dict(entry) for entry in h.comult]
     antipode = [dict(row) for row in h.antipode]
+    unit = {i: c for i, c in enumerate(h.unit) if c}
+    counit = {i: c for i, c in enumerate(h.counit) if c}
     m = h.dim
     table, key = rng.choice([
         (mult[rng.randrange(m)][rng.randrange(m)], rng.randrange(m)),
+        (unit, rng.randrange(m)),
         (comult[rng.randrange(m)], (rng.randrange(m), rng.randrange(m))),
+        (counit, rng.randrange(m)),
         (antipode[rng.randrange(m)], rng.randrange(m))])
     if table and rng.random() < 0.5:
         key = rng.choice(sorted(table))
     delta = rng.choice(CORRUPTION_VALUES)
     table[key] = table.get(key, ZERO) + delta if delta else ZERO
-    return HopfData(h.labels, mult, h.unit, comult, h.counit, antipode)
+    return HopfData(h.labels, mult, [unit.get(i, ZERO) for i in range(m)],
+                    comult, [counit.get(i, ZERO) for i in range(m)], antipode)
 
 
 # Pairs (a, b) of non-central group elements: J = e_a (x) e_b is invertible
@@ -793,7 +840,8 @@ def _conjugated(h, group, a, b):
 @pytest.mark.parametrize("name,corruptions", [
     ("H8", 24), ("dual-H8", 24), ("kS3", 24), ("kG12", 12), ("dual-kG12", 8),
     ("relabeled-kG12", 16), ("twisted-kD3xD3", 8), ("twisted-kG12", 12),
-    ("dual-twisted-kG12", 16), ("twisted-kG18", 8)])
+    ("dual-twisted-kG12", 16), ("twisted-kG18", 8),
+    ("zeta3-twisted-kD3xD3", 4)])
 def test_generator_row_scans_report_the_full_scan(name, corruptions):
     h = GENERATOR_ROW_ALGEBRAS[name]()
     rng = random.Random(f"generator-rows-{name}")
@@ -807,6 +855,21 @@ def test_generator_row_scans_report_the_full_scan(name, corruptions):
         passed = {c["axiom"]: c["passed"] for c in report["checks"]}
         assert passed["associativity"] and passed["bialgebra-compatibility"]
         assert not passed["coassociativity"]
+
+
+def test_a_common_conductor_beyond_the_limit_raises():
+    """kZ2 with a conductor-5 comultiplication constant and a conductor-8
+    antipode constant: no field of conductor at most MAX_CONDUCTOR holds
+    both, so the axiom check stops with the limit error."""
+    kz2 = from_group(build_cyclic(2))
+    comult = [dict(entry) for entry in kz2.comult]
+    comult[1][(1, 1)] = CycNumber.root_of_unity(5, 1)
+    antipode = [dict(row) for row in kz2.antipode]
+    antipode[1] = {1: CycNumber.root_of_unity(8, 1)}
+    h = HopfData(kz2.labels, kz2.mult, kz2.unit, comult, kz2.counit, antipode)
+    with pytest.raises(ConductorLimitError,
+                       match=f"operation needs conductor 40 > {MAX_CONDUCTOR}"):
+        verify_hopf_axioms(h)
 
 
 def test_root_candidates_are_every_supported_root_once():

@@ -19,6 +19,9 @@ The set is:
 - ``twist --group G18 --subgroup auto`` with the bicharacter of zeta_3^k,
   k = 1 or -1, given as JSON objects at conductors 6, 12 and 24: the
   commands whose input descends to a smaller field;
+- ``twist --group D3xD3`` on the order-9 subgroup 0,1,2,6,7,8,12,13,14
+  with the nondegenerate bicharacter: the one dimension-36 twist at
+  conductor 3;
 - ``h8-report``;
 - one argv for each usage-error family that ``tests/test_cli.py`` pins: an
   unknown group, an unparsable type, unparsable bicharacter JSON, a
@@ -95,6 +98,9 @@ def commands(census, groups) -> list[list[str]]:
              json.dumps([[1, _zeta3(c, k)], [_zeta3(c, -k), 1]]),
              "--check-cocommutative", "--group-likes"]
             for c in (6, 12, 24) for k in (1, -1)]
+    out.append(["twist", "--group", "D3xD3", "--subgroup",
+                "0,1,2,6,7,8,12,13,14", "--bicharacter", "nondegenerate",
+                "--check-cocommutative", "--group-likes"])
     out.append(["h8-report"])
     out += [list(argv) for argv in USAGE_ERRORS]
     return out
