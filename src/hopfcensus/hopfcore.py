@@ -7,19 +7,21 @@ only their nonzero structure constants, and every kernel walks those alone;
 unit and counit are dense vectors, as are the vectors the public API takes
 and returns.
 
-The axiom verifier, the twist checks, the twist itself and the lifted
-cocycle run on an integral form instead (``_Integral``, and
-``_IntegralTwist`` for a twist): one conductor n, the lcm of the constants'
-conductors, and per tensor one positive integer denominator over which the
-constants become numerators in Z[zeta_n].  A numerator is a Python int when
-its value is rational and otherwise a ``CycInt``, its integer coordinates in
-the power basis, so sums and products need no gcd and no descent, and
-equality is coordinate equality.  An axiom scales each side by the
-denominators the other side carries, so verdicts and first failures are
-those of the field values.  A HopfData builds its form once, on first use;
-a twisted algebra is handed the form its products gave, and its CycNumber
-tensors are built exactly from it.  Characters, group-likes, minimal
-polynomials and ``LinearBasis`` divide, so they stay on CycNumber.
+The axiom verifier, the twist checks and the twist itself run on an
+integral form instead (``_Integral``): one conductor n, the lcm of the
+constants' conductors, and per tensor one positive integer denominator over
+which the constants become numerators in Z[zeta_n].  A numerator is a
+Python int when its value is rational and otherwise a ``CycInt``, its
+integer coordinates in the power basis, so sums and products need no gcd
+and no descent, and equality is coordinate equality.  An axiom scales each
+side by the denominators the other side carries, so verdicts and first
+failures are those of the field values.  A HopfData builds its form once,
+on first use; a twisted algebra is handed the form its products gave, and
+its CycNumber tensors are built exactly from it.  A twist keeps only its
+CycNumber values: its numerators are read where they are used, at the
+conductor it shares with the algebra (``_aligned``).  The lifted cocycle
+is built by counting powers of one root of unity.  Characters, group-likes,
+minimal polynomials and ``LinearBasis`` divide, so they stay on CycNumber.
 
 Everything is exact; the axiom verifier reports per-axiom pass/fail with
 the first violating basis triple.
@@ -48,14 +50,13 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from hopfcensus.cyclotomic import (MAX_CONDUCTOR, ConductorLimitError, CycInt,
                                    CycNumber, _canonical_conductor,
                                    _from_numerators, _lifted, _normalized,
-                                   _polydiv_exact, divisors)
+                                   _polydiv_exact, _spread, divisors)
 from hopfcensus.fusion import AlgebraTypeSignature, AxiomCheck, AxiomReport
 from hopfcensus.groups import (AltBicharacter, FiniteGroup, GroupError,
                                _closure, abelian_decomposition)
@@ -374,19 +375,17 @@ class _Integral(_Tensors):
         self.dens = (dm, du, dc, de, ds)
 
 
-def _integral(h: HopfData, n: int | None = None) -> _Integral:
-    """h's integral form, built on first use at the lcm of h's conductors.
-    A caller that needs vectors at conductor n, a multiple of those, gets a
-    form at n, which replaces the kept one unless that one is rational."""
-    form = h._form
-    if form is None or n is not None and form.n not in (1, n):
-        h._form = form = _Integral(h, n or _common_conductor(*(
+def _integral(h: HopfData) -> _Integral:
+    """h's integral form, built on first use at the lcm of h's conductors
+    and kept."""
+    if h._form is None:
+        h._form = _Integral(h, _common_conductor(*(
             c.conductor for c in itertools.chain(
                 h.unit, h.counit,
                 (c for plane in h.mult for row in plane for _, c in row),
                 (c for d in h.comult for c in d.values()),
                 (c for row in h.antipode for _, c in row)))))
-    return form
+    return h._form
 
 
 def _scaled(t: dict, k: int) -> dict:
@@ -993,43 +992,30 @@ def drinfeld_double_group_type(g: FiniteGroup) -> AlgebraTypeSignature:
 
 # -- cocycle twists -----------------------------------------------------------------
 
-class _IntegralTwist(NamedTuple):
-    """phi and phi^{-1} over Z[zeta_n], as ``_Integral`` holds a HopfData's
-    tensors: ``dens`` is (phi's denominator, phi^{-1}'s)."""
-    n: int
-    value: dict
-    inverse: dict
-    dens: tuple[int, int]
-
-
 @dataclass(frozen=True)
 class TwistElement:
     """An invertible normalized 2-cocycle in H (x) H, stored sparsely as
-    {(i, j): coefficient} in ascending key order.  ``form`` is its
-    ``_IntegralTwist`` when the builder computed one."""
+    {(i, j): coefficient} in ascending key order.  Its numerators over
+    Z[zeta_n] are read where they are used, by ``_aligned``."""
     dim: int
     value: dict[tuple[int, int], CycNumber]
     inverse: dict[tuple[int, int], CycNumber]
-    form: _IntegralTwist | None = field(default=None, compare=False,
-                                        repr=False)
-
-
-def _twist_form(twist: TwistElement, n: int) -> _IntegralTwist:
-    """The twist's integral form at conductor n: its own when that one is
-    rational or at n."""
-    if twist.form is not None and twist.form.n in (1, n):
-        return twist.form
-    (value,), dp = _numerators([tuple(twist.value.items())], n)
-    (inverse,), dq = _numerators([tuple(twist.inverse.items())], n)
-    return _IntegralTwist(n, dict(value), dict(inverse), (dp, dq))
 
 
 def _aligned(h: HopfData, twist: TwistElement):
-    """(n, the integral forms of h and of the twist at conductor n)."""
-    own = twist.form.n if twist.form is not None else math.lcm(*(
-        c.conductor for t in (twist.value, twist.inverse) for c in t.values()))
-    n = _common_conductor(_integral(h).n, own)
-    return n, _integral(h, n), _twist_form(twist, n)
+    """(n, h's integral form at conductor n, phi's and phi^{-1}'s numerator
+    dicts, (their denominators)) for n the lcm of all their conductors.
+    h's kept form serves when it is rational or at n; otherwise a form at n
+    is built for this call and not kept."""
+    f = _integral(h)
+    n = _common_conductor(f.n, *(c.conductor for t in (twist.value,
+                                                       twist.inverse)
+                                 for c in t.values()))
+    if f.n not in (1, n):
+        f = _Integral(h, n)
+    (value,), dp = _numerators([tuple(twist.value.items())], n)
+    (inverse,), dq = _numerators([tuple(twist.inverse.items())], n)
+    return n, f, dict(value), dict(inverse), (dp, dq)
 
 
 def _abelian_subgroup(g: FiniteGroup, subgroup, bichar: AltBicharacter):
@@ -1058,76 +1044,53 @@ def build_lifted_twist(g: FiniteGroup, subgroup,
     character group of A.  Different splittings give cohomologous cocycles
     and gauge-equivalent twists, so the canonical one is used.
 
-    Every root of unity below is an integer vector over denominator 1, so
-    the sums run on numerators: delta_x over |A|, phi and phi^{-1} over
-    |A|^2.  A bicharacter value v has order dividing g = gcd(m_i, m_j), so
-    v^e is read from its powers v^0, ..., v^(g-1).
+    With |A| delta_x = sum_a x(a) a, the coefficient of a (x) b is
+    |A|^-2 sum_{x,y} x(a) omega(x, y) y(b), and each factor is a power of
+    zeta_e, e the exponent of A: x(a) = zeta_e^<x,a> and omega(x, y) =
+    zeta_e^w(x,y).  So |A|^2 phi(a, b) = sum_t N_t zeta_e^t, where N_t
+    counts the pairs (x, y) with <x,a> + w(x,y) + <y,b> = t (mod e), and
+    phi^{-1} is the same count with -w.  The count runs in two stages, as
+    the sum would: the counts over y once per (x, b), then each added to
+    N at (a, b) shifted by <x,a>, so the cost is O(|A|^3 e) integer
+    additions and one CycNumber per entry.
     """
     a_group, to_parent, decomp = _abelian_subgroup(g, subgroup, bichar)
     orders = decomp.orders
-    tuples = list(itertools.product(*[range(m) for m in orders]))
-    k = len(orders)
-    roots = {m: [CycNumber.root_of_unity(m, e) for e in range(m)]
-             for m in set(orders)}
-    powers = [[[v ** e for e in range(math.gcd(m_i, m_j))]
-               for v, m_j in zip(row, orders)]
-              for row, m_i in zip(bichar.values, orders)]
-    n = _common_conductor(*(c.conductor for table in roots.values()
-                            for c in table),
-                          *(v.conductor for row in bichar.values for v in row))
-
-    def numerators(values) -> list:  # of roots of unity, over denominator 1
-        (row,), _ = _numerators([tuple(enumerate(values))], n)
-        return [c for _, c in row]
-
-    roots = {m: numerators(table) for m, table in roots.items()}
-    powers = [[numerators(table) for table in row] for row in powers]
-
-    def omega(x, y, sign: int):
-        """omega(x, y) ** sign."""
-        total = 1
-        for i in range(k):
-            if not x[i]:
-                continue
-            for j in range(i + 1, k):
-                if y[j]:
-                    table = powers[i][j]
-                    total = total * table[sign * x[i] * y[j] % len(table)]
-        return total
-
-    # |A| delta_x = sum x(a) a, with x(a) from the coordinate pairing
-    delta: dict[tuple, dict] = {}
-    for x in tuples:
-        entry = {}
-        for a in range(a_group.order):
-            coeff = 1
-            for xi, m, ai in zip(x, orders, decomp.coords[a]):
-                if xi and ai:
-                    coeff = coeff * roots[m][xi * ai % m]
-            entry[to_parent[a]] = coeff
-        delta[x] = entry
-
-    # sum_x delta_x (x) (sum_y omega(x, y)^(+-1) delta_y): the inner sum is
-    # formed once per x, so the cost is O(|A|^3) rather than O(|A|^4)
-    value: dict[tuple[int, int], object] = {}
-    inverse: dict[tuple[int, int], object] = {}
-    for x in tuples:
-        right: dict = {}
-        right_inv: dict = {}
-        for y in tuples:
-            _add_scaled(right, omega(x, y, 1), delta[y].items())
-            _add_scaled(right_inv, omega(x, y, -1), delta[y].items())
-        for a, ca in delta[x].items():
-            _add_scaled(value, ca, (((a, b), c) for b, c in right.items()))
-            _add_scaled(inverse, ca,
-                        (((a, b), c) for b, c in right_inv.items()))
-    value = {key: _plain(c) for key, c in sorted(value.items()) if c}
-    inverse = {key: _plain(c) for key, c in sorted(inverse.items()) if c}
-    den = a_group.order ** 2
-    return TwistElement(g.order,
-                        {key: _number(c, den) for key, c in value.items()},
-                        {key: _number(c, den) for key, c in inverse.items()},
-                        _IntegralTwist(n, value, inverse, (den, den)))
+    e = _common_conductor(*orders)  # A's exponent, within the field limit
+    size = a_group.order
+    chars = list(itertools.product(*[range(m) for m in orders]))
+    # <x, a>, and w as its coefficients on x_i y_j, i < j: the bicharacter
+    # value is zeta_q^t for q = gcd(m_i, m_j), read once
+    pairing = [[sum(xi * ai * (e // m) for xi, ai, m in
+                    zip(x, decomp.coords[a], orders)) % e for a in range(size)]
+               for x in chars]
+    terms = []
+    for i, j in itertools.combinations(range(len(orders)), 2):
+        q = math.gcd(orders[i], orders[j])
+        t = next(t for t in range(q) if bichar.values[i][j] ==
+                 CycNumber.root_of_unity(q, t))
+        terms.append((i, j, t * (e // q)))
+    w = [[sum(x[i] * y[j] * c for i, j, c in terms) for y in chars]
+         for x in chars]
+    den = size * size
+    out = []
+    for sign in (1, -1):
+        counts = [[[0] * e for _ in range(size)] for _ in range(size)]
+        for b, column in enumerate(counts):  # column[a]: N_t at (a, b)
+            for x, shifts in enumerate(pairing):
+                inner = Counter([(sign * w[x][y] + pairing[y][b]) % e
+                                 for y in range(size)])
+                for u, c in inner.items():
+                    for vec, s in zip(column, shifts):
+                        vec[(u + s) % e] += c
+        entries = {}  # to_parent increases, so the keys ascend
+        for a, b in itertools.product(range(size), repeat=2):
+            vec = _spread(counts[b][a], e)
+            if any(vec):
+                entries[to_parent[a], to_parent[b]] = \
+                    _from_numerators(e, vec, den)
+        out.append(entries)
+    return TwistElement(g.order, *out)
 
 
 def verify_twist(h: HopfData, twist: TwistElement) -> AxiomReport:
@@ -1139,10 +1102,8 @@ def verify_twist(h: HopfData, twist: TwistElement) -> AxiomReport:
     sum_p e_p (x) Y_p.  The checks read the integral forms of h and of the
     twist, scaled as in ``verify_hopf_axioms``.
     """
-    _, f, t = _aligned(h, twist)
+    _, f, phi, phi_inv, (dp, dq) = _aligned(h, twist)
     dm, du, _, de, _ = f.dens
-    dp, dq = t.dens
-    phi, phi_inv = t.value, t.inverse
     checks = []
 
     eps = _functional(f.counit)
@@ -1184,9 +1145,10 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
     caller vouches that the twist passes ``verify_twist``, and so that U is
     invertible with that inverse: the cocycle identity is what makes it so.
 
-    The products run on the integral forms.  The result keeps the form they
-    give, so verifying it converts nothing, and its CycNumber tensors are
-    built exactly from that form's numerators.
+    The products run on the integral forms.  The result is a copy of h that
+    shares its multiplication, unit and counit and keeps the form the
+    products give, so verifying it converts nothing; its coproduct and
+    antipode are built exactly from that form's numerators.
     """
     if h.dim > MAX_TWIST_DIM:
         raise TwistInvalidError(f"twisting capped at dimension {MAX_TWIST_DIM}")
@@ -1196,10 +1158,8 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
             raise TwistInvalidError(
                 "twist verification failed: " +
                 "; ".join(c.axiom for c in report.failures()))
-    n, f, t = _aligned(h, twist)
+    n, f, phi, phi_inv, (dp, dq) = _aligned(h, twist)
     dm, du, dc, de, ds = f.dens
-    dp, dq = t.dens
-    phi, phi_inv = t.value, t.inverse
     form = copy.copy(f)
     form.n = n
     form.comult = tuple(
@@ -1217,12 +1177,11 @@ def twist_hopf(h: HopfData, twist: TwistElement, verify: bool = True) -> HopfDat
     d_comult = dp * dq * dc * dm ** 4
     d_antipode = dp * dq * ds ** 3 * dm ** 4
     form.dens = (dm, du, d_comult, de, d_antipode)
-    twisted = HopfData(
-        h.labels, h.mult, h.unit,
-        [{key: _number(c, d_comult) for key, c in d.items()}
-         for d in form.comult],
-        h.counit,
-        [[(k, _number(c, d_antipode)) for k, c in row] for row in form.antipode])
+    twisted = copy.copy(h)
+    twisted.comult = tuple({key: _number(c, d_comult) for key, c in d.items()}
+                           for d in form.comult)
+    twisted.antipode = tuple(tuple((k, _number(c, d_antipode)) for k, c in row)
+                             for row in form.antipode)
     twisted._form = form
     if verify:
         rep = verify_hopf_axioms(twisted)

@@ -11,11 +11,14 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from hopfcensus.cyclotomic import CycNumber
-from hopfcensus.groups import AltBicharacter, build_symmetric, builtin_group
+from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter,
+                               abelian_decomposition, build_symmetric,
+                               builtin_group)
 from hopfcensus.hopfcore import (HopfData, TwistElement, _combine,
                                  _nonzeros, algebra_characters, build_h8,
                                  build_lifted_twist, character_convolution,
@@ -390,6 +393,70 @@ def test_verify_twist_matches_dense_loops():
         for axiom, passed in got.items():
             seen[axiom].add(passed)
     assert all(outcomes == {True, False} for outcomes in seen.values()), seen
+
+
+
+# -- the lifted cocycle, summed as defined -----------------------------------
+
+def _defining_sum(g, subgroup, bichar, sign):
+    """phi (sign 1) or phi^{-1} (sign -1) of the twist lifted from A:
+    |A|^-2 sum_{x,y} x(a) omega(x, y)^sign y(b) at each (a, b), A's
+    elements indexed in g, summed over CycNumber powers as written."""
+    a_group, to_parent = g.subgroup_as_group(subgroup)
+    decomp = abelian_decomposition(a_group)
+    orders = decomp.orders
+    chars = list(itertools.product(*[range(m) for m in orders]))
+    zeta = [CycNumber.root_of_unity(m, 1) for m in orders]
+    values = [[prod((z ** (x_i * a_i) for z, x_i, a_i in
+                     zip(zeta, x, decomp.coords[a])), start=ONE)
+               for a in range(a_group.order)] for x in chars]
+    omega = [[prod((bichar.values[i][j] ** (sign * x[i] * y[j])
+                    for i, j in itertools.combinations(range(len(orders)), 2)),
+                   start=ONE) for y in chars] for x in chars]
+    scale = Fraction(1, a_group.order ** 2)
+    out = {}
+    for a, b in itertools.product(range(a_group.order), repeat=2):
+        total = sum((values[x][a] * omega[x][y] * values[y][b]
+                     for x, y in itertools.product(range(len(chars)),
+                                                   repeat=2)), ZERO)
+        if total:
+            out[to_parent[a], to_parent[b]] = total * scale
+    return dict(sorted(out.items()))
+
+
+def _lifted_twist_cases():
+    """(name, g, subgroup, bicharacter): each abelian subgroup generated by
+    at most two elements of each built-in group with each of its
+    alternating bicharacters, and the order-16 Z2 x Z2 x Z4 in
+    (Z2 x Z2 x Z4) x| Z2 with each of its 8."""
+    from test_hopfcore import (  # test_hopfcore imports this module
+        alternating_bicharacters, build_z2z2z4_z2)
+    cases = []
+    for name in BUILTIN_GROUPS:
+        g = builtin_group(name)
+        subgroups = {g.subgroup_closure([x, y])
+                     for x in range(g.order) for y in range(x, g.order)}
+        for subgroup in sorted(subgroups):
+            a_group = g.subgroup_as_group(subgroup)[0]
+            if a_group.is_abelian:
+                cases += [(name, g, subgroup, bichar) for bichar in
+                          alternating_bicharacters(
+                              abelian_decomposition(a_group).orders)]
+    g, subgroup = build_z2z2z4_z2()
+    cases += [("Z2xZ2xZ4:Z2", g, subgroup, bichar) for bichar in
+              alternating_bicharacters((2, 2, 4))]
+    return cases
+
+
+def test_lifted_twist_matches_the_defining_sum():
+    cases = _lifted_twist_cases()
+    for name, g, subgroup, bichar in cases:
+        tw = build_lifted_twist(g, subgroup, bichar)
+        for got, sign in ((tw.value, 1), (tw.inverse, -1)):
+            expected = _defining_sum(g, subgroup, bichar, sign)
+            assert list(got.items()) == list(expected.items()), \
+                (name, subgroup, bichar, sign)
+    assert len(cases) == 119
 
 
 # -- pinned function-level digests -----------------------------------------

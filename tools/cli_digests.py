@@ -22,6 +22,9 @@ The set is:
 - ``twist --group D3xD3`` on the order-9 subgroup 0,1,2,6,7,8,12,13,14
   with the nondegenerate bicharacter: the one dimension-36 twist at
   conductor 3;
+- ``twist --group D3xD3`` on the cyclic order-6 subgroup 0,3,6,9,12,15
+  with the trivial bicharacter: a cocycle whose exponent e = 6 is 2 mod 4,
+  so its root-of-unity counts are read at conductor 6 and descend to 3;
 - ``h8-report``;
 - one argv for each usage-error family that ``tests/test_cli.py`` pins: an
   unknown group, an unparsable type, unparsable bicharacter JSON, a
@@ -101,6 +104,9 @@ def commands(census, groups) -> list[list[str]]:
     out.append(["twist", "--group", "D3xD3", "--subgroup",
                 "0,1,2,6,7,8,12,13,14", "--bicharacter", "nondegenerate",
                 "--check-cocommutative", "--group-likes"])
+    out.append(["twist", "--group", "D3xD3", "--subgroup", "0,3,6,9,12,15",
+                "--bicharacter", "trivial", "--check-cocommutative",
+                "--group-likes"])
     out.append(["h8-report"])
     out += [list(argv) for argv in USAGE_ERRORS]
     return out
