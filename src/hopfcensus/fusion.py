@@ -576,7 +576,9 @@ def search_fusion(signature: AlgebraTypeSignature, profile: str = "hopf",
     """Decide feasibility of a type signature under the axiom profile.
 
     Deterministic backtracking over the structure constants in a fixed
-    variable order; a Feasible outcome carries the lexicographically least
+    variable order, which skips every table that one of the generating
+    relabellings of the basis makes lexicographically smaller (see
+    ``_Search``); a Feasible outcome carries the lexicographically least
     witness, Infeasible means the whole tree was refuted.
     """
     if profile not in PROFILES:
@@ -623,6 +625,34 @@ def _dual_patterns(degrees):
         yield tuple(dual)
 
 
+def _relabellings(degrees, dual):
+    """Generators of the relabellings that fix the unit, preserve degrees
+    and commute with ``dual``, each as a permutation of the labels.
+
+    Within a degree class they form (Z2 wr S_p) x S_s for p dual pairs and
+    s self-dual labels, generated by the swap inside each pair, the swap of
+    two consecutive pairs and the adjacent transpositions of the self-dual
+    labels.  Every generator is an involution.
+    """
+    r = len(degrees)
+
+    def swap(*transpositions):
+        perm = list(range(r))
+        for a, b in transpositions:
+            perm[a], perm[b] = b, a
+        return tuple(perm)
+
+    out = []
+    for d in sorted(set(degrees[1:])):
+        pool = [i for i in range(1, r) if degrees[i] == d]
+        pairs = [(a, dual[a]) for a in pool if a < dual[a]]
+        fixed = [a for a in pool if dual[a] == a]
+        out += [swap(pair) for pair in pairs]
+        out += [swap((a, c), (b, e)) for (a, b), (c, e) in zip(pairs, pairs[1:])]
+        out += [swap(pair) for pair in zip(fixed, fixed[1:])]
+    return out
+
+
 class _Search:
     """One backtracking run for a fixed duality pattern.
 
@@ -649,14 +679,33 @@ class _Search:
     what the associativity trigger reads.
 
     ``__init__`` compiles each entry of ``order`` into a plan,
-    ``plans[pos]`` = (row_sum[i], j, d_i d_j, d_k, bound, members): the
-    first four give the value range from the row of the orbit's first
-    entry (i, j, k).  Each member is (a, b, c, d_c, d_a d_b, 1 << c) and
-    the inner lists value[a][b], row_sum[a] and row_mask[a] that setting it
-    writes.  ``_assign`` pushes (members, count) onto ``trail``, count being
-    how many members it set before it stopped: all of them unless it met a
-    contradiction.  ``_undo`` clears exactly those, in reverse, so each row
-    leaves ``holders`` by a pop.
+    ``plans[pos]`` = (row_sum[i], j, d_i d_j, d_k, bound, members,
+    waiting[pos]): the first four give the value range from the row of the
+    orbit's first entry (i, j, k).  Each member is (a, b, c, d_c, d_a d_b,
+    1 << c) and the inner lists value[a][b], row_sum[a] and row_mask[a]
+    that setting it writes.  ``_assign`` pushes (members, count) onto
+    ``trail``, count being how many members it set before it stopped: all
+    of them unless it met a contradiction.  ``_undo`` clears exactly those,
+    in reverse, so each row leaves ``holders`` by a pop.
+
+    Relabelling symmetry is broken by lex-leader constraints (Crawford,
+    Ginsberg, Luks and Roy, KR 1996).  Write X[p] for the value at position
+    p of ``order``.  Each generator sigma of ``_relabellings`` maps the
+    orbit at p onto the orbit at a position pi(p), and the run keeps only
+    X <=_lex sigma X, i.e. X[p] <= X[pi(p)] at the first p where the two
+    differ.  The tables that pass are closed under sigma, so the lex-least
+    one meets every constraint: the verdict and the witness are those of
+    the whole tree.  sigma is an involution, so only the p with pi(p) > p
+    can differ first, and each generator is a chain of links, one per such
+    p in ascending order: (value[i][j], k) of p, the same of pi(p), pi(p)
+    and the next link.  ``waiting[q]`` lists the links whose pi(p) is q and
+    whose earlier comparisons are all ties: the generators whose next
+    comparison is decided when q is set.  So position q may take no value
+    below the largest X[p] of its links; at that value those links tie, and
+    ``_advance`` walks each to its next comparison that is open or
+    unequal.  An open one waits at its pi(p), pushed as (waiting[pi(p)],
+    None) onto the trail for ``_undo`` to pop; an unequal one is met, or it
+    prunes the node without a ``_fail``, so it never becomes the trace.
     """
 
     def __init__(self, degrees, dual, profile, budget):
@@ -681,10 +730,12 @@ class _Search:
         self.packed: list[list[int | None]] = [[None] * r for _ in range(r)]
         self.holders: list[list[tuple[int, int]]] = [[] for _ in range(r)]
         self._feasible: dict[int, bool] = {}
-        self.trail: list[tuple[tuple, int]] = []
+        self.trail: list[tuple[tuple | list, int | None]] = []
         self._preassign()
         self.order = self._variable_order()
-        self.plans = [self._plan(*entry) for entry in self.order]
+        self.waiting = self._lex_chains()
+        self.plans = [self._plan(*entry, waiting)
+                      for entry, waiting in zip(self.order, self.waiting)]
 
     # -- setup
 
@@ -745,12 +796,33 @@ class _Search:
                         deg[a] * deg[b] // deg[c] for a, b, c in members)))
         return order
 
-    def _plan(self, i, j, k, members, bound):
+    def _plan(self, i, j, k, members, bound, waiting):
         """The plan of one entry of ``order`` (see the class docstring)."""
         deg = self.deg
         return (self.row_sum[i], j, deg[i] * deg[j], deg[k], bound, tuple(
             (a, b, c, deg[c], deg[a] * deg[b], 1 << c, self.value[a][b],
-             self.row_sum[a], self.row_mask[a]) for a, b, c in members))
+             self.row_sum[a], self.row_mask[a]) for a, b, c in members),
+            waiting)
+
+    def _lex_chains(self):
+        """``waiting[q]`` for each position q: the chain links of the
+        generators whose next comparison reads position q, at first each
+        generator's head (see the class docstring)."""
+        value = self.value
+        position = {e: p for p, (*_, members, _) in enumerate(self.order)
+                    for e in members}
+        cells = [(value[i][j], k) for i, j, k, *_ in self.order]
+        waiting = [[] for _ in self.order]
+        for sigma in _relabellings(self.deg, self.dual):
+            image = [position[sigma[i], sigma[j], sigma[k]]
+                     for i, j, k, *_ in self.order]
+            link = None
+            for p in reversed(range(len(image))):
+                if image[p] > p:
+                    link = (*cells[p], *cells[image[p]], image[p], link)
+            if link is not None:
+                waiting[link[4]].append(link)
+        return waiting
 
     # -- propagation helpers
 
@@ -867,48 +939,123 @@ class _Search:
         cover the four, so each triple is checked when the last row it reads
         completes; a triple of rows complete from the start has two unit
         indices.  So associativity never rejects a leaf.
+
+        Only the candidates whose rows x*y and y*z are complete are
+        checked.  When one fails and the run has no failure yet, the trace
+        names the first failing triple of ``_candidates``.
         """
-        r, rows, packed, width = self.r, self.rows, self.packed, self.width
+        rows, packed, width = self.rows, self.packed, self.width
+        row_a = rows[a]
+        # a triple with the unit always holds, and a holder (x, a) of a or
+        # (b, z) of b gives a triple of the first two lists
+        checkable = [(a, b, z) for z, row in enumerate(rows[b])
+                     if z and row is not None]
+        checkable += [(x, a, b) for x, plane in enumerate(rows)
+                      if x and plane[a] is not None]
+        checkable += [(x, y, b) for x, y in self.holders[a]
+                      if y and y != a and rows[y][b] is not None]
+        checkable += [(a, y, z) for y, z in self.holders[b]
+                      if y and y != b and row_a[y] is not None]
+        for x, y, z in checkable:
+            if _associativity_defect(rows, packed, width, x, y, z) is not None:
+                if self.first_failure is None:
+                    x, y, z = next(t for t in self._candidates(a, b) if
+                                   _associativity_defect(rows, packed, width, *t)
+                                   is not None)
+                    self._fail(f"associativity fails on triple ({x},{y},{z})")
+                return False
+        return True
+
+    def _candidates(self, a, b):
+        """The trigger's candidates for row (a, b) as a set, filled
+        row-major as a scan of the table would add them: the set's iteration
+        order, and so the triple a trace names, depends on it."""
+        r = self.r
         candidates = {(a, b, z) for z in range(r)}
         candidates |= {(x, a, b) for x in range(r)}
-        # row-major, as a scan of the table would add them: the set's
-        # iteration order, and so the first failing triple, depends on it
         for x, y in sorted(self.holders[a]):
             candidates.add((x, y, b))
         for y, z in sorted(self.holders[b]):
             candidates.add((a, y, z))
-        for x, y, z in candidates:
-            if rows[x][y] is None or rows[y][z] is None:
-                continue  # the kernel would return None at once
-            if _associativity_defect(rows, packed, width, x, y, z) is not None:
-                return self._fail(f"associativity fails on triple ({x},{y},{z})")
-        return True
+        return candidates
 
     # -- main loop
 
     def run(self) -> FusionDatum | None:
-        return self._descend(0)
+        """Depth first over ``plans``, each position's values in ascending
+        order, so the first leaf that passes is the lex-least witness.
 
-    def _descend(self, pos: int) -> FusionDatum | None:
-        if pos == len(self.plans):
-            return self._leaf()
-        sums, j, dij, dk, bound, members = self.plans[pos]
-        for v in range(min(bound, (dij - sums[j]) // dk) + 1):
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise BudgetExhausted
-            mark = len(self.trail)
-            if self._assign(members, v):
-                found = self._descend(pos + 1)
+        ``levels`` holds one entry per position set so far: its remaining
+        values, its members, the least value and tied generators of the lex
+        check, and the trail length before it.  The loop keeps no Python
+        frame per position, so its cost per node does not depend on depth.
+        """
+        plans, trail = self.plans, self.trail
+        levels = []
+        while True:
+            pos = len(levels)
+            if pos < len(plans):
+                sums, j, dij, dk, bound, members, waiting = plans[pos]
+                # X[p] <= X[pos] for each generator waiting here; those tied
+                # at the least value left move on to their next comparison
+                low, ties = 0, waiting
+                if waiting:
+                    low = max([xs[xk] for xs, xk, *_ in waiting])
+                    ties = [link for link in waiting if link[0][link[1]] == low]
+                levels.append((iter(range(low, min(bound, (dij - sums[j]) // dk)
+                                          + 1)), members, low, ties, len(trail)))
+            else:
+                found = self._leaf()
                 if found is not None:
                     return found
-            self._undo(mark)
-        return None
+            # set the deepest position to its next value that holds, and
+            # give up positions whose values ran out
+            while levels:
+                values, members, low, ties, mark = levels[-1]
+                if len(trail) > mark:
+                    self._undo(mark)
+                for v in values:
+                    self.nodes += 1
+                    if self.nodes > self.budget:
+                        raise BudgetExhausted
+                    if (v != low or not ties or self._advance(ties)) \
+                            and self._assign(members, v):
+                        break
+                    self._undo(mark)
+                else:
+                    levels.pop()
+                    continue
+                break
+            else:
+                return None
+
+    def _advance(self, ties) -> bool:
+        """Move each generator tied at the position being set to the first
+        later comparison that is open or unequal; False when one reads
+        X[p] > X[pi(p)] there.  A generator that waits at an open position
+        is appended to its list, and the list goes on the trail."""
+        waiting, trail = self.waiting, self.trail
+        for link in ties:
+            while (link := link[5]) is not None:
+                xs, xk, ys, yk, q, _ = link
+                y = ys[yk]
+                if y is None:
+                    waiting[q].append(link)
+                    trail.append((waiting[q], None))
+                    break
+                if xs[xk] != y:
+                    if xs[xk] > y:
+                        return False
+                    break
+        return True
 
     def _undo(self, mark: int):
         trail = self.trail
         while len(trail) > mark:
             members, count = trail.pop()
+            if count is None:  # a generator that waited at a later position
+                members.pop()
+                continue
             for a, b, c, dc, _, bit, values, sums, masks in \
                     reversed(members[:count]):
                 if not masks[b]:

@@ -1049,9 +1049,11 @@ def build_lifted_twist(g: FiniteGroup, subgroup,
     zeta_e, e the exponent of A: x(a) = zeta_e^<x,a> and omega(x, y) =
     zeta_e^w(x,y).  So |A|^2 phi(a, b) = sum_t N_t zeta_e^t, where N_t
     counts the pairs (x, y) with <x,a> + w(x,y) + <y,b> = t (mod e), and
-    phi^{-1} is the same count with -w.  The count runs in two stages, as
-    the sum would: the counts over y once per (x, b), then each added to
-    N at (a, b) shifted by <x,a>, so the cost is O(|A|^3 e) integer
+    phi^{-1} is the same count with -w.  For fixed x and b, y -> w(x,y) +
+    <y,b> is a character of the character group, so the y-sum of its
+    zeta_e-powers is |A| for the one b that makes it trivial, <y,b> =
+    -w(x,y) for every y, and 0 for every other b.  So each x adds |A| at
+    exponent <x,a> to N at (a, b_x) for every a: O(|A|^2 e) integer
     additions and one CycNumber per entry.
     """
     a_group, to_parent, decomp = _abelian_subgroup(g, subgroup, bichar)
@@ -1059,30 +1061,29 @@ def build_lifted_twist(g: FiniteGroup, subgroup,
     e = _common_conductor(*orders)  # A's exponent, within the field limit
     size = a_group.order
     chars = list(itertools.product(*[range(m) for m in orders]))
-    # <x, a>, and w as its coefficients on x_i y_j, i < j: the bicharacter
-    # value is zeta_q^t for q = gcd(m_i, m_j), read once
     pairing = [[sum(xi * ai * (e // m) for xi, ai, m in
                     zip(x, decomp.coords[a], orders)) % e for a in range(size)]
                for x in chars]
-    terms = []
+    element = {c: a for a, c in decomp.coords.items()}
+    # w(x, y) = sum_j y_j W_j(x), W_j(x) = sum_{i<j} x_i c_ij: the
+    # bicharacter value on (i, j) is zeta_q^t for q = gcd(m_i, m_j), read
+    # once, and c_ij = t e / q is a multiple of e / m_j
+    weights = [[] for _ in orders]
     for i, j in itertools.combinations(range(len(orders)), 2):
         q = math.gcd(orders[i], orders[j])
         t = next(t for t in range(q) if bichar.values[i][j] ==
                  CycNumber.root_of_unity(q, t))
-        terms.append((i, j, t * (e // q)))
-    w = [[sum(x[i] * y[j] * c for i, j, c in terms) for y in chars]
-         for x in chars]
+        weights[j].append((i, t * (e // q)))
     den = size * size
     out = []
     for sign in (1, -1):
         counts = [[[0] * e for _ in range(size)] for _ in range(size)]
-        for b, column in enumerate(counts):  # column[a]: N_t at (a, b)
-            for x, shifts in enumerate(pairing):
-                inner = Counter([(sign * w[x][y] + pairing[y][b]) % e
-                                 for y in range(size)])
-                for u, c in inner.items():
-                    for vec, s in zip(column, shifts):
-                        vec[(u + s) % e] += c
+        for x, shifts in zip(chars, pairing):
+            # b_x has <y, b_x> = sum_j y_j (b_x)_j e / m_j = -sign w(x, y)
+            b = element[tuple(-sign * sum(x[i] * c for i, c in terms) % e
+                              // (e // m) for terms, m in zip(weights, orders))]
+            for vec, s in zip(counts[b], shifts):  # vec: N_t at (a, b)
+                vec[s] += size
         entries = {}  # to_parent increases, so the keys ascend
         for a, b in itertools.product(range(size), repeat=2):
             vec = _spread(counts[b][a], e)

@@ -466,6 +466,11 @@ def test_packed_associativity_kernel_matches_the_dict_kernel(top, data):
             _dict_associativity_defect(rows, x, y, z), (x, y, z)
 
 
+# (type, status, nodes of the search without symmetry breaking, trace):
+# the node count is that of `_relabellings` returning no generator, and
+# LEX_NODES holds the count of the real search, the same tree with the
+# relabelled copies pruned.  Both are pinned, so a change to propagation
+# and a change to the symmetry breaking show apart.
 PINNED_SEARCHES = [
     ("1,2;2,1;4,1", "infeasible", 13, "row (1,2) can no longer meet its degree sum"),
     ("1,2;2,1;4,2", "infeasible", 183, "row (1,2) can no longer meet its degree sum"),
@@ -482,11 +487,22 @@ PINNED_SEARCHES = [
     # most of its nodes end in a row feasibility test
     ("1,4;3,4;4,1", "infeasible", 5472,
      "row (1,2) can no longer meet its degree sum"),
+    # two lex-leader generators wait at one position with different X[p]
+    ("1,1;2,4;3,2", "infeasible", 16752, "row (1,1) sums wrong"),
 ]
+
+LEX_NODES = {"1,2;2,1;4,1": 13, "1,2;2,1;4,2": 131, "1,2;2,1;4,3": 3745,
+             "1,6;3,2": 241, "1,3;2,1": 10, "1,4;3,2": 151, "1,4;2,1;3,2": 419,
+             "1,5;3,1;4,1": 119, "1,4;3,4;4,1": 2507, "1,1;2,4;3,2": 2178}
 
 
 @pytest.mark.parametrize("typestr,status,nodes,trace", PINNED_SEARCHES)
-def test_search_nodes_and_trace_are_pinned(typestr, status, nodes, trace):
+def test_search_nodes_and_trace_are_pinned(monkeypatch, typestr, status, nodes,
+                                           trace):
+    out = search_fusion(P(typestr), "hopf", 10 ** 6)
+    assert (out.status, out.nodes, out.trace) == \
+        (status, LEX_NODES[typestr], trace)
+    monkeypatch.setattr(fusion, "_relabellings", lambda degrees, dual: [])
     out = search_fusion(P(typestr), "hopf", 10 ** 6)
     assert (out.status, out.nodes, out.trace) == (status, nodes, trace)
 
@@ -504,16 +520,32 @@ def _fills(budget, degrees):
     return budget in sums
 
 
+def _position_images(search, sigma):
+    """pi with sigma X[p] = X[pi(p)]: the position of the orbit that the
+    relabelling sigma maps position p's orbit onto, found by comparing
+    whole orbits as sets."""
+    orbits = [frozenset(orbit) for *_, orbit, _ in search.order]
+    where = {orbit: p for p, orbit in enumerate(orbits)}
+    return [where[frozenset((sigma[a], sigma[b], sigma[c]) for a, b, c in orbit)]
+            for orbit in orbits]
+
+
 class _CheckedSearch(fusion._Search):
     """A search that compares its incremental state with a fresh scan of the
     table at every node, and checks that unwinding the whole trail restores
-    the state it had right after ``_preassign``."""
+    the state it had right after ``_preassign``.
+
+    The lex-leader state is checked against a rescan of every generator:
+    the first position p with pi(p) > p at which X[p] and X[pi(p)] are not
+    both set and equal.  Both set there means X[p] < X[pi(p)] and the
+    generator waits nowhere; otherwise it waits at pi(p)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.initial = self._state()
         deg = self.deg
-        for (i, j, k, orbit, bound), plan in zip(self.order, self.plans):
+        for (i, j, k, orbit, bound), plan, waiting in zip(
+                self.order, self.plans, self.waiting, strict=True):
             assert plan[:5] == (self.row_sum[i], j, deg[i] * deg[j], deg[k],
                                 bound)
             assert plan[0] is self.row_sum[i]
@@ -522,12 +554,58 @@ class _CheckedSearch(fusion._Search):
                 assert member[6] is self.value[a][b]
                 assert member[7] is self.row_sum[a]
                 assert member[8] is self.row_mask[a]
+            assert plan[6] is waiting
+        # each chain is the list of ((p, pi(p)), link) of one generator
+        cell = {(id(self.value[i][j]), k): p
+                for p, (i, j, k, *_) in enumerate(self.order)}
+        self.chains = []
+        for q, heads in enumerate(self.waiting):
+            for link in heads:
+                chain = []
+                while link is not None:
+                    xs, xk, ys, yk, at, after = link
+                    assert cell[id(ys), yk] == at
+                    chain.append(((cell[id(xs), xk], at), link))
+                    link = after
+                assert chain[0][0][1] == q
+                self.chains.append(chain)
+        expected = []
+        for sigma in fusion._relabellings(self.deg, self.dual):
+            image = _position_images(self, sigma)
+            assert all(image[image[p]] == p for p in range(len(image)))
+            pairs = [(p, q) for p, q in enumerate(image) if q > p]
+            if pairs:
+                expected.append(pairs)
+        assert sorted([pair for pair, _ in chain] for chain in self.chains) \
+            == sorted(expected)
 
     def _state(self):
         return (copy.deepcopy(self.value), copy.deepcopy(self.row_sum),
                 copy.deepcopy(self.row_mask), copy.deepcopy(self.rows),
                 copy.deepcopy(self.packed), copy.deepcopy(self.holders),
+                [[id(link) for link in waiting] for waiting in self.waiting],
                 list(self.trail))
+
+    def _check_lex_state(self, v=None):
+        """At a node that sets the first open position to v, after its lex
+        check passed, or at a leaf when v is None."""
+        x = [self.value[i][j][k] for i, j, k, *_ in self.order]
+        pos = x.index(None) if v is not None else len(x)
+        assert all(value is None for value in x[pos:])
+        if v is not None:
+            x[pos] = v
+        expected = []
+        for chain in self.chains:
+            for (p, q), link in chain:
+                if x[q] is None:
+                    expected.append(id(link))
+                    break
+                if x[p] != x[q]:
+                    assert x[p] < x[q]
+                    break
+        live = [id(link) for waiting in self.waiting[pos + 1:]
+                for link in waiting]
+        assert sorted(live) == sorted(expected)
 
     def _check_state(self):
         r, value = self.r, self.value
@@ -553,12 +631,20 @@ class _CheckedSearch(fusion._Search):
                 for k, v in self.rows[x][y]:
                     fresh_holders[k].append((x, y))
         assert [sorted(h) for h in self.holders] == fresh_holders
-        # a node is entered only after whole orbits were set
-        assert all(count == len(members) for members, count in self.trail)
+        # a node is entered only after whole orbits were set; a count of
+        # None marks a generator that moved on to wait at a later position
+        assert all(count == len(members) for members, count in self.trail
+                   if count is not None)
 
-    def _descend(self, pos):
+    def _assign(self, members, v):
         self._check_state()
-        return super()._descend(pos)
+        self._check_lex_state(v)
+        return super()._assign(members, v)
+
+    def _leaf(self):
+        self._check_state()
+        self._check_lex_state()
+        return super()._leaf()
 
     def run(self):
         found = super().run()
@@ -572,7 +658,8 @@ def test_incremental_search_state_matches_a_fresh_scan(monkeypatch, typestr,
                                                        status, nodes, trace):
     monkeypatch.setattr(fusion, "_Search", _CheckedSearch)
     out = search_fusion(P(typestr), "hopf", 10 ** 6)
-    assert (out.status, out.nodes, out.trace) == (status, nodes, trace)
+    assert (out.status, out.nodes, out.trace) == \
+        (status, LEX_NODES[typestr], trace)
 
 
 def _largest_digit(rows, x, y, z):
@@ -626,6 +713,13 @@ class _NamedFailureSearch(fusion._Search):
         return passed
 
 
+def _named_failure_run(monkeypatch, typestr):
+    monkeypatch.setattr(fusion, "_Search", _NamedFailureSearch)
+    monkeypatch.setattr(_NamedFailureSearch, "failures", 0)
+    out = search_fusion(P(typestr), "hopf", 10 ** 6)
+    return out.status, out.nodes, _NamedFailureSearch.failures
+
+
 @pytest.mark.parametrize("typestr,status,nodes,failures", [
     ("1,4;3,4;4,1", "infeasible", 5472, 126),
     ("1,7;7,1", "feasible", 1545, 12),   # coefficients up to 43
@@ -633,12 +727,59 @@ class _NamedFailureSearch(fusion._Search):
 def test_associativity_trigger_names_the_dict_kernels_triple(
         monkeypatch, typestr, status, nodes, failures):
     """Associativity is never the first failure of a pinned search, so the
-    triple a trace would name is checked here, on every prune."""
-    monkeypatch.setattr(fusion, "_Search", _NamedFailureSearch)
-    monkeypatch.setattr(_NamedFailureSearch, "failures", 0)
-    out = search_fusion(P(typestr), "hopf", 10 ** 6)
-    assert (out.status, out.nodes) == (status, nodes)
-    assert _NamedFailureSearch.failures == failures
+    triple a trace would name is checked here, on every prune.  The search
+    runs without lex-leader generators, whose whole tree reaches more
+    associativity prunes."""
+    monkeypatch.setattr(fusion, "_relabellings", lambda degrees, dual: [])
+    assert _named_failure_run(monkeypatch, typestr) == (status, nodes, failures)
+
+
+@pytest.mark.parametrize("typestr,status,nodes,failures", [
+    ("1,4;3,4;4,1", "infeasible", 2507, 37),
+    ("1,7;7,1", "feasible", 487, 4),
+])
+def test_associativity_trigger_names_the_triple_under_lex_leader(
+        monkeypatch, typestr, status, nodes, failures):
+    assert _named_failure_run(monkeypatch, typestr) == (status, nodes, failures)
+
+
+@pytest.mark.parametrize("typestr", [t for t, *_ in PINNED_SEARCHES])
+def test_relabellings_generate_the_centralizer_of_the_dual(typestr):
+    """For every duality pattern, each generator fixes 0, preserves degrees,
+    commutes with the dual and is a nontrivial involution, and together
+    they generate every such relabelling, found by brute force over the
+    permutations of each degree class."""
+    degrees = P(typestr).basis_degrees()
+    r = len(degrees)
+    identity = tuple(range(r))
+    for dual in fusion._dual_patterns(degrees):
+        gens = fusion._relabellings(degrees, dual)
+        for sigma in gens:
+            assert sorted(sigma) == list(identity) and sigma != identity
+            assert sigma[0] == 0
+            assert all(degrees[sigma[i]] == degrees[i] for i in range(r))
+            assert all(sigma[dual[i]] == dual[sigma[i]] for i in range(r))
+            assert all(sigma[sigma[i]] == i for i in range(r))
+        classes = [[i for i in range(1, r) if degrees[i] == d]
+                   for d in sorted(set(degrees[1:]))]
+        centralizer = set()
+        for images in itertools.product(*(itertools.permutations(c)
+                                          for c in classes)):
+            sigma = list(identity)
+            for c, image in zip(classes, images):
+                for i, j in zip(c, image):
+                    sigma[i] = j
+            if all(sigma[dual[i]] == dual[sigma[i]] for i in range(r)):
+                centralizer.add(tuple(sigma))
+        generated, frontier = {identity}, [identity]
+        while frontier:
+            tau = frontier.pop()
+            for sigma in gens:
+                product = tuple(sigma[tau[i]] for i in range(r))
+                if product not in generated:
+                    generated.add(product)
+                    frontier.append(product)
+        assert generated == centralizer
 
 
 @pytest.mark.parametrize("typestr", [t for t, *_ in PINNED_SEARCHES])

@@ -9,11 +9,18 @@ passes ``verify_fusion_datum``.  Nothing here uses the search's own
 duality patterns, orbits or variable order.
 
 ``1,1;3,3`` is left out: its product over orbits is too large to run.
+
+The search's lex-leader constraints are checked differentially, against
+the same search with no generator, which explores every relabelled copy
+of a table.
 """
 
 import itertools
 from collections import Counter
 
+import pytest
+
+from hopfcensus import census, fusion
 from hopfcensus.fusion import (PROFILES, AlgebraTypeSignature, FusionDatum,
                                search_fusion, verify_fusion_datum)
 
@@ -122,3 +129,46 @@ def test_search_verdicts_match_the_brute_force_oracle():
     # all "infeasible"
     assert verdicts == {"feasible": 15, "infeasible": 23}
 
+
+def _unbroken(signature, profile, budget):
+    """The search with no lex-leader generator."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fusion, "_relabellings", lambda degrees, dual: [])
+        return search_fusion(signature, profile, budget)
+
+
+def _witness(outcome):
+    return outcome.witness and outcome.witness.to_json()
+
+
+def test_lex_leader_search_keeps_every_verdict_and_witness():
+    """Breaking the relabelling symmetry changes no status, witness or
+    trace and never adds a node.  Where the unbroken search runs out of
+    budget and the broken one decides, the unbroken one is run again at
+    10^6 nodes and must reach the same verdict.
+
+    The cases: the brute-force types above and the pinned searches at 10^6
+    nodes, and every R1 survivor with at most 8 basis elements at
+    dimensions 6-30 at 20,000 nodes, under both profiles."""
+    from test_fusion import PINNED_SEARCHES
+
+    cases = [(sig, profile, 10 ** 6) for sig in SIGNATURES
+             for profile in PROFILES]
+    cases += [(AlgebraTypeSignature.parse(t), "hopf", 10 ** 6)
+              for t, *_ in PINNED_SEARCHES]
+    cases += [(sig, profile, 20000) for d in range(6, 31)
+              for sig in census.enumerate_types(d, "R1").survivors
+              if len(sig.basis_degrees()) <= 8 for profile in PROFILES]
+    decided = []
+    for signature, profile, budget in cases:
+        broken = search_fusion(signature, profile, budget)
+        plain = _unbroken(signature, profile, budget)
+        assert broken.nodes <= plain.nodes, (str(signature), profile)
+        if plain.status == "inconclusive" != broken.status:
+            decided.append((str(signature), profile, broken.status))
+            plain = _unbroken(signature, profile, 10 ** 6)
+        assert (broken.status, broken.trace, _witness(broken)) == \
+            (plain.status, plain.trace, _witness(plain)), (str(signature), profile)
+    assert len(cases) == 2 * len(SIGNATURES) + len(PINNED_SEARCHES) + 206
+    assert decided == [("1,4;2,3;3,1", "basic", "infeasible"),
+                       ("1,2;2,4;3,1", "basic", "infeasible")]

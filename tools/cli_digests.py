@@ -4,8 +4,12 @@ Usage: python tools/cli_digests.py SRC OUT
 
 SRC is the ``src`` directory of the tree under test; each command runs in
 process through that tree's ``hopfcensus.cli.run``.  OUT gets one line per
-command: the sha256 of its stdout, its exit code and its argv.  Two trees
-behave the same on the set when ``diff`` of their OUT files is empty.
+command: the sha256 of its stdout, the sha256 of its stdout with every
+search node count masked (``"nodes": N``, ``nodes: N`` and ``nodes=N``
+read ``#`` for N), its exit code and its argv.  Two trees behave the same
+on the set when ``diff`` of their OUT files is empty.  A change that moves
+only node counts differs in the first column alone, which
+``diff <(cut -d' ' -f2- parent.txt) <(cut -d' ' -f2- change.txt)`` drops.
 
 The set is:
 - the six acceptance determinism commands, as JSON and under
@@ -38,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -65,6 +70,11 @@ USAGE_ERRORS = [
     ["fusion-verify", "--file", "datum.json", "--group", "Q8"],
     ["fusion-verify"],
 ]
+
+
+# a node count in JSON ("nodes": N), a table line (nodes: N) or a table
+# list entry (nodes=N)
+_NODES = re.compile(r'(\bnodes"?(?::|=) ?)\d+')
 
 
 def _zeta3(conductor: int, k: int) -> dict:
@@ -124,8 +134,10 @@ def main(argv) -> int:
         for args in commands(census, groups):
             buf = io.StringIO()
             code = cli.run(args, buf)
-            digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-            out.write(f"{digest} {code} {shlex.join(args)}\n")
+            text = buf.getvalue()
+            digest, masked = (hashlib.sha256(t.encode()).hexdigest()
+                              for t in (text, _NODES.sub(r"\1#", text)))
+            out.write(f"{digest} {masked} {code} {shlex.join(args)}\n")
     return 0
 
 
