@@ -6,7 +6,8 @@ Submodules:
   type of every value the package returns, and the integer numerators in
   Z[zeta_n] that the Hopf kernels run on.
 * ``groups``     -- finite groups by multiplication table, with the derived
-  invariants (center, classes, centralizers, bicharacters).
+  invariants (center, classes, centralizers, the character table mod p,
+  bicharacters).
 * ``fusion``     -- based rings of irreducible characters: axiom verification,
   stabilizers, standard subalgebras and the infeasibility search.
 * ``census``     -- enumeration of algebra-type signatures for a given

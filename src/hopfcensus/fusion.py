@@ -32,16 +32,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 from hopfcensus.cyclotomic import _nat_span
-from hopfcensus.groups import FiniteGroup, _closure, _element_order
+from hopfcensus.groups import (FiniteGroup, _closure, _element_order,
+                               abelian_decomposition)
 
 
 class FusionError(ValueError):
-    pass
-
-
-class UnsupportedGroupError(FusionError):
     pass
 
 
@@ -521,33 +519,40 @@ def _check_nr_dichotomy(f: FusionDatum) -> AxiomCheck:
 # -- fusion data from groups ------------------------------------------------------
 
 def from_group_characters(g: FiniteGroup) -> FusionDatum:
-    """The character ring of a group with at most one nonlinear irreducible.
+    """The character ring of a group, read from ``g.character_table``.
 
-    The linear characters form G/G': their block is the quotient's table,
-    with inverses as duals.  A single nonlinear rho has degree d with
-    d^2 = |G| - |G:G'|; it is self-dual, lambda rho = rho lambda = rho for
-    every linear lambda, and rho^2 = sum lambda + ((d^2 - |G:G'|) / d) rho.
-    The nonlinear count is the class count minus |G:G'|.
+    N_ij^k = |G|^-1 sum_r |C_r| chi_i(g_r) chi_j(g_r) conj(chi_k(g_r)), over
+    the classes C_r, is an integer in [0, |G|), so its residue mod the
+    table's prime p is the integer.  The labels are the unit, the linear
+    characters in the order of G/G' (``quotient``'s elements), then the
+    nonlinear ones in the table's order: by degree, then by their residues
+    along the classes.  The element of G/G' with coordinates c in the basis
+    of ``abelian_decomposition`` labels x |-> prod_j zeta_j^(c_j x_j), where
+    x_j are the coordinates of x G' and zeta_j = z^((p - 1) / n_j) for the
+    least primitive root z mod p and the order n_j of the j-th basis
+    element.  So the linear block is the quotient's table, with inverses as
+    duals.
     """
-    q, _ = g.quotient(g.commutator_subgroup)
-    ell, r = q.order, len(g.conjugacy_classes)
-    if r > ell + 1:
-        raise UnsupportedGroupError(
-            f"no shipped character ring for nonabelian group {g.name} of order {g.order}")
-    constants = [[[0] * r for _ in range(r)] for _ in range(r)]
-    for a in range(ell):
-        for b in range(ell):
-            constants[a][b][q.table[a][b]] = 1
-    degrees, dual = [1] * ell, [q.inv(a) for a in range(ell)]
-    if r > ell:
-        d = math.isqrt(g.order - ell)
-        for a in range(ell):
-            constants[a][ell][ell] = constants[ell][a][ell] = 1
-            constants[ell][ell][a] = 1
-        constants[ell][ell][ell] = (d * d - ell) // d
-        degrees.append(d)
-        dual.append(ell)
-    return FusionDatum(degrees, dual, constants)
+    p, values = g.character_table
+    q, proj = g.quotient(g.commutator_subgroup)
+    basis = abelian_decomposition(q)
+    z = next(z for z in range(2, p) if all(
+        pow(z, (p - 1) // d, p) != 1 for d in range(2, p) if (p - 1) % d == 0))
+    steps = [(p - 1) // m for m in basis.orders]
+    classes = g.conjugacy_classes
+    coords = [basis.coords[proj[c[0]]] for c in classes]
+    chi = [tuple(pow(z, sum(map(math.prod, zip(steps, basis.coords[a], x))), p)
+                 for x in coords) for a in range(q.order)] + list(values[q.order:])
+    cls = {x: r for r, c in enumerate(classes) for x in c}
+    bar = [tuple(v[cls[g.inv(c[0])]] for c in classes) for v in chi]
+    over_order = pow(g.order, -1, p)
+    constants = [[[sum(map(mul, xy, w)) * over_order % p for w in bar]
+                  for xy in ([len(c) * u * v % p
+                              for c, u, v in zip(classes, x, y)] for y in chi)]
+                 for x in chi]
+    label = {v: i for i, v in enumerate(chi)}
+    return FusionDatum([v[cls[g.identity]] for v in chi],
+                       [label[w] for w in bar], constants)
 
 
 # -- the search --------------------------------------------------------------------

@@ -9,8 +9,8 @@ the action is by automorphisms.  Subgroups are plain sorted index tuples
 inside the parent group.  All derived data (center, classes, abelian
 decompositions, ...) is computed by brute-force scans, which is exact and
 instant at the orders this package deals with (<= 64).
-Irreducible degrees count |G:G'| linear characters and take the rest from
-the census's partitions into squares (``cyclotomic``).  The closure and
+The character table is computed over F_p by Dixon's method, and the
+irreducible degrees are read from it.  The closure and
 element-order kernels here are shared with the fusion module, and
 ``hopfcore``'s generator rows close their reached set with ``_closure``.
 """
@@ -20,9 +20,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 
-from hopfcensus.cyclotomic import CycNumber, _partitions_into_squares, divisors
+from hopfcensus.cyclotomic import CycNumber
 
 
 class GroupError(ValueError):
@@ -31,10 +32,6 @@ class GroupError(ValueError):
 
 class NotAbelianError(GroupError):
     pass
-
-
-class AmbiguousDegreesError(GroupError):
-    """The degree-counting constraints admit more than one solution."""
 
 
 MAX_GROUP_ORDER = 64
@@ -192,25 +189,116 @@ class FiniteGroup:
         return FiniteGroup(table, name=f"{self.name}/N", validate=False), proj
 
     @cached_property
-    def irreducible_degrees(self) -> tuple[int, ...]:
-        """Multiset of irreducible complex representation degrees.
+    def character_table(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(p, values): the irreducible characters as residues mod the least
+        prime p = 1 mod exp(G) with p > 2|G|, so that every character value,
+        a sum of exp(G)-th roots of unity, has an image in F_p and every
+        degree is below p.  ``values[i][r]`` is chi_i on the r-th class of
+        ``conjugacy_classes``.  The rows ascend by degree, then by their
+        residues in [0, p) along the classes, so the trivial one is first.
 
-        Inferred by constrained counting: the number of linear characters is
-        the index |G:G'|, the number of nonlinear ones is the remaining class
-        count, their squares sum to the remaining order, and each degree
-        divides the group order.  Raises AmbiguousDegreesError when these
-        constraints admit more than one solution.
+        Dixon's method (Dixon, *High speed computation of group characters*,
+        Numer. Math. 1967; Schneider, *Dixon's character table algorithm
+        revisited*, J. Symbolic Comput. 1990): the class sums multiply as
+        C_r C_s = sum_t a_rst C_t, so w(C_t) = |C_t| chi(g_t) / chi(1) is a
+        common eigenvector of the class matrices (a_rst)_{s,t}, with
+        w(C_1) = 1.  As p does not divide |G|, the class matrices split
+        F_p^k into k common eigenlines.  They split it one matrix at a time,
+        each space by the roots of the characteristic polynomial of the
+        matrix restricted to it.  Then chi(1)^2 = |G| / sum_r w(C_r) w(C_r*)
+        / |C_r| is below p, so it is read as an integer.
         """
-        ell = self.order // len(self.commutator_subgroup)
-        k = len(self.conjugacy_classes) - ell
-        solutions = [entries for entries in _partitions_into_squares(
-                         self.order - ell, divisors(self.order)[1:], 0, {})
-                     if sum(m for _, m in entries) == k]
-        if len(solutions) != 1:
-            raise AmbiguousDegreesError(
-                f"{len(solutions)} degree multisets satisfy the constraints "
-                f"for {self.name}")
-        return (1,) * ell + tuple(d for d, m in solutions[0] for _ in range(m))
+        classes, n = self.conjugacy_classes, self.order
+        k = len(classes)
+        cls = {x: r for r, c in enumerate(classes) for x in c}
+        unit = cls[self.identity]
+        e = math.lcm(*map(self.element_order, range(n)))
+        p = next(p for p in itertools.count(e * -(-2 * n // e) + 1, e)
+                 if all(p % d for d in range(2, math.isqrt(p) + 1)))
+        # a[r][s][t] counts the x in C_r with x^-1 z in C_s, for one z in C_t
+        a = [[[0] * k for _ in range(k)] for _ in range(k)]
+        for t, c in enumerate(classes):
+            for r, cr in enumerate(classes):
+                for x in cr:
+                    a[r][cls[self.table[self._inv[x]][c[0]]]][t] += 1
+        # each space is a basis and its pivots: basis[j][pivots[i]] = [i = j],
+        # so a vector of the space is its values at the pivots times the basis
+        spaces = [([[int(i == j) for j in range(k)] for i in range(k)], range(k))]
+        for m in a[:unit] + a[unit + 1:]:  # the unit's matrix is 1
+            if len(spaces) == k:
+                break
+            split = []
+            for basis, pivots in spaces:
+                restricted = [[sum(map(mul, m[i], b)) % p for b in basis]
+                              for i in pivots]
+                for x in _eigenvalues(restricted, p):
+                    reduced, cols = _echelon(
+                        [[v - x * (i == j) for j, v in enumerate(row)]
+                         for i, row in enumerate(restricted)], p)
+                    # one eigenvector for each column f without a pivot: b_f
+                    # minus, for each row, row[f] times the b at its pivot
+                    free = [f for f in range(len(basis)) if f not in cols]
+                    split.append((
+                        [[(basis[f][t] - sum(row[f] * basis[c][t] for row, c
+                                             in zip(reduced, cols))) % p
+                          for t in range(k)] for f in free],
+                        [pivots[f] for f in free]))
+            spaces = split
+        over_size = [pow(len(c), -1, p) for c in classes]
+        rows = []
+        for (w,), _ in spaces:
+            w = [v * pow(w[unit], -1, p) % p for v in w]
+            norm = sum(w[r] * w[cls[self._inv[c[0]]]] * over_size[r]
+                       for r, c in enumerate(classes))
+            d = math.isqrt(n * pow(norm, -1, p) % p)
+            rows.append(tuple(v * d * s % p for v, s in zip(w, over_size)))
+        return p, tuple(sorted(rows, key=lambda row: (row[unit], row)))
+
+    @cached_property
+    def irreducible_degrees(self) -> tuple[int, ...]:
+        """Degrees of the irreducible complex representations, ascending:
+        the values of ``character_table`` at the identity."""
+        unit = next(r for r, c in enumerate(self.conjugacy_classes)
+                    if c[0] == self.identity)
+        return tuple(row[unit] for row in self.character_table[1])
+
+
+# -- linear algebra mod p -------------------------------------------------------
+
+def _echelon(rows, p) -> tuple[list[list[int]], list[int]]:
+    """The reduced row echelon form of ``rows`` mod p: its nonzero rows,
+    each 1 at its pivot column and alone there, and the pivot columns."""
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    for col in range(len(rows[0])):
+        h = len(pivots)
+        i = next((i for i in range(h, len(rows)) if rows[i][col] % p), None)
+        if i is None:
+            continue
+        rows[h], rows[i] = rows[i], rows[h]
+        inv = pow(rows[h][col], -1, p)
+        rows[h] = [v * inv % p for v in rows[h]]
+        for j, row in enumerate(rows):
+            if j != h and row[col] % p:
+                rows[j] = [(u - row[col] * v) % p for u, v in zip(row, rows[h])]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def _eigenvalues(a, p) -> list[int]:
+    """The roots in F_p of det(x - a), by evaluation at every residue.  The
+    coefficients come from traces (Faddeev-LeVerrier): with M_1 = 1,
+    c_{n-k} = -tr(a M_k) / k and M_{k+1} = a M_k + c_{n-k}; p exceeds n, so
+    each k is invertible."""
+    n = len(a)
+    coeffs, m = [1], [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(map(mul, row, col)) % p for col in zip(*m)] for row in a]
+        coeffs.append(-sum(am[i][i] for i in range(n)) * pow(k, -1, p) % p)
+        m = [[v + coeffs[-1] * (i == j) for j, v in enumerate(row)]
+             for i, row in enumerate(am)]
+    return [x for x in range(p)
+            if not reduce(lambda acc, c: (acc * x + c) % p, coeffs)]
 
 
 # -- closure kernels over sparse rows ----------------------------------------

@@ -24,10 +24,10 @@ PINNED = [
     ("h8-report --format table", 0, "02b9076ba4120052762fd26abfe9b74cee59c761caa786cf0e5c11f6eb641f14"),
     ("double --group D3xD3 --format json", 0, "a28919e8fb122fce7ae6b552b66ef9e9365c4087b4101f13f9b30221a675baf7"),
     ("double --group D3xD3 --format table", 0, "1904b9c0804243fdcffd3da7437206a0d21cde27f9c93cca4ed193598c74b2e5"),
-    ("fusion-verify --group D3xD3 --profile hopf --format json", 2, "5a88f736ddb3902884e8d48ab6c5bd8b1beff04e3da84b533d4a3b8107312268"),
-    ("fusion-verify --group D3xD3 --profile hopf --format table", 2, "5a88f736ddb3902884e8d48ab6c5bd8b1beff04e3da84b533d4a3b8107312268"),
-    ("fusion-verify --group D3xD3 --profile basic --format json", 2, "5a88f736ddb3902884e8d48ab6c5bd8b1beff04e3da84b533d4a3b8107312268"),
-    ("fusion-verify --group D3xD3 --profile basic --format table", 2, "5a88f736ddb3902884e8d48ab6c5bd8b1beff04e3da84b533d4a3b8107312268"),
+    ("fusion-verify --group D3xD3 --profile hopf --format json", 0, "e9cc0f31da052636512d844114a31fea4ef3288ed68e269072ad091283f19b20"),
+    ("fusion-verify --group D3xD3 --profile hopf --format table", 0, "8450742d8197111ae3e0660bb505a9c7b9dd957010321624d5d47b1460ea1b5d"),
+    ("fusion-verify --group D3xD3 --profile basic --format json", 0, "8de4728f522e1370d6934768134b64c0f7ef23ecf503abec45954666ad7dbf23"),
+    ("fusion-verify --group D3xD3 --profile basic --format table", 0, "7fb943e75ba1812cd17095b35af3cdc4400f1b674783e58e303e85ae28cce722"),
     ("twist --group D3xD3 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 0, "b76bc8e1d008332817b79054e9ba973db58632eb93a9420388f28005cafe0c32"),
     ("twist --group D3xD3 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 0, "5b4e02593b7397b02c2501b9cf32f7baead0abbce0c8548bf4055929664603a5"),
     ("twist --group D3xD3 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 0, "fdf3aa7423933f8eb12e53d025382e3b753e7f21db1a885aa6948d0d42b78751"),
@@ -52,10 +52,10 @@ PINNED = [
     ("twist --group D4 --subgroup center --bicharacter nondegenerate --check-cocommutative --group-likes --format table", 2, "0785331808d233af4fc5ae82c857d5897407044df1d1e035a62bb08a0a172b25"),
     ("double --group G12 --format json", 0, "c50d7845f7eae99346a28771ec9a0fa273aa8bb7b4c5d2fa57dd9f94cdb8b136"),
     ("double --group G12 --format table", 0, "fa013b7b023c83333e3deb17d16ee8f08dc5f04b582dba03c9ecab02ad749394"),
-    ("fusion-verify --group G12 --profile hopf --format json", 2, "8547880b6bb9eb985dcb5c9a534297695095d922a0afbe68ae57907b5c3df8ff"),
-    ("fusion-verify --group G12 --profile hopf --format table", 2, "8547880b6bb9eb985dcb5c9a534297695095d922a0afbe68ae57907b5c3df8ff"),
-    ("fusion-verify --group G12 --profile basic --format json", 2, "8547880b6bb9eb985dcb5c9a534297695095d922a0afbe68ae57907b5c3df8ff"),
-    ("fusion-verify --group G12 --profile basic --format table", 2, "8547880b6bb9eb985dcb5c9a534297695095d922a0afbe68ae57907b5c3df8ff"),
+    ("fusion-verify --group G12 --profile hopf --format json", 0, "86c0e39815f682d17969d2d5cd9104f46ec1ece8df3fcc4a995a6c370c2d665e"),
+    ("fusion-verify --group G12 --profile hopf --format table", 0, "2729156f6f1fad992ae83106e908684699b3cdd3b97c925488ed05f29f4585c7"),
+    ("fusion-verify --group G12 --profile basic --format json", 0, "ce9671fef5765dbda2aa016c556ee5b2bdaf6235d7c0850f462a433d4481a605"),
+    ("fusion-verify --group G12 --profile basic --format table", 0, "6e8d281635719e5f643738524bef919b4c4f456e6c1383ee9614306e080309a7"),
     ("twist --group G12 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 0, "6c3ddfd392e3e23c7a4c950eee9c6320bf8f588a5c7d88e8f2022ccebeb5db8b"),
     ("twist --group G12 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 0, "2b7ac4871dcbe0bc042753772e3b8349d640cab4dc2a689e0041a2b9a889a4a8"),
     ("twist --group G12 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 0, "d43aefbfeaf5677af035619eb912cb29b5b74526be944c90f53a4c8ba0fda3dd"),
@@ -66,10 +66,10 @@ PINNED = [
     ("twist --group G12 --subgroup center --bicharacter nondegenerate --check-cocommutative --group-likes --format table", 2, "0785331808d233af4fc5ae82c857d5897407044df1d1e035a62bb08a0a172b25"),
     ("double --group G18 --format json", 0, "4f4bb95d26bf25db846f67f78c49539f68e8d0c28e3dc1599142986583e864d6"),
     ("double --group G18 --format table", 0, "acf701be6871ab91cd7dc87c45dd1e55867085582c039b44d8ee3d3f2a021ac8"),
-    ("fusion-verify --group G18 --profile hopf --format json", 2, "4ceb86d932e3b3c418ea3e78892fbd8b104e3c9c46f48503c441824a867170dc"),
-    ("fusion-verify --group G18 --profile hopf --format table", 2, "4ceb86d932e3b3c418ea3e78892fbd8b104e3c9c46f48503c441824a867170dc"),
-    ("fusion-verify --group G18 --profile basic --format json", 2, "4ceb86d932e3b3c418ea3e78892fbd8b104e3c9c46f48503c441824a867170dc"),
-    ("fusion-verify --group G18 --profile basic --format table", 2, "4ceb86d932e3b3c418ea3e78892fbd8b104e3c9c46f48503c441824a867170dc"),
+    ("fusion-verify --group G18 --profile hopf --format json", 0, "547f49b16db9b08a61b999d488e2ac7e0a982b80b2c0f42840222c0651def6bc"),
+    ("fusion-verify --group G18 --profile hopf --format table", 0, "f57a33b3f31913b8f695917cf3a5e222060f96c65f744b37fbb2cd2188a89c96"),
+    ("fusion-verify --group G18 --profile basic --format json", 0, "797b606d384dca8898fc5b9122332a857eb7314d7b4dca10ead199750dea2873"),
+    ("fusion-verify --group G18 --profile basic --format table", 0, "ae09a4d8a05e2d1d45896d6c91ab4fd7f94407ed2ad4af5b703ba1a5bba42083"),
     ("twist --group G18 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format json", 0, "b8b42fab28667020b1a388c611f50b45288f1484816bdc21c8c0738adaee4a12"),
     ("twist --group G18 --subgroup auto --bicharacter trivial --check-cocommutative --group-likes --format table", 0, "ceb0cf667d382fba5c49467520898c7d03ec624837c4cba6a51faaec7e8af08b"),
     ("twist --group G18 --subgroup auto --bicharacter nondegenerate --check-cocommutative --group-likes --format json", 0, "4c20915c378876d60e471f3e0000e4f8fe19ffc352baa6ab5382dfbe1befc48c"),

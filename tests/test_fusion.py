@@ -8,19 +8,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfcensus import fusion
 from hopfcensus.cyclotomic import _nat_span
 from hopfcensus.fusion import (PROFILES, AlgebraTypeSignature, AxiomReport,
-                               FusionDatum, FusionError, UnsupportedGroupError,
-                               from_group_characters, search_fusion,
-                               verify_fusion_datum)
-from hopfcensus.groups import (FiniteGroup, action_from_generator_images,
-                               build_cyclic, build_dihedral, build_product,
-                               build_quaternion, build_semidirect,
-                               build_symmetric, builtin_group)
+                               FusionDatum, FusionError, from_group_characters,
+                               search_fusion, verify_fusion_datum)
+from hopfcensus.groups import (BUILTIN_GROUPS, FiniteGroup,
+                               action_from_generator_images, build_cyclic,
+                               build_dihedral, build_product, build_quaternion,
+                               build_semidirect, build_symmetric, builtin_group)
+from test_groups import metacyclic
 
 P = AlgebraTypeSignature.parse
 
@@ -90,7 +91,47 @@ def a4_and_f20():
     return [(a4, A4_TABLE, A4_CLASSES), (f20, F20_TABLE, F20_CLASSES)]
 
 
-@pytest.mark.parametrize("group, table, classes", a4_and_f20())
+# 1, (12), (12)(34), (123), (1234)
+S4_CLASSES = [1, 6, 3, 8, 6]
+S4_TABLE = [[1, 1, 1, 1, 1], [1, -1, 1, 1, -1], [2, 0, 2, -1, 0],
+            [3, 1, -1, 0, -1], [3, -1, -1, 0, 1]]
+
+# 1, r^4, r^+-1, r^+-2, r^+-3, s r^even, s r^odd in the dihedral group of
+# order 16; rho_h(r^k) = 2 cos(2 pi h k / 8)
+R2 = np.sqrt(2)
+D8_CLASSES = [1, 1, 2, 2, 2, 4, 4]
+D8_TABLE = [[1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, -1, -1],
+            [1, 1, -1, 1, -1, 1, -1], [1, 1, -1, 1, -1, -1, 1],
+            [2, -2, R2, 0, -R2, 0, 0], [2, 2, 0, -2, 0, 0, 0],
+            [2, -2, -R2, 0, R2, 0, 0]]
+
+Z2_TABLE, Z2_CLASSES = [[1, 1], [1, -1]], [1, 1]
+Z3_TABLE, Z3_CLASSES = [[1, 1, 1], [1, W, W * W], [1, W * W, W]], [1, 1, 1]
+
+
+def product_table(first, second):
+    """The table of G x H from (table, class sizes) of G and of H, rows by
+    ascending degree."""
+    (t, c), (u, d) = first, second
+    rows = sorted(([a * b for a in x for b in y] for x in t for y in u),
+                  key=lambda row: abs(row[0]))
+    return rows, [a * b for a in c for b in d]
+
+
+def oracle_groups():
+    """Groups with their complex character tables, rows by ascending degree.
+    G12 is S3 x Z2, as the product of its two reflections acts trivially,
+    and G18 is S3 x Z3."""
+    s3 = (S3_TABLE, S3_CLASSES)
+    return a4_and_f20() + [
+        (build_symmetric(4), S4_TABLE, S4_CLASSES),
+        (build_dihedral(8), D8_TABLE, D8_CLASSES),
+        (builtin_group("D3xD3"), *product_table(s3, s3)),
+        (builtin_group("G12"), *product_table(s3, (Z2_TABLE, Z2_CLASSES))),
+        (builtin_group("G18"), *product_table(s3, (Z3_TABLE, Z3_CLASSES)))]
+
+
+@pytest.mark.parametrize("group, table, classes", oracle_groups())
 def test_one_nonlinear_character_ring_matches_complex_table_oracle(
         group, table, classes):
     oracle = complex_fusion_from_character_table(table, classes)
@@ -99,17 +140,36 @@ def test_one_nonlinear_character_ring_matches_complex_table_oracle(
     oracle_dual = [next(k for k in range(r) if np.allclose(t[k], t[i].conj()))
                    for i in range(r)]
     datum = from_group_characters(group)
-    ell = r - 1
-    assert datum.degrees == tuple(int(abs(row[0])) for row in table)
-    # the linear block is labelled up to a relabelling fixing the unit
-    relabellings = [(0,) + rest + (ell,)
-                    for rest in itertools.permutations(range(1, ell))]
+    degrees = tuple(int(round(abs(row[0]))) for row in table)
+    assert datum.degrees == degrees
+    # labelled up to a relabelling within each degree that fixes the unit
+    blocks = [[i for i in range(1, r) if degrees[i] == d]
+              for d in sorted(set(degrees))]
+    relabellings = [(0,) + sum(perms, ()) for perms in
+                    itertools.product(*map(itertools.permutations, blocks))]
     assert any(all(datum.constants[i][j][k] == oracle[p[i]][p[j]][p[k]]
                    for i in range(r) for j in range(r) for k in range(r))
                and all(p[datum.dual[i]] == oracle_dual[p[i]] for i in range(r))
                for p in relabellings)
     for profile in PROFILES:
         assert verify_fusion_datum(datum, profile).passed, profile
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_codegrees_of_builtin_character_rings_are_centralizer_orders(name):
+    # the formal codegrees, the eigenvalues of sum_i L_i L_i*, are the
+    # centralizer orders |C_G(g)|, one per class
+    g = builtin_group(name)
+    datum = from_group_characters(g)
+    left = [sympy.Matrix(datum.size, datum.size,
+                         lambda k, j: datum.constants[i][j][k])
+            for i in range(datum.size)]
+    casimir = sum((left[i] * left[datum.dual[i]] for i in range(datum.size)),
+                  sympy.zeros(datum.size))
+    x = sympy.Symbol("x")
+    orders = [len(g.centralizer(c[0])) for c in g.conjugacy_classes]
+    assert casimir.charpoly(x).as_expr() == sympy.expand(
+        sympy.prod(x - c for c in orders))
 
 
 def test_s3_character_ring_matches_table_oracle():
@@ -173,9 +233,15 @@ def test_constructed_duality_violation_is_reported():
     assert "duality" in failed
 
 
-def test_unsupported_group():
-    with pytest.raises(UnsupportedGroupError):
-        from_group_characters(build_symmetric(4))
+def test_every_group_has_a_character_ring():
+    # Z15 x| Z4, x -> 2x: |G:G'| = 4, 9 classes and order 60 fit both
+    # 1^4 2^2 4^3 and 1^4 2 3^3 5
+    for group, degrees in ((build_symmetric(4), (1, 1, 2, 3, 3)),
+                           (metacyclic(15, 4, 2), (1,) * 4 + (2,) * 2 + (4,) * 3)):
+        datum = from_group_characters(group)
+        assert datum.degrees == degrees
+        for profile in PROFILES:
+            assert verify_fusion_datum(datum, profile).passed, profile
 
 
 def test_left_stabilizers():

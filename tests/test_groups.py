@@ -1,8 +1,11 @@
 """Finite-group kernel: constructions, invariants, bicharacters."""
 
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfcensus.cyclotomic import CycNumber
 from hopfcensus.groups import (BUILTIN_GROUPS, AltBicharacter, FiniteGroup,
@@ -136,6 +139,10 @@ def test_irreducible_degrees_small():
         .irreducible_degrees == (1,) * 8 + (2,) * 4
     assert build_product(build_dihedral(4), build_dihedral(4)) \
         .irreducible_degrees == (1,) * 16 + (2,) * 8 + (4,)
+    # x -> 2x: |G:G'| = 4, 9 classes and order 60 fit both 1^4 2^2 4^3
+    # and 1^4 2 3^3 5
+    assert metacyclic(15, 4, 2).irreducible_degrees == \
+        (1,) * 4 + (2,) * 2 + (4,) * 3
 
 
 def test_d3d3_degrees_match_pairwise_product_oracle():
@@ -152,6 +159,63 @@ def test_degree_squares_sum_to_order():
         assert sum(d * d for d in degrees) == g.order
         ab = g.order // len(g.commutator_subgroup)
         assert sum(1 for d in degrees if d == 1) == ab
+
+
+def metacyclic(a: int, b: int, u: int) -> FiniteGroup:
+    """Z_a x| Z_b with the generator of Z_b acting by x -> u x."""
+    za, zb = build_cyclic(a), build_cyclic(b)
+    return build_semidirect(za, zb, action_from_generator_images(
+        zb, za, {1: [u * x % a for x in range(a)]}))
+
+
+def assert_orthogonal_mod_p(g: FiniteGroup):
+    """Both orthogonality relations of ``g.character_table``, exactly mod p:
+    sum_r |C_r| chi_i(g_r) chi_j(g_r^-1) = |G| [i = j] and
+    sum_i chi_i(g_r) chi_i(g_s^-1) = |C_G(g_r)| [r = s]."""
+    p, values = g.character_table
+    classes = g.conjugacy_classes
+    cls = {x: r for r, c in enumerate(classes) for x in c}
+    bar = [[row[cls[g.inv(c[0])]] for c in classes] for row in values]
+    assert len(values) == len(classes)
+    for i, j in itertools.product(range(len(values)), repeat=2):
+        assert sum(len(c) * u * v for c, u, v in zip(classes, values[i], bar[j])) \
+            % p == (g.order if i == j else 0)
+    for r, s in itertools.product(range(len(classes)), repeat=2):
+        assert sum(row[r] * conj[s] for row, conj in zip(values, bar)) % p == \
+            (len(g.centralizer(classes[r][0])) if r == s else 0)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_GROUPS))
+def test_builtin_character_tables_are_orthogonal_mod_p(name):
+    assert_orthogonal_mod_p(builtin_group(name))
+
+
+SMALL_GROUPS = [build_cyclic(n) for n in range(1, 7)] + [
+    build_symmetric(3), build_dihedral(4), build_quaternion(),
+    metacyclic(3, 4, 2), metacyclic(7, 3, 2)]
+
+
+@st.composite
+def small_products(draw):
+    """A product of two small groups, or a metacyclic Z_a x| Z_b, of order
+    at most 36."""
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(SMALL_GROUPS))
+        h = draw(st.sampled_from([h for h in SMALL_GROUPS
+                                  if g.order * h.order <= 36]))
+        return build_product(g, h)
+    a = draw(st.integers(2, 18))
+    b = draw(st.integers(2, 36 // a))
+    u = draw(st.sampled_from([u for u in range(1, a)
+                              if math.gcd(u, a) == 1 and pow(u, b, a) == 1]))
+    return metacyclic(a, b, u)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_products())
+def test_character_tables_of_small_products_are_orthogonal_mod_p(g):
+    assert_orthogonal_mod_p(g)
+    assert sum(d * d for d in g.irreducible_degrees) == g.order
 
 
 def test_alt_bicharacter_validation():
