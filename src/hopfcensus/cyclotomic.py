@@ -124,6 +124,15 @@ def _canonical_conductor(n: int) -> int:
     return n // 2 if n % 4 == 2 else n
 
 
+def _common_conductor(*conductors: int) -> int:
+    """The lcm of the conductors; ConductorLimitError beyond MAX_CONDUCTOR."""
+    n = math.lcm(*conductors)
+    if _canonical_conductor(n) > MAX_CONDUCTOR:
+        raise ConductorLimitError(
+            f"operation needs conductor {n} > {MAX_CONDUCTOR}")
+    return n
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
@@ -359,13 +368,6 @@ class CycNumber:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _common(self, other: "CycNumber") -> int:
-        n = self.conductor * other.conductor // math.gcd(self.conductor, other.conductor)
-        if _canonical_conductor(n) > MAX_CONDUCTOR:
-            raise ConductorLimitError(
-                f"operation needs conductor {n} > {MAX_CONDUCTOR}")
-        return n
-
     def __add__(self, other) -> "CycNumber":
         if type(other) is not CycNumber:
             other = _coerce(other)
@@ -383,7 +385,7 @@ class CycNumber:
                     p //= g
                     q //= g
             return _make(1, (p,), q)
-        n = self._common(other)
+        n = _common_conductor(self.conductor, other.conductor)
         a, b = _lifted(self, n), _lifted(other, n)
         return _from_numerators(n, [x * db + y * da for x, y in zip(a, b)],
                                 da * db)
@@ -433,7 +435,7 @@ class CycNumber:
             return _make(1, (p,), q)
         if other.conductor == 1:
             return other.__mul__(self)
-        n = self._common(other)
+        n = _common_conductor(self.conductor, other.conductor)
         return _from_numerators(n, _times(_lifted(self, n), _lifted(other, n), n),
                                 self.den * other.den)
 

@@ -20,10 +20,13 @@ complete.  A kernel that meets such a row concludes nothing, so the
 verifier runs the kernels on a datum's ``sparse`` view and the search runs
 them on each row as it completes.  The kernels are ``_translation_defect``
 (degree-1 translations permute the basis), ``_associativity_defect``, the
-stabilizer kernels, ``_nr_companion``, and the closure and element-order
-kernels of the groups module.  ``_associativity_defect`` also reads the
-packed view of the rows, ``packed[i][j]`` = sum_k N[i][j][k] 2^(width k)
-or None, with digits wide enough never to carry.
+stabilizer kernels, ``_nichols_richmond_defect``, and the closure and
+element-order kernels of the groups module.  Each ``_*_defect`` kernel but
+associativity returns its failure text or None, and both callers report
+that text as it is.  ``_associativity_defect`` returns the index at which
+the two sides first differ, and also reads the packed view of the rows,
+``packed[i][j]`` = sum_k N[i][j][k] 2^(width k) or None, with digits wide
+enough never to carry.
 """
 
 from __future__ import annotations
@@ -378,17 +381,13 @@ def verify_fusion_datum(f: FusionDatum, profile: str = "basic") -> AxiomReport:
     if profile == "hopf":
         total = sum(d * d for d in deg)
         stabs = [(i, f.left_stabilizer(i)) for i in range(r) if deg[i] != 1]
-        bad = next(((i, len(stab)) for i, stab in stabs
-                    if _stabilizer_size_defect(stab, deg[i]) is not None), None)
-        add("stabilizer-size", bad is None, "" if bad is None else
-            f"|G[chi_{bad[0]}]| = {bad[1]} does not divide {deg[bad[0]] ** 2}")
+        detail = next(filter(None, (_stabilizer_size_defect(i, stab, deg[i])
+                                    for i, stab in stabs)), "")
+        add("stabilizer-size", not detail, detail)
         if group_ok:
-            bad = next(((i, g) for i, stab in stabs if (
-                g := _stabilizer_exponent_defect(f.sparse, f.unit, stab, deg[i]))
-                is not None), None)
-            add("stabilizer-exponent", bad is None,
-                "" if bad is None else
-                f"element {bad[1]} of G[chi_{bad[0]}] has order not dividing the degree")
+            detail = next(filter(None, (_stabilizer_exponent_defect(
+                f.sparse, f.unit, i, stab, deg[i]) for i, stab in stabs)), "")
+            add("stabilizer-exponent", not detail, detail)
         else:
             add("stabilizer-exponent", False, "no degree-1 group")
         bad = next((s for s in f.standard_subalgebras() if total % s[1] != 0), None)
@@ -432,17 +431,21 @@ def _stabilizer(rows, deg, dual, i) -> tuple[int, ...]:
     return tuple(k for k, v in rows[i][dual[i]] if v == 1 and deg[k] == 1)
 
 
-def _stabilizer_size_defect(stab, d) -> int | None:
-    """|G[chi]| when it is 0 or does not divide d^2 (Nichols-Zoeller)."""
-    return None if stab and d * d % len(stab) == 0 else len(stab)
+def _stabilizer_size_defect(i, stab, d) -> str | None:
+    """Why G[chi_i] = stab, for chi_i of degree d, breaks Nichols-Zoeller:
+    its order is 0 or does not divide d^2; or None."""
+    if stab and d * d % len(stab) == 0:
+        return None
+    return f"|G[chi_{i}]| = {len(stab)} does not divide {d * d}"
 
 
-def _stabilizer_exponent_defect(rows, unit, stab, d) -> int | None:
-    """The first g in G[chi] whose order is known and does not divide d."""
+def _stabilizer_exponent_defect(rows, unit, i, stab, d) -> str | None:
+    """Why G[chi_i] = stab, for chi_i of degree d, holds an element whose
+    order is known and does not divide d, naming the first; or None."""
     for g in stab:
         order = _element_order(rows, unit, g)
         if order is not None and d % order:
-            return g
+            return f"element {g} of G[chi_{i}] has order not dividing the degree"
     return None
 
 
@@ -475,16 +478,18 @@ def _associativity_defect(rows, packed, width, x, y, z) -> int | None:
     return ((diff & -diff).bit_length() - 1) // width if diff else None
 
 
-def _nr_companion(rows, deg, dual, unit, i) -> int | None:
-    """The psi with chi_i chi_i* = 1 + psi and deg psi = 3, or None.
+def _nichols_richmond_defect(rows, deg, dual, unit, i) -> str | None:
+    """Why the degree-2 chi_i, whose stabilizer is trivial, breaks the first
+    half of the Nichols-Richmond dichotomy, or None.
 
-    Nichols-Richmond: a degree-2 chi_i with trivial stabilizer has such a
-    psi, and psi is self-dual.
+    Such a chi_i has chi_i chi_i* = 1 + psi with deg psi = 3, and psi is
+    self-dual.
     """
     support = [(k, v) for k, v in rows[i][dual[i]] if k != unit]
     if len(support) != 1 or support[0][1] != 1 or deg[support[0][0]] != 3:
-        return None
-    return support[0][0]
+        return f"chi_{i} has trivial stabilizer but chi chi* is not 1 + psi(3)"
+    psi = support[0][0]
+    return None if dual[psi] == psi else f"companion psi_{psi} is not self-dual"
 
 
 def _check_nr_dichotomy(f: FusionDatum) -> AxiomCheck:
@@ -498,15 +503,11 @@ def _check_nr_dichotomy(f: FusionDatum) -> AxiomCheck:
     for i in range(f.size):
         if deg[i] != 2 or len(f.left_stabilizer(i)) > 1:
             continue
-        psi = _nr_companion(f.sparse, deg, f.dual, f.unit, i)
-        if psi is None:
-            return AxiomCheck(
-                "nr-dichotomy", False,
-                f"chi_{i} has trivial stabilizer but chi chi* is not 1 + psi(3)")
-        if f.dual[psi] != psi:
-            return AxiomCheck("nr-dichotomy", False,
-                              f"companion psi_{psi} is not self-dual")
+        defect = _nichols_richmond_defect(f.sparse, deg, f.dual, f.unit, i)
+        if defect is not None:
+            return AxiomCheck("nr-dichotomy", False, defect)
         if not has4:
+            psi = f.sparse[i][f.dual[i]][-1][0]  # chi chi* = 1 + psi, unit 0
             stab = f.left_stabilizer(psi)
             if len(stab) != 3 or set(f.sparse[psi][psi]) != \
                     {(g, 1) for g in stab} | {(psi, 2)}:
@@ -671,7 +672,7 @@ class _Search:
     the kernels' view of row (i, j): its nonzero (k, v) once the row is
     complete, None until then, and ``packed[i][j]`` is the same row as the
     integer sum_k v 2^(width k).  The shared kernels (``_translation_defect``,
-    the stabilizer kernels, ``_nr_companion``, ``_closure`` and
+    the stabilizer kernels, ``_nichols_richmond_defect``, ``_closure`` and
     ``_associativity_defect``) run on each row as it completes.
 
     The rest of the state is kept incrementally, so that no node rescans a
@@ -904,24 +905,14 @@ class _Search:
         return True
 
     def _stabilizer_checks(self, i) -> bool:
-        d = self.deg[i]
-        stab = _stabilizer(self.rows, self.deg, self.dual, i)
-        if _stabilizer_size_defect(stab, d) is not None:
-            return self._fail(
-                f"stabilizer of chi_{i} has size {len(stab)}, not dividing {d ** 2}")
-        g = _stabilizer_exponent_defect(self.rows, 0, stab, d)
-        if g is not None:
-            return self._fail(
-                f"stabilizer element {g} of chi_{i} has order not dividing {d}")
-        if d == 2 and len(stab) == 1:
-            psi = _nr_companion(self.rows, self.deg, self.dual, 0, i)
-            if psi is None:
-                return self._fail(
-                    f"degree-2 chi_{i} with trivial stabilizer lacks the "
-                    f"1 + psi(3) decomposition")
-            if self.dual[psi] != psi:
-                return self._fail("degree-3 companion not self-dual")
-        return True
+        rows, deg, dual = self.rows, self.deg, self.dual
+        d = deg[i]
+        stab = _stabilizer(rows, deg, dual, i)
+        defect = _stabilizer_size_defect(i, stab, d) or \
+            _stabilizer_exponent_defect(rows, 0, i, stab, d)
+        if defect is None and d == 2 and len(stab) == 1:
+            defect = _nichols_richmond_defect(rows, deg, dual, 0, i)
+        return defect is None or self._fail(defect)
 
     def _closure_check(self, seed) -> bool:
         """Dimension of a completed closed subset must divide the total."""
@@ -946,8 +937,7 @@ class _Search:
         indices.  So associativity never rejects a leaf.
 
         Only the candidates whose rows x*y and y*z are complete are
-        checked.  When one fails and the run has no failure yet, the trace
-        names the first failing triple of ``_candidates``.
+        checked, and a failure names the first of them that fails.
         """
         rows, packed, width = self.rows, self.packed, self.width
         row_a = rows[a]
@@ -963,26 +953,8 @@ class _Search:
                       if y and y != b and row_a[y] is not None]
         for x, y, z in checkable:
             if _associativity_defect(rows, packed, width, x, y, z) is not None:
-                if self.first_failure is None:
-                    x, y, z = next(t for t in self._candidates(a, b) if
-                                   _associativity_defect(rows, packed, width, *t)
-                                   is not None)
-                    self._fail(f"associativity fails on triple ({x},{y},{z})")
-                return False
+                return self._fail(f"associativity fails on triple ({x},{y},{z})")
         return True
-
-    def _candidates(self, a, b):
-        """The trigger's candidates for row (a, b) as a set, filled
-        row-major as a scan of the table would add them: the set's iteration
-        order, and so the triple a trace names, depends on it."""
-        r = self.r
-        candidates = {(a, b, z) for z in range(r)}
-        candidates |= {(x, a, b) for x in range(r)}
-        for x, y in sorted(self.holders[a]):
-            candidates.add((x, y, b))
-        for y, z in sorted(self.holders[b]):
-            candidates.add((a, y, z))
-        return candidates
 
     # -- main loop
 

@@ -53,8 +53,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hopfcensus.cyclotomic import (MAX_CONDUCTOR, ConductorLimitError, CycInt,
-                                   CycNumber, _canonical_conductor,
+from hopfcensus.cyclotomic import (MAX_CONDUCTOR, CycInt, CycNumber,
+                                   _canonical_conductor, _common_conductor,
                                    _from_numerators, _lifted, _normalized,
                                    _polydiv_exact, _spread, divisors)
 from hopfcensus.fusion import AlgebraTypeSignature, AxiomCheck, AxiomReport
@@ -316,15 +316,6 @@ class HopfData(_Tensors):
 
 
 # -- the integral form ------------------------------------------------------------
-
-def _common_conductor(*conductors: int) -> int:
-    """The lcm of the conductors; ConductorLimitError beyond MAX_CONDUCTOR."""
-    n = math.lcm(*conductors)
-    if _canonical_conductor(n) > MAX_CONDUCTOR:
-        raise ConductorLimitError(
-            f"operation needs conductor {n} > {MAX_CONDUCTOR}")
-    return n
-
 
 def _numerators(rows, n: int) -> tuple[list, int]:
     """Sparse rows of CycNumbers over their least common denominator d, as
@@ -982,12 +973,13 @@ def drinfeld_double_group_type(g: FiniteGroup) -> AlgebraTypeSignature:
     """Algebra type of the double of a group algebra.
 
     Irreducibles are indexed by (conjugacy class, centralizer irreducible)
-    with dimension class size times centralizer degree.
+    with dimension class size times centralizer degree.  A central element's
+    centralizer is G, whose degrees are cached.
     """
     return AlgebraTypeSignature.from_counts(Counter(
         len(cls) * d for cls in g.conjugacy_classes
-        for d in g.subgroup_as_group(g.centralizer(cls[0]))[0]
-        .irreducible_degrees))
+        for d in (g if len(cls) == 1 else g.subgroup_as_group(
+            g.centralizer(cls[0]))[0]).irreducible_degrees))
 
 
 # -- cocycle twists -----------------------------------------------------------------

@@ -748,10 +748,15 @@ def _largest_digit(rows, x, y, z):
 class _NamedFailureSearch(fusion._Search):
     """A search that, at each associativity trigger, names a failing triple
     as if it were the run's first failure, and checks the verdict and the
-    triple against the trigger's candidate set scanned in its iteration
-    order by the dict kernel on ``rows`` alone.  It also checks that no
-    coefficient of either side of a candidate reaches 2^width, the bound
-    the search's packed rows rely on."""
+    triple against the trigger's candidates scanned in the trigger's order
+    by the dict kernel on ``rows`` alone: (a, b, z) by ascending z,
+    (x, a, b) by ascending x, then (x, y, b) for each holder (x, y) of a
+    and (a, y, z) for each holder (y, z) of b, in ``holders`` order.  The
+    trigger skips the candidates that hold the unit, whose rows are
+    unknown or that an earlier one repeats; none of them can be the first
+    to fail.  It also checks that no coefficient of either side of a
+    candidate reaches 2^width, the bound the search's packed rows rely
+    on."""
 
     failures = 0
 
@@ -761,12 +766,10 @@ class _NamedFailureSearch(fusion._Search):
         named = self.first_failure
         self.first_failure = named if kept is None else kept
         r = self.r
-        candidates = {(a, b, z) for z in range(r)}
-        candidates |= {(x, a, b) for x in range(r)}
-        for x, y in sorted(self.holders[a]):
-            candidates.add((x, y, b))
-        for y, z in sorted(self.holders[b]):
-            candidates.add((a, y, z))
+        candidates = [(a, b, z) for z in range(r)]
+        candidates += [(x, a, b) for x in range(r)]
+        candidates += [(x, y, b) for x, y in self.holders[a]]
+        candidates += [(a, y, z) for y, z in self.holders[b]]
         expected = next((f"associativity fails on triple ({x},{y},{z})"
                          for x, y, z in candidates
                          if _dict_associativity_defect(self.rows, x, y, z)
@@ -1066,3 +1069,59 @@ def test_nichols_richmond_dichotomy_on_sl23():
         assert not check.passed
         assert check.detail == \
             "psi_6 does not satisfy psi^2 = (order-3 group) + 2 psi"
+
+
+# -- one failure text per stabilizer and Nichols-Richmond check --------------------
+
+def _with_row(datum, i, j, row, degrees=None, dual=None):
+    """``datum`` with row (i, j) replaced by {k: N_ij^k}, and with
+    ``degrees`` and ``dual`` when given: labels past its size have zero
+    products."""
+    degrees = degrees or datum.degrees
+    r = len(degrees)
+    constants = [[[datum.n(a, b, c) if max(a, b, c) < datum.size else 0
+                   for c in range(r)] for b in range(r)] for a in range(r)]
+    constants[i][j] = [row.get(k, 0) for k in range(r)]
+    return FusionDatum(degrees, dual or datum.dual, constants)
+
+
+def _tambara_yamagami_z4():
+    """Z4 = {0, 1, 2, 3} and rho (label 4) of degree 2 with g rho = rho g =
+    rho and rho^2 = the sum of Z4: G[rho] = Z4 has order 4, which divides
+    d^2 = 4, but holds elements of order 4, which does not divide d = 2."""
+    constants = [[[0] * 5 for _ in range(5)] for _ in range(5)]
+    for g, h in itertools.product(range(4), repeat=2):
+        constants[g][h][(g + h) % 4] = 1
+    for g in range(4):
+        constants[g][4][4] = constants[4][g][4] = constants[4][4][g] = 1
+    return FusionDatum((1, 1, 1, 1, 2), (0, 3, 2, 1, 4), constants)
+
+
+SHARED_TEXTS = [
+    # rho^2 = 2 rho in D4's ring: no degree-1 element stabilizes rho
+    (_with_row(from_group_characters(build_dihedral(4)), 4, 4, {4: 2}), 4,
+     "stabilizer-size", "|G[chi_4]| = 0 does not divide 4"),
+    (_tambara_yamagami_z4(), 4, "stabilizer-exponent",
+     "element 1 of G[chi_4] has order not dividing the degree"),
+    # chi_0 chi_0* = 1 + 2 psi in SL(2, 3)'s ring
+    (_with_row(sl23_ring(), 3, 3, {0: 1, 6: 2}), 3, "nr-dichotomy",
+     "chi_3 has trivial stabilizer but chi chi* is not 1 + psi(3)"),
+    # SL(2, 3)'s ring with a degree-3 label 7 dual to psi
+    (_with_row(sl23_ring(), 3, 3, {0: 1, 6: 1}, (1, 1, 1, 2, 2, 2, 3, 3),
+               (0, 2, 1, 3, 5, 4, 7, 6)), 3, "nr-dichotomy",
+     "companion psi_6 is not self-dual"),
+]
+
+
+@pytest.mark.parametrize("datum,i,axiom,detail", SHARED_TEXTS)
+def test_verifier_and_search_fail_a_stabilizer_check_with_one_text(
+        datum, i, axiom, detail):
+    """The verifier's detail for the axiom, and the failure a search on the
+    same degrees and dual records when ``_stabilizer_checks`` reads the
+    datum's rows, are one text."""
+    checks = {c.axiom: c for c in verify_fusion_datum(datum, "hopf").checks}
+    assert (checks[axiom].passed, checks[axiom].detail) == (False, detail)
+    search = fusion._Search(datum.degrees, datum.dual, "hopf", 0)
+    search.rows = [list(plane) for plane in datum.sparse]
+    assert not search._stabilizer_checks(i)
+    assert search.first_failure == detail
