@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple
 
 from hopfcensus.cyclotomic import _nat_span, _partitions_into_squares, divisors
@@ -67,6 +68,13 @@ def _r10_violation(n: int, degrees: tuple[int, ...]) -> str | None:
     return None
 
 
+def _r3_violation(n: int, entries: tuple) -> str | None:
+    for d, m in entries:
+        if m * d * d % n:
+            return f"n = {n} does not divide {m}*{d}^2 = {m * d * d}"
+    return None
+
+
 RULES: tuple[CensusRule, ...] = (
     CensusRule(
         "R1", "Wedderburn decomposition: n + sum n_i d_i^2 must equal the dimension",
@@ -81,8 +89,7 @@ RULES: tuple[CensusRule, ...] = (
         "R3", "Nichols-Zoeller freeness of each isotypic component over the "
               "degree-1 span: n divides n_i d_i^2",
         lambda N, s: True,
-        lambda N, s: next((f"n = {s.n} does not divide {m}*{d}^2 = {m * d * d}"
-                           for d, m in s.entries if (m * d * d) % s.n != 0), None)),
+        lambda N, s: _r3_violation(s.n, s.entries)),
     CensusRule(
         "R4", "with a trivial group of degree-1 characters, at least three "
               "distinct nonlinear degrees must occur",
@@ -160,11 +167,36 @@ class Elimination(NamedTuple):
     detail: str
 
 
+class Eliminations:
+    """The ``Elimination`` rows of a census in candidate order, read-only,
+    held as ``runs``: a run ``(head, tails, rule, detail)`` stands for the
+    rows ``Elimination(head + tail, rule, detail)``, tail by tail.  A count
+    that R2 removes is one run over its list of entry texts."""
+
+    def __init__(self, runs: Iterable[tuple[str, list[str], str, str]] = ()):
+        self.runs = tuple(runs)
+        self._size = sum(len(run[1]) for run in self.runs)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        row = partial(tuple.__new__, Elimination)
+        for head, tails, rule, detail in self.runs:
+            yield from map(row, zip(map(head.__add__, tails), repeat(rule),
+                                    repeat(detail)))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Eliminations) and len(self) == len(other) \
+            and all(map(Elimination.__eq__, self, other))
+
+
 @dataclass(frozen=True)
 class CensusResult:
+    """A census; its ``Eliminations`` are runs (head, tails, rule, detail)."""
     dimension: int
     survivors: tuple[AlgebraTypeSignature, ...]
-    eliminated: tuple[Elimination, ...]
+    eliminated: Eliminations
     oracle: tuple[tuple[AlgebraTypeSignature, SearchOutcome], ...] = ()
 
     def final_survivors(self) -> tuple[AlgebraTypeSignature, ...]:
@@ -174,12 +206,13 @@ class CensusResult:
         return tuple(s for s in self.survivors if str(s) not in refuted)
 
     def to_json(self) -> dict:
-        """The report.  The eliminations stay ``Elimination`` named tuples,
-        which ``cli`` writes as {type, rule, detail} objects."""
+        """The report.  The eliminations stay one ``Eliminations``, whose runs
+        ``(head, tails, rule, detail)`` ``cli`` writes as {type, rule, detail}
+        objects, one join per slice of a run."""
         return {
             "dim": self.dimension,
             "survivors": [str(s) for s in self.survivors],
-            "eliminated": list(self.eliminated),
+            "eliminated": self.eliminated,
             "oracle": [{"type": str(sig), **out.to_json()}
                        for sig, out in self.oracle],
             "final": [str(s) for s in self.final_survivors()],
@@ -222,8 +255,8 @@ def enumerate_types(dimension: int,
     # Every candidate satisfies R1 by construction, so R1 is not checked.
     # R2 reads only n: when it comes first among the other rules, it is
     # decided once per degree-1 count, on the count's first candidate, and
-    # removes all of a failing count's candidates without building them or
-    # their entries.
+    # removes all of a failing count's candidates as one run, building none
+    # of them or their entries.
     r1, r2 = RULES_BY_ID["R1"], RULES_BY_ID["R2"]
     checked = tuple(r for r in rule_list if r is not r1)
     r2_first = checked[:1] == (r2,)
@@ -231,7 +264,7 @@ def enumerate_types(dimension: int,
         checked = checked[1:]
 
     survivors: list[AlgebraTypeSignature] = []
-    eliminated: list[Elimination] = []
+    runs: list[tuple[str, list[str], str, str]] = []
     degrees = tuple(range(2, math.isqrt(dimension) + 1))
     memo: dict = {}
     text_memo: dict = {}
@@ -243,8 +276,7 @@ def enumerate_types(dimension: int,
             detail = r2.check(dimension,
                               AlgebraTypeSignature.parse(head + texts[0]))
             if detail is not None:
-                eliminated += [Elimination(head + text, r2.id, detail)
-                               for text in texts]
+                runs.append((head, texts, r2.id, detail))
                 continue
         ways = _partitions_into_squares(dimension - n, degrees, 0, memo)
         for entries, text in zip(ways, texts):
@@ -255,7 +287,11 @@ def enumerate_types(dimension: int,
             for rule in checked:
                 detail = rule.check(dimension, sig)
                 if detail is not None:
-                    eliminated.append(Elimination(sig.text, rule.id, detail))
+                    if runs and runs[-1][::2] == ("", rule.id) \
+                            and runs[-1][3] == detail:
+                        runs[-1][1].append(sig.text)
+                    else:
+                        runs.append(("", [sig.text], rule.id, detail))
                     break
             else:
                 survivors.append(sig)
@@ -272,7 +308,7 @@ def enumerate_types(dimension: int,
             outcome = SearchOutcome("inconclusive", 0, trace=str(exc))
         oracle_results.append((sig, outcome))
 
-    return CensusResult(dimension, tuple(survivors), tuple(eliminated),
+    return CensusResult(dimension, tuple(survivors), Eliminations(runs),
                         tuple(oracle_results))
 
 

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 from hopfcensus import census as census_mod
 from hopfcensus import fusion, groups, hopfcore
@@ -340,12 +339,13 @@ def _write_json(value, out, indent: str = "") -> None:
     """Write ``value`` to ``out`` as ``json.dumps(value, sort_keys=True,
     indent=2)`` would, a piece at a time.  Dict keys must be strings.
 
-    ``indent`` is the indentation of the line ``value`` starts on.  A list
-    of named tuples, such as census eliminations, is written by
-    ``_write_rows`` as the list of their dicts.
+    ``indent`` is the indentation of the line ``value`` starts on.  Census
+    eliminations are written by ``_write_runs`` as the list of their dicts.
     """
     if isinstance(value, str):
         out.write(encode_basestring_ascii(value))
+    elif isinstance(value, census_mod.Eliminations) and value:
+        _write_runs(value.runs, out, indent)
     elif isinstance(value, dict):
         if not value:
             out.write("{}")
@@ -357,47 +357,44 @@ def _write_json(value, out, indent: str = "") -> None:
             _write_json(item, out, inner)
             sep = ",\n"
         out.write(f"\n{indent}}}")
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, census_mod.Eliminations)):
         if not value:
             out.write("[]")
-        elif hasattr(value[0], "_fields"):
-            _write_rows(value, out, indent)
-        else:
-            inner = indent + "  "
-            sep = "[\n"
-            for item in value:
-                out.write(sep + inner)
-                _write_json(item, out, inner)
-                sep = ",\n"
-            out.write(f"\n{indent}]")
+            return
+        inner = indent + "  "
+        sep = "[\n"
+        for item in value:
+            out.write(sep + inner)
+            _write_json(item, out, inner)
+            sep = ",\n"
+        out.write(f"\n{indent}]")
     else:
         out.write(json.dumps(value))
 
 
-def _write_rows(rows, out, indent: str) -> None:
-    """Write ``rows``, named tuples of one type with string fields, as the
-    list of their dicts.  Each row's encoded values fill one ``%`` layout of
-    the sorted field names, so no dict is built, and the rows go out in
-    writes of about 2,048 characters: each write ends with the row that
-    takes it past that size.
-    """
-    fields = rows[0]._fields
+def _slices(tails: list[str], joint: int):
+    """``tails`` cut so that each slice, with ``joint`` characters around
+    each tail, takes fewer than one row past 2,048 characters."""
+    step = 2048 // (joint + max(map(len, tails))) + 1
+    return (tails[i:i + step] for i in range(0, len(tails), step))
+
+
+def _write_runs(runs, out, indent: str) -> None:
+    """Write eliminations held as runs ``(head, tails, rule, detail)`` as the
+    list of their {detail, rule, type} dicts.  A type comes last and holds
+    only digits, commas and semicolons, so needs no escape: the text between
+    two rows of a run is one joint, and a run goes out a slice per join."""
     inner = indent + "  "
-    keys = sorted(fields)
-    form = "{\n" + ",\n".join(f"{inner}  {encode_basestring_ascii(k)}: %s"
-                               for k in keys) + f"\n{inner}}}"
-    pick = itemgetter(*map(fields.index, keys))
     sep, comma = "[\n" + inner, ",\n" + inner
-    chunk, size = [], 0
-    for row in rows:
-        text = form % tuple(map(encode_basestring_ascii, pick(row)))
-        chunk.append(text)
-        size += len(text)
-        if size >= 2048:
-            out.write(sep + comma.join(chunk))
-            sep, chunk, size = comma, [], 0
-    if chunk:
-        out.write(sep + comma.join(chunk))
+    for head, tails, rule, detail in runs:
+        start = (f'{{\n{inner}  "detail": {encode_basestring_ascii(detail)},'
+                 f'\n{inner}  "rule": {encode_basestring_ascii(rule)},'
+                 f'\n{inner}  "type": "{head}')
+        end = f'"\n{inner}}}'
+        joint = end + comma + start
+        for part in _slices(tails, len(joint)):
+            out.write(sep + start + joint.join(part) + end)
+            sep = comma
     out.write(f"\n{indent}]")
 
 
@@ -408,15 +405,18 @@ def _render_table(payload: dict, out) -> None:
             out.write(f"{pad}{key}:\n")
             for k in sorted(value):
                 write_item(k, value[k], indent + 1)
-        elif isinstance(value, list) and value and (
-                isinstance(value[0], dict) or hasattr(value[0], "_fields")):
+        elif isinstance(value, census_mod.Eliminations) and value:
+            out.write(f"{pad}{key}:\n")
+            for head, tails, rule, detail in value.runs:
+                start = f"{pad}  - detail={detail}, rule={rule}, type={head}"
+                for part in _slices(tails, len(start) + 1):
+                    out.write(start + ("\n" + start).join(part) + "\n")
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
             out.write(f"{pad}{key}:\n")
             for entry in value:
-                if not isinstance(entry, dict):     # a named tuple
-                    entry = entry._asdict()
                 out.write(f"{pad}  - " + ", ".join(
                     f"{k}={entry[k]}" for k in sorted(entry)) + "\n")
-        elif isinstance(value, list):
+        elif isinstance(value, (list, census_mod.Eliminations)):
             out.write(f"{pad}{key}: " + ", ".join(str(v) for v in value) + "\n")
         else:
             out.write(f"{pad}{key}: {value}\n")

@@ -106,10 +106,13 @@ class AlgebraTypeSignature:
 
     @property
     def n2(self) -> int:
-        return dict(self.entries).get(2, 0)
+        return self.multiplicity(2)
 
     def multiplicity(self, d: int) -> int:
-        return dict(self.entries).get(d, 0)
+        for e, m in self.entries:
+            if e == d:
+                return m
+        return 0
 
     @property
     def degrees_present(self) -> tuple[int, ...]:
@@ -501,7 +504,7 @@ def _check_nr_dichotomy(f: FusionDatum) -> AxiomCheck:
     deg = f.degrees
     has4 = 4 in deg
     for i in range(f.size):
-        if deg[i] != 2 or len(f.left_stabilizer(i)) > 1:
+        if deg[i] != 2 or len(f.left_stabilizer(i)) != 1:
             continue
         defect = _nichols_richmond_defect(f.sparse, deg, f.dual, f.unit, i)
         if defect is not None:

@@ -8,15 +8,18 @@ of the list whose ``check`` fails, and writes the report with
 bytes.
 """
 
+import functools
 import io
 import itertools
 import json
 import math
+import re
 from collections import Counter
 
 import pytest
 
-from hopfcensus.census import RULES_BY_ID, enumerate_types
+from hopfcensus.census import (RULES_BY_ID, Elimination, Eliminations,
+                               enumerate_types)
 from hopfcensus.cli import run
 from hopfcensus.fusion import AlgebraTypeSignature
 
@@ -76,9 +79,16 @@ def _first_failures(dim, rule_ids, candidates, proper_only=True):
     return survivors, eliminated
 
 
+@functools.lru_cache(maxsize=None)
+def _candidates(dim):
+    """The product enumeration up to 72 (where the two are checked to agree),
+    the recursion above; kept for the module, which reads 240 thrice."""
+    return _candidates_by_product(dim) if dim <= 72 else \
+        _candidates_by_recursion(dim)
+
+
 def _expected_report(dim, spec, n=None, improper=False):
-    candidates = [(k, e) for k, e in _candidates_by_product(dim)
-                  if n is None or k == n]
+    candidates = [(k, e) for k, e in _candidates(dim) if n is None or k == n]
     survivors, eliminated = _first_failures(dim, RULE_IDS[spec], candidates,
                                             proper_only=not improper)
     flags = {"budget": 10 ** 7, "dim": dim, "improper": improper,
@@ -158,7 +168,59 @@ def test_the_two_oracle_enumerations_agree():
 def test_kills_per_rule_at_240_match_the_oracle():
     """The counts ``perfbench/tracer.py`` reads from ``result.eliminated``."""
     kills = Counter(e.rule for e in enumerate_types(240, "all").eliminated)
-    _, eliminated = _first_failures(240, RULE_IDS["all"],
-                                    _candidates_by_recursion(240))
+    _, eliminated = _first_failures(240, RULE_IDS["all"], _candidates(240))
     assert kills == Counter(e["rule"] for e in eliminated)
     assert kills == {"R2": 51_521, "R3": 18_350, "R10": 225, "R4": 14}
+
+
+@pytest.mark.parametrize("dim", [120, 240])
+def test_long_runs_of_eliminations_match_the_oracle(dim):
+    """At 120 and 240 R2 removes whole degree-1 counts of up to thousands of
+    candidates each, which the writers put out one slice of a run at a time."""
+    expected = _expected_report(dim, "all")
+    argv = ["census", "--dim", str(dim), "--rules", "all"]
+    assert _cli(argv) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert _cli(argv + ["--format", "table"]) == _table(expected)
+
+
+@pytest.mark.parametrize("spec", ["all", "R1,R3,R2"])
+@pytest.mark.parametrize("dim", [192, 216, 240])
+def test_eliminations_read_as_the_oracles_rows(dim, spec):
+    eliminated = enumerate_types(dim, spec).eliminated
+    _, rows = _first_failures(dim, RULE_IDS[spec], _candidates(dim))
+    assert len(eliminated) == len(rows)
+    assert list(eliminated) == [Elimination(**row) for row in rows]
+    assert eliminated == enumerate_types(dim, spec).eliminated
+    assert eliminated != enumerate_types(dim, "R1,R2").eliminated
+
+
+def test_eliminations_are_equal_row_by_row():
+    """Equality reads the rows, not how they are grouped into runs."""
+    one = Eliminations([("1,2", [";2,1", ";3,1"], "R2", "why")])
+    two = Eliminations([("", ["1,2;2,1"], "R2", "why"),
+                        ("1,", ["2;3,1"], "R2", "why")])
+    assert one == two and len(one) == len(two) == 2
+    assert one != Eliminations([("1,2", [";2,1", ";3,2"], "R2", "why")])
+    assert one != Eliminations([("1,2", [";2,1"], "R2", "why")])
+
+
+def test_an_empty_elimination_list():
+    result = enumerate_types(30, "R1")
+    assert not result.eliminated
+    assert len(result.eliminated) == 0 and list(result.eliminated) == []
+    assert result.eliminated == Eliminations()
+    argv = ["census", "--dim", "30", "--rules", "R1"]
+    assert '"eliminated": [],' in _cli(argv)
+    assert "  eliminated: \n" in _cli(argv + ["--format", "table"])
+
+
+def test_type_texts_need_no_json_escape():
+    """The census writers put type texts out unescaped, which holds while
+    every type text at dimensions 1-240 is digits, commas and semicolons."""
+    texts = re.compile(r"1,\d+(?:;\d+,\d+)*(?:\n1,\d+(?:;\d+,\d+)*)*")
+    for dim in range(1, 241):
+        result = enumerate_types(dim, "R1,R2", proper_only=False)
+        lines = [s.text for s in result.survivors]
+        lines += [head + ("\n" + head).join(tails)   # each run's rows' types
+                  for head, tails, _, _ in result.eliminated.runs]
+        assert texts.fullmatch("\n".join(lines)), dim

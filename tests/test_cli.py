@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 
 import hopfcensus
 from hopfcensus import cyclotomic, hopfcore
+from hopfcensus.census import Eliminations
 from hopfcensus.cli import _write_json, run
 from hopfcensus.fusion import from_group_characters
 from hopfcensus.groups import build_dihedral
@@ -401,6 +401,9 @@ def test_fusion_verify_reports_an_empty_stabilizer(tmp_path):
     assert checks["stabilizer-size"] == {
         "axiom": "stabilizer-size", "passed": False,
         "detail": "|G[chi_4]| = 0 does not divide 4"}
+    # the Nichols-Richmond dichotomy reads only a trivial stabilizer
+    assert checks["nr-dichotomy"] == {"axiom": "nr-dichotomy", "passed": True,
+                                      "detail": ""}
 
 
 # -- the streaming JSON writer ------------------------------------------------------
@@ -448,16 +451,17 @@ def test_write_json_matches_json_dumps(tree):
     assert out.getvalue() == json.dumps(tree, sort_keys=True, indent=2)
 
 
-_Row = namedtuple("_Row", ["type", "rule", "detail"])
-
-
 def test_write_json_writes_rows_as_dicts_in_bounded_pieces():
-    """Rows of one named tuple type with string fields are written as their
-    dicts, in writes that stay within 4,096 characters when rows are long."""
-    rows = [_Row(f"1,{i}", "R%s", '"\\ \u2028' * (i % 7) * 15)
+    """Eliminations held as runs are written as the list of their dicts, in
+    writes that stay within 4,096 characters when rows are long.  The rule
+    and the detail are escaped; a run may hold one slice or many."""
+    runs = [(f"1,{i}" if i % 3 else "",
+             [(";" if i % 3 else "1,0;") + f"{j},{i}" for j in range(3 * i + 1)],
+             "R%s", '"\\ \u2028' * (i % 7) * 15)
             for i in range(40)]
+    rows = Eliminations(runs)
     out = _RecordingStream()
-    _write_json({"rows": rows, "empty": []}, out)
+    _write_json({"rows": rows, "empty": Eliminations()}, out)
     assert out.getvalue() == json.dumps(
         {"rows": [r._asdict() for r in rows], "empty": []},
         sort_keys=True, indent=2)

@@ -15,6 +15,10 @@ The set is the following, each argv once, at its first place:
 - the six acceptance determinism commands, as JSON and under
   ``--format table``;
 - ``census --rules all`` at every dimension 1-240;
+- ``census`` at dimensions 120, 192 and 240 under ``--format table``,
+  ``--rules R1-R8``, ``--rules R1,R3,R2``, ``--improper`` and ``--n 2``:
+  the long runs of eliminations, formed by R2 first, R2 after another
+  rule, one degree-1 count and the improper type;
 - ``fusion-search --budget 5000`` under both profiles for every R1
   survivor with at most 10 basis elements at dimensions 6-72;
 - ``double``, ``fusion-verify --group`` under both profiles and four
@@ -91,6 +95,11 @@ def commands(census, groups) -> list[list[str]]:
     out += [argv + ["--format", "table"] for argv in DETERMINISM_COMMANDS]
     out += [["census", "--dim", str(d), "--rules", "all"]
             for d in range(1, 241)]
+    for d in (120, 192, 240):
+        base = ["census", "--dim", str(d), "--rules", "all"]
+        out += [base + ["--format", "table"], base[:-1] + ["R1-R8"],
+                base[:-1] + ["R1,R3,R2"], base + ["--improper"],
+                base + ["--n", "2"]]
     for d in range(6, 73):
         for sig in census.enumerate_types(d, "R1").survivors:
             if len(sig.basis_degrees()) <= 10:
